@@ -1,5 +1,25 @@
 #include "common/stopwatch.h"
 
-// Stopwatch and PhaseTimer are header-only; this translation unit exists so
-// the build file can list the module and future non-inline helpers have a
-// home.
+#include <algorithm>
+#include <limits>
+
+namespace topk {
+
+int64_t ClockReadOverheadNanos() {
+  static const int64_t overhead = [] {
+    using Clock = std::chrono::steady_clock;
+    int64_t best = std::numeric_limits<int64_t>::max();
+    for (int trial = 0; trial < 64; ++trial) {
+      const Clock::time_point start = Clock::now();
+      const Clock::time_point end = Clock::now();
+      best = std::min<int64_t>(
+          best, std::chrono::duration_cast<std::chrono::nanoseconds>(end -
+                                                                     start)
+                    .count());
+    }
+    return best;
+  }();
+  return overhead;
+}
+
+}  // namespace topk

@@ -1,5 +1,6 @@
 #include <algorithm>
 
+#include "common/stopwatch.h"
 #include "obs/obs_context.h"
 #include "obs/trace.h"
 #include "row/serialization.h"
@@ -53,6 +54,9 @@ Status QuicksortRunGenerator::Add(Row row) {
 }
 
 Status QuicksortRunGenerator::SortAndSpill() {
+  // Runs inside one Consume call per memory load: far heavier than a
+  // typical call, so a sampled consume timer must not scale it up.
+  SampledScopeTimer::InFull in_full;
   TraceSpan span("rungen.sort_and_spill", "sort",
                  {TraceArg("rows", buffer_.size())});
   // Sort (normalized key, buffer index) pairs instead of the rows

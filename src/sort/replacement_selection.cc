@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/stopwatch.h"
 #include "obs/obs_context.h"
 #include "obs/trace.h"
 #include "row/serialization.h"
@@ -22,8 +23,7 @@ ReplacementSelectionRunGenerator::ReplacementSelectionRunGenerator(
     const RunGeneratorOptions& options)
     : spill_(spill),
       comparator_(comparator),
-      options_(options),
-      heap_(EntryGreater{}) {}
+      options_(options) {}
 
 Status ReplacementSelectionRunGenerator::Add(Row row) {
   TOPK_RETURN_NOT_OK(ValidateRowPayload(row));
@@ -40,7 +40,8 @@ Status ReplacementSelectionRunGenerator::Add(Row row) {
                           options_.arbiter->Acquire("run-generation", 0));
   }
   TOPK_RETURN_NOT_OK(lease_.EnsureAtLeast(buffered_bytes_));
-  heap_.push(Entry{seq, norm, std::move(row)});
+  heap_.push_back(Entry{seq, norm, std::move(row)});
+  std::push_heap(heap_.begin(), heap_.end(), EntryGreater{});
   ++stats_.rows_added;
   stats_.rows_in_memory = heap_.size();
   stats_.peak_memory_bytes =
@@ -69,8 +70,11 @@ Status ReplacementSelectionRunGenerator::Add(Row row) {
 }
 
 Status ReplacementSelectionRunGenerator::SpillOne() {
-  Entry entry = heap_.top();
-  heap_.pop();
+  std::pop_heap(heap_.begin(), heap_.end(), EntryGreater{});
+  Entry entry = std::move(heap_.back());
+  heap_.pop_back();
+  // The row was moved, never copied, since Add charged it, so its payload
+  // keeps the capacity Add measured and this returns exactly that charge.
   buffered_bytes_ -= entry.row.MemoryFootprint() + kPerRowOverheadBytes;
 
   if (entry.run_seq != current_seq_) {
@@ -103,6 +107,9 @@ Status ReplacementSelectionRunGenerator::SpillOne() {
 
 Status ReplacementSelectionRunGenerator::EnsureWriter() {
   if (writer_ == nullptr) {
+    // Opening and closing a run file costs far more than spilling a row;
+    // a sampled consume timer must not scale it up.
+    SampledScopeTimer::InFull in_full;
     TOPK_ASSIGN_OR_RETURN(
         writer_, spill_->NewRun(comparator_, options_.run_index_stride));
     rows_in_physical_run_ = 0;
@@ -116,6 +123,7 @@ Status ReplacementSelectionRunGenerator::CloseRun() {
     histogram = options_.observer->OnRunFinished();
   }
   if (writer_ == nullptr) return Status::OK();
+  SampledScopeTimer::InFull in_full;
   TraceSpan span("rungen.close_run", "sort",
                  {TraceArg("rows", rows_in_physical_run_)});
   RunMeta meta;

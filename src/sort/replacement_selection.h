@@ -2,7 +2,6 @@
 #define TOPK_SORT_REPLACEMENT_SELECTION_H_
 
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "sort/run_generation.h"
@@ -71,7 +70,10 @@ class ReplacementSelectionRunGenerator : public RunGenerator {
   RunGeneratorOptions options_;
   RunGeneratorStats stats_;
 
-  std::priority_queue<Entry, std::vector<Entry>, EntryGreater> heap_;
+  /// Binary min-heap under EntryGreater, kept with std::push_heap and
+  /// std::pop_heap so SpillOne can move the minimum out instead of copying
+  /// it off a priority_queue's const top().
+  std::vector<Entry> heap_;
   size_t buffered_bytes_ = 0;
   /// Lease covering buffered_bytes_ (detached without an arbiter).
   MemoryLease lease_;

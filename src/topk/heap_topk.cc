@@ -38,7 +38,7 @@ Status HeapTopK::ConsumeImpl(Row row) {
     return options_.cancel->status();
   }
   ObsScope obs_scope(options_.obs);
-  Stopwatch watch;
+  SampledScopeTimer timer(&consume_timing_, &stats_.consume_nanos);
   TOPK_RETURN_NOT_OK(ValidateRowPayload(row));
   MemoryArbiter* arbiter = options_.effective_arbiter();
   if (arbiter != nullptr && !lease_.attached()) {
@@ -102,7 +102,6 @@ Status HeapTopK::ConsumeImpl(Row row) {
     ++stats_.rows_eliminated_input;
   }
   stats_.peak_memory_bytes = std::max(stats_.peak_memory_bytes, heap_bytes_);
-  stats_.consume_nanos += watch.ElapsedNanos();
   return Status::OK();
 }
 

@@ -47,6 +47,8 @@ class HeapTopK : public TopKOperator {
   /// Arbiter lease covering heap_bytes_ (detached when the effective
   /// arbiter is the unlimited global one — it still accounts).
   MemoryLease lease_;
+  /// Which Consume calls time themselves into stats_.consume_nanos.
+  SampledScopeTimer::Schedule consume_timing_;
   bool finished_ = false;
 };
 

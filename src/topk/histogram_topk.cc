@@ -118,6 +118,7 @@ CutoffFilter::Options HistogramTopK::MakeFilterOptions(
 
 Status HistogramTopK::SwitchToExternal() {
   PhaseScope phase("switch_to_external");
+  SampledScopeTimer::InFull in_full;
   TraceSpan span("topk.switch_to_external", "topk",
                  {TraceArg("buffered_rows", heap_.size() + ties_.size())});
   // The cutoff filter's bucket queue is a sizable consumer in its own
@@ -225,6 +226,7 @@ Status HistogramTopK::ConsolidateSpillForQuota() {
   uint64_t input_bytes = 0;
   for (const RunMeta& run : inputs) input_bytes += run.bytes;
   PhaseScope phase("spill.quota_consolidate");
+  SampledScopeTimer::InFull in_full;
   TraceSpan span("spill.quota_consolidate", "topk",
                  {TraceArg("runs", inputs.size()),
                   TraceArg("input_bytes", input_bytes),
@@ -331,7 +333,7 @@ Status HistogramTopK::Consume(Row row) {
 
 Status HistogramTopK::ConsumeImpl(Row row) {
   TOPK_RETURN_NOT_OK(CheckCancel());
-  Stopwatch watch;
+  SampledScopeTimer timer(&consume_timing_, &stats_.consume_nanos);
   TOPK_RETURN_NOT_OK(ValidateRowPayload(row));
   ++stats_.rows_consumed;
 
@@ -346,7 +348,6 @@ Status HistogramTopK::ConsumeImpl(Row row) {
       if (pushed.ok()) pushed = generator_->Add(std::move(row));
       if (!pushed.ok()) return OnCancelStatus(std::move(pushed));
     }
-    stats_.consume_nanos += watch.ElapsedNanos();
     return Status::OK();
   }
 
@@ -367,13 +368,11 @@ Status HistogramTopK::ConsumeImpl(Row row) {
         ties_.push_back(std::move(row));
         stats_.peak_memory_bytes =
             std::max(stats_.peak_memory_bytes, heap_bytes_);
-        stats_.consume_nanos += watch.ElapsedNanos();
         return Status::OK();
       }
       // Fall through: spill.
     } else if (!comparator_.Less(row, heap_.top())) {
       ++stats_.rows_eliminated_input;
-      stats_.consume_nanos += watch.ElapsedNanos();
       return Status::OK();
     } else {
       const size_t new_cost = row.MemoryFootprint() + kPerRowOverheadBytes;
@@ -404,7 +403,6 @@ Status HistogramTopK::ConsumeImpl(Row row) {
         TOPK_RETURN_NOT_OK(lease_.EnsureAtLeast(heap_bytes_));
         stats_.peak_memory_bytes =
             std::max(stats_.peak_memory_bytes, heap_bytes_);
-        stats_.consume_nanos += watch.ElapsedNanos();
         return Status::OK();
       }
       // Replacement row does not fit (variable-size rows): spill.
@@ -418,7 +416,6 @@ Status HistogramTopK::ConsumeImpl(Row row) {
       heap_saturated_ = heap_.size() >= options_.output_rows();
       stats_.peak_memory_bytes =
           std::max(stats_.peak_memory_bytes, heap_bytes_);
-      stats_.consume_nanos += watch.ElapsedNanos();
       return Status::OK();
     }
     // Memory overflowed before k+offset rows were buffered: the output
@@ -427,7 +424,6 @@ Status HistogramTopK::ConsumeImpl(Row row) {
   TOPK_RETURN_NOT_OK(SwitchToExternal());
   Status added = generator_->Add(std::move(row));
   if (!added.ok()) return OnCancelStatus(std::move(added));
-  stats_.consume_nanos += watch.ElapsedNanos();
   return Status::OK();
 }
 

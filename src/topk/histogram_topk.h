@@ -129,6 +129,8 @@ class HistogramTopK : public TopKOperator {
   std::unique_ptr<FilterObserver> observer_;
   std::unique_ptr<RunGenerator> generator_;
 
+  /// Which Consume calls time themselves into stats_.consume_nanos.
+  SampledScopeTimer::Schedule consume_timing_;
   bool finished_ = false;
   /// Built by ResumeFromManifest: runs come from a restored spill manager,
   /// there is no run generator, and Consume is rejected.

@@ -98,6 +98,7 @@ Status OptimizedExternalTopK::CreateGenerator() {
 
 Status OptimizedExternalTopK::SwitchToExternal() {
   PhaseScope phase("switch_to_external");
+  SampledScopeTimer::InFull in_full;
   TOPK_ASSIGN_OR_RETURN(spill_,
                         SpillManager::Create(options_.env, options_.spill_dir,
                                              options_.io_pipeline()));
@@ -134,6 +135,7 @@ Status OptimizedExternalTopK::WriteInputCheckpoint() {
 Status OptimizedExternalTopK::CheckpointInput() {
   rows_since_checkpoint_ = 0;
   PhaseScope phase("input.checkpoint");
+  SampledScopeTimer::InFull in_full;
   TraceSpan span("input.checkpoint", "topk",
                  {TraceArg("rows_consumed", stats_.rows_consumed)});
   // Close the current run set: every surviving row consumed so far
@@ -165,6 +167,7 @@ Status OptimizedExternalTopK::MaybeEarlyMerge() {
   if (inputs.size() < options_.early_merge_fan_in) return Status::OK();
 
   PhaseScope phase("merge.early");
+  SampledScopeTimer::InFull in_full;
   TraceSpan span("merge.early", "topk",
                  {TraceArg("runs", inputs.size())});
   std::unique_ptr<RunWriter> writer;
@@ -264,7 +267,7 @@ Status OptimizedExternalTopK::Consume(Row row) {
 
 Status OptimizedExternalTopK::ConsumeImpl(Row row) {
   TOPK_RETURN_NOT_OK(CheckCancel());
-  Stopwatch watch;
+  SampledScopeTimer timer(&consume_timing_, &stats_.consume_nanos);
   ++stats_.rows_consumed;
   if (EliminateAtInput(row)) {
     ++stats_.rows_eliminated_input;
@@ -281,7 +284,6 @@ Status OptimizedExternalTopK::ConsumeImpl(Row row) {
         stats_.peak_memory_bytes =
             std::max(stats_.peak_memory_bytes, buffered_bytes_);
         buffer_.push_back(std::move(row));
-        stats_.consume_nanos += watch.ElapsedNanos();
         return Status::OK();
       }
       TOPK_RETURN_NOT_OK(SwitchToExternal());
@@ -299,7 +301,6 @@ Status OptimizedExternalTopK::ConsumeImpl(Row row) {
     Status checkpointed = CheckpointInput();
     if (!checkpointed.ok()) return OnCancelStatus(std::move(checkpointed));
   }
-  stats_.consume_nanos += watch.ElapsedNanos();
   return Status::OK();
 }
 

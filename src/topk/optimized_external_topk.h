@@ -136,6 +136,8 @@ class OptimizedExternalTopK : public TopKOperator {
   uint64_t early_merges_done_ = 0;
   uint64_t early_merge_runs_registered_ = 0;
 
+  /// Which Consume calls time themselves into stats_.consume_nanos.
+  SampledScopeTimer::Schedule consume_timing_;
   bool finished_ = false;
   /// Built by ResumeFromManifest. With a generator the operator accepts
   /// the replayed input tail; without one it is merge-phase only.

@@ -22,6 +22,7 @@ Result<std::unique_ptr<TraditionalExternalTopK>> TraditionalExternalTopK::Make(
 
 Status TraditionalExternalTopK::SwitchToExternal() {
   PhaseScope phase("switch_to_external");
+  SampledScopeTimer::InFull in_full;
   TOPK_ASSIGN_OR_RETURN(spill_,
                         SpillManager::Create(options_.env, options_.spill_dir,
                                              options_.io_pipeline()));
@@ -100,7 +101,7 @@ Status TraditionalExternalTopK::Consume(Row row) {
 
 Status TraditionalExternalTopK::ConsumeImpl(Row row) {
   TOPK_RETURN_NOT_OK(CheckCancel());
-  Stopwatch watch;
+  SampledScopeTimer timer(&consume_timing_, &stats_.consume_nanos);
   ++stats_.rows_consumed;
   if (generator_ == nullptr) {
     MemoryArbiter* arbiter = options_.effective_arbiter();
@@ -114,14 +115,12 @@ Status TraditionalExternalTopK::ConsumeImpl(Row row) {
       stats_.peak_memory_bytes =
           std::max(stats_.peak_memory_bytes, buffered_bytes_);
       buffer_.push_back(std::move(row));
-      stats_.consume_nanos += watch.ElapsedNanos();
       return Status::OK();
     }
     TOPK_RETURN_NOT_OK(SwitchToExternal());
   }
   Status status = generator_->Add(std::move(row));
   if (!status.ok()) return OnCancelStatus(std::move(status));
-  stats_.consume_nanos += watch.ElapsedNanos();
   return Status::OK();
 }
 

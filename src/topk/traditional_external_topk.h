@@ -71,6 +71,8 @@ class TraditionalExternalTopK : public TopKOperator {
   std::unique_ptr<SpillManager> spill_;
   std::unique_ptr<RunGenerator> generator_;
 
+  /// Which Consume calls time themselves into stats_.consume_nanos.
+  SampledScopeTimer::Schedule consume_timing_;
   bool finished_ = false;
   /// Built by ResumeFromManifest: runs come from a restored spill manager,
   /// there is no run generator, and Consume is rejected.

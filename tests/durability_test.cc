@@ -1,10 +1,13 @@
 /// Storage durability features: run checksums, verification, disk quotas.
 
+#include <array>
 #include <fstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/crc32.h"
+#include "common/random.h"
 #include "io/spill_manager.h"
 #include "tests/test_util.h"
 #include "topk/operator_factory.h"
@@ -37,6 +40,112 @@ TEST(Crc32cTest, EmptyInputIsZeroNoop) {
 TEST(Crc32cTest, SensitiveToSingleBit) {
   std::string a = "payload", b = "paylobd";
   EXPECT_NE(Crc32c(0, a.data(), a.size()), Crc32c(0, b.data(), b.size()));
+}
+
+/// Bit-at-a-time CRC-32C straight from the polynomial: the reference the
+/// fast paths are held to.
+uint32_t ReferenceCrc32c(uint32_t crc, const unsigned char* data, size_t n) {
+  crc = ~crc;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0x82f63b78u : 0);
+    }
+  }
+  return ~crc;
+}
+
+using Crc32cFn = uint32_t (*)(uint32_t, const void*, size_t);
+
+/// Crc32c and the implementations it may dispatch to on this CPU.
+std::vector<std::pair<const char*, Crc32cFn>> Crc32cPaths() {
+  std::vector<std::pair<const char*, Crc32cFn>> paths = {
+      {"dispatch", &Crc32c}, {"portable", &internal::Crc32cPortable}};
+  if (internal::Crc32cHardwareAvailable()) {
+    paths.emplace_back("hardware", &internal::Crc32cHardware);
+  }
+  return paths;
+}
+
+TEST(Crc32cTest, Rfc3720Vectors) {
+  // RFC 3720 Appendix B.4.
+  std::array<unsigned char, 32> zeros{}, ones{}, ascending{}, descending{};
+  ones.fill(0xff);
+  for (int i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<unsigned char>(i);
+    descending[i] = static_cast<unsigned char>(31 - i);
+  }
+  for (const auto& [name, crc32c] : Crc32cPaths()) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(crc32c(0, zeros.data(), 32), 0x8A9136AAu);
+    EXPECT_EQ(crc32c(0, ones.data(), 32), 0x62A8AB43u);
+    EXPECT_EQ(crc32c(0, ascending.data(), 32), 0x46DD794Eu);
+    EXPECT_EQ(crc32c(0, descending.data(), 32), 0x113FDB5Cu);
+    EXPECT_EQ(crc32c(0, "123456789", 9), 0xE3069283u);
+  }
+}
+
+TEST(Crc32cTest, PathsMatchReferenceAtEveryLengthAndAlignment) {
+  std::vector<unsigned char> buffer(1024 + 8);
+  Random rng(13);
+  for (auto& byte : buffer) {
+    byte = static_cast<unsigned char>(rng.NextUint64());
+  }
+  const auto paths = Crc32cPaths();
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 1024; ++n) {
+      const unsigned char* data = buffer.data() + offset;
+      const uint32_t seed = static_cast<uint32_t>(n * 2654435761u);
+      const uint32_t expected = ReferenceCrc32c(seed, data, n);
+      for (const auto& [name, crc32c] : paths) {
+        ASSERT_EQ(crc32c(seed, data, n), expected)
+            << name << " offset=" << offset << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(Crc32cTest, PathsChainAcrossRandomSplits) {
+  std::vector<unsigned char> buffer(1024 + 8);
+  Random rng(17);
+  for (auto& byte : buffer) {
+    byte = static_cast<unsigned char>(rng.NextUint64());
+  }
+  const auto paths = Crc32cPaths();
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t offset = rng.NextUint64(8);
+    const size_t n = rng.NextUint64(1025);
+    const unsigned char* data = buffer.data() + offset;
+    const uint32_t expected = ReferenceCrc32c(0, data, n);
+    for (const auto& [name, crc32c] : paths) {
+      uint32_t crc = 0;
+      size_t done = 0;
+      while (done < n) {
+        const size_t piece =
+            1 + rng.NextUint64(std::min<size_t>(n - done, 100));
+        crc = crc32c(crc, data + done, piece);
+        done += piece;
+      }
+      ASSERT_EQ(crc, expected) << name << " trial=" << trial << " n=" << n;
+    }
+  }
+}
+
+TEST(Crc32cTest, HardwarePathMatchesPortable) {
+  if (!internal::Crc32cHardwareAvailable()) {
+    GTEST_SKIP() << "CPU has no SSE4.2 CRC32 instruction";
+  }
+  std::vector<unsigned char> buffer(4096);
+  Random rng(19);
+  for (auto& byte : buffer) {
+    byte = static_cast<unsigned char>(rng.NextUint64());
+  }
+  uint32_t hardware = 0, portable = 0;
+  for (size_t n : {1, 7, 8, 9, 63, 84, 4096}) {
+    hardware = internal::Crc32cHardware(hardware, buffer.data(), n);
+    portable = internal::Crc32cPortable(portable, buffer.data(), n);
+    EXPECT_EQ(hardware, portable) << "n=" << n;
+  }
 }
 
 class RunVerifyTest : public ::testing::Test {

@@ -89,5 +89,78 @@ TEST(PhaseTimerTest, RunningTimerReportsLiveTotal) {
   timer.Stop();
 }
 
+/// Spins for `nanos` of wall time.
+void BusyWait(int64_t nanos) {
+  Stopwatch watch;
+  while (watch.ElapsedNanos() < nanos) {
+  }
+}
+
+TEST(SampledScopeTimerTest, FirstCallIsTimedOnAnEarlyReturnToo) {
+  SampledScopeTimer::Schedule schedule;
+  int64_t total = 0;
+  const auto timed_scope = [&](bool return_early) {
+    SampledScopeTimer timer(&schedule, &total);
+    BusyWait(20000);
+    if (return_early) return;
+    BusyWait(1);
+  };
+  timed_scope(/*return_early=*/true);
+  EXPECT_GE(total, 20000 - ClockReadOverheadNanos());
+}
+
+TEST(SampledScopeTimerTest, EstimatesWorkThatRecursEveryMeanGapCalls) {
+  // One call in kMeanGap is expensive, the rest are free. A timer that
+  // sampled every kMeanGap-th call would time only the expensive ones (or
+  // none) and be off by that factor; random gaps keep the estimate near the
+  // measured total.
+  SampledScopeTimer::Schedule schedule;
+  int64_t estimate = 0;
+  const int calls = 4000 * SampledScopeTimer::kMeanGap;
+  Stopwatch watch;
+  for (int i = 0; i < calls; ++i) {
+    SampledScopeTimer timer(&schedule, &estimate);
+    if (i % SampledScopeTimer::kMeanGap == 0) BusyWait(10000);
+  }
+  // A fixed stride reads ~64× the measured total here (or ~0); the wide
+  // band leaves room for a preempted sample on a loaded machine.
+  const double measured = static_cast<double>(watch.ElapsedNanos());
+  EXPECT_GT(static_cast<double>(estimate), 0.3 * measured);
+  EXPECT_LT(static_cast<double>(estimate), 3.0 * measured);
+}
+
+TEST(SampledScopeTimerTest, InFullChargesRareHeavyWorkOnce) {
+  // Ten calls in 6,400 do 2 ms of marked work. Scaling one sampled heavy
+  // call by its gap would overshoot many times over, and missing them all
+  // would read near zero; marked, they are charged exactly once.
+  SampledScopeTimer::Schedule schedule;
+  int64_t estimate = 0;
+  const int calls = 100 * SampledScopeTimer::kMeanGap;
+  Stopwatch watch;
+  for (int i = 0; i < calls; ++i) {
+    SampledScopeTimer timer(&schedule, &estimate);
+    if (i % (calls / 10) == 0) {
+      SampledScopeTimer::InFull heavy;
+      SampledScopeTimer::InFull nested;  // charges nothing twice
+      BusyWait(2000000);
+    }
+  }
+  const double measured = static_cast<double>(watch.ElapsedNanos());
+  EXPECT_GT(static_cast<double>(estimate), 0.5 * measured);
+  EXPECT_LT(static_cast<double>(estimate), 1.5 * measured);
+
+  // Outside any sampled scope it times nothing.
+  const int64_t before = estimate;
+  { SampledScopeTimer::InFull idle; }
+  EXPECT_EQ(estimate, before);
+}
+
+TEST(SampledScopeTimerTest, ClockOverheadIsSmallAndStable) {
+  const int64_t overhead = ClockReadOverheadNanos();
+  EXPECT_GE(overhead, 0);
+  EXPECT_LT(overhead, 1000000);
+  EXPECT_EQ(ClockReadOverheadNanos(), overhead);
+}
+
 }  // namespace
 }  // namespace topk

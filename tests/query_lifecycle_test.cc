@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <thread>
@@ -224,15 +225,21 @@ TEST(OperatorCancelTest, CancelUnwindLatencyBounded) {
   ASSERT_TRUE(op.ok());
 
   std::atomic<bool> unwound{false};
+  std::atomic<size_t> consumed{0};
   Status final_status;
   std::thread query([&] {
     for (const Row& row : rows) {
       final_status = (*op)->Consume(row);
       if (!final_status.ok()) break;
+      consumed.fetch_add(1, std::memory_order_relaxed);
     }
     unwound.store(true);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // Cancel once the query is mid-stream, not after a fixed sleep: a fast
+  // build can consume the whole input before a sleep ends.
+  while (consumed.load(std::memory_order_relaxed) < 1000 && !unwound.load()) {
+    std::this_thread::yield();
+  }
   Stopwatch cancel_watch;
   options.cancel->RequestCancel("controller");
   query.join();

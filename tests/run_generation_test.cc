@@ -327,5 +327,36 @@ TEST_F(ReplacementSelectionTest, PipelinedOperationNeverHoldsInputBack) {
   }
 }
 
+TEST_F(ReplacementSelectionTest, SpillReleasesWhatAddChargedForSpareCapacity) {
+  // Add charges a payload by its capacity. A spilled row must give back that
+  // same charge: a copy of it sheds the spare capacity and would give back
+  // less, so the buffered bytes would creep up and the heap would shrink
+  // toward one row.
+  const auto make_row = [](double key, uint64_t id) {
+    Row row(key, id);
+    row.payload.reserve(1024);
+    row.payload.assign(64, 'p');
+    return row;
+  };
+  const size_t memory_rows = 50;
+  const size_t row_cost =
+      make_row(0, 0).MemoryFootprint() + kPerRowOverheadBytes;
+  RunGeneratorOptions options;
+  options.memory_limit_bytes = memory_rows * row_cost;
+  ReplacementSelectionRunGenerator gen(spill_.get(), RowComparator(),
+                                       options);
+  Random rng(9);
+  const int n = 2000;
+  for (int i = 0; i < n; ++i) {
+    ASSERT_TRUE(gen.Add(make_row(rng.NextDouble(), i)).ok());
+    ASSERT_EQ(gen.stats().rows_in_memory,
+              std::min<size_t>(i + 1, memory_rows))
+        << "after row " << i;
+  }
+  EXPECT_EQ(gen.stats().peak_memory_bytes, memory_rows * row_cost + row_cost);
+  ASSERT_TRUE(gen.Flush().ok());
+  EXPECT_EQ(gen.stats().rows_spilled, static_cast<uint64_t>(n));
+}
+
 }  // namespace
 }  // namespace topk
