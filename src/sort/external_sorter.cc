@@ -5,7 +5,6 @@
 #include "obs/obs_context.h"
 #include "obs/trace.h"
 #include "sort/merge_planner.h"
-#include "sort/replacement_selection.h"
 
 namespace topk {
 
@@ -38,13 +37,8 @@ Status ExternalSorter::SwitchToExternal() {
   RunGeneratorOptions gen_options;
   gen_options.memory_limit_bytes = options_.memory_limit_bytes;
   gen_options.cancel = options_.cancel;
-  if (options_.run_generation == RunGenerationKind::kReplacementSelection) {
-    generator_ = std::make_unique<ReplacementSelectionRunGenerator>(
-        spill_.get(), comparator_, gen_options);
-  } else {
-    generator_ = std::make_unique<QuicksortRunGenerator>(
-        spill_.get(), comparator_, gen_options);
-  }
+  generator_ = MakeRunGenerator(options_.run_generation, spill_.get(),
+                                comparator_, gen_options);
   for (Row& row : buffer_) {
     TOPK_RETURN_NOT_OK(generator_->Add(std::move(row)));
   }

@@ -5,7 +5,6 @@
 #include "common/query_control.h"
 #include "obs/obs_context.h"
 #include "obs/trace.h"
-#include "sort/merger.h"
 
 namespace topk {
 
@@ -35,6 +34,50 @@ void OrderRunsForMerge(std::vector<RunMeta>* runs,
                 });
       break;
   }
+}
+
+Result<MergeStats> MergeIntoCommittedRun(SpillManager* spill,
+                                         const std::vector<RunMeta>& inputs,
+                                         const RowComparator& comparator,
+                                         const MergeOptions& options,
+                                         bool quota_exempt) {
+  std::unique_ptr<RunWriter> writer;
+  TOPK_ASSIGN_OR_RETURN(
+      writer, spill->NewRun(comparator, kDefaultIndexStride, quota_exempt));
+  MergeStats merge_stats;
+  TOPK_ASSIGN_OR_RETURN(
+      merge_stats, MergeRuns(spill, inputs, comparator, options,
+                             [&](Row&& row) { return writer->Append(row); }));
+  RunMeta merged;
+  TOPK_ASSIGN_OR_RETURN(merged, writer->Finish());
+  // Crash-safe ordering: deregister the inputs but keep their files,
+  // register the output (which checkpoints the manifest when the spill
+  // manager runs in auto-manifest mode), make that checkpoint durable, and
+  // only then delete the input files. A crash at any point leaves a
+  // manifest whose runs — old inputs or the merged output — all still
+  // exist on disk, so the merge can resume from it.
+  std::vector<std::string> consumed_paths;
+  consumed_paths.reserve(inputs.size());
+  for (const RunMeta& consumed : inputs) {
+    std::string path;
+    TOPK_ASSIGN_OR_RETURN(path, spill->ReleaseRun(consumed.id));
+    consumed_paths.push_back(std::move(path));
+  }
+  if (merged.rows > 0) {
+    TOPK_RETURN_NOT_OK(spill->AddRun(merged));
+  } else {
+    // Nothing survived the cutoff filter; the registry still shrank, so
+    // checkpoint explicitly before the inputs disappear.
+    TOPK_RETURN_NOT_OK(spill->CheckpointManifest());
+    consumed_paths.push_back(merged.path);
+  }
+  if (spill->auto_manifest_enabled()) {
+    TOPK_RETURN_NOT_OK(spill->FlushManifest());
+  }
+  for (const std::string& path : consumed_paths) {
+    TOPK_RETURN_NOT_OK(spill->DeleteSpillFile(path));
+  }
+  return merge_stats;
 }
 
 Result<std::vector<RunMeta>> ReduceRunsForFinalMerge(
@@ -71,8 +114,6 @@ Result<std::vector<RunMeta>> ReduceRunsForFinalMerge(
                          TraceArg("runs_remaining", runs.size()),
                          TraceArg("prefetch_depth_cap", prefetch_depth_cap)});
 
-    std::unique_ptr<RunWriter> writer;
-    TOPK_ASSIGN_OR_RETURN(writer, spill->NewRun(comparator));
     MergeOptions merge_options;
     merge_options.limit = options.intermediate_limit;
     merge_options.with_ties = options.with_ties;
@@ -82,39 +123,9 @@ Result<std::vector<RunMeta>> ReduceRunsForFinalMerge(
     merge_options.use_ovc = options.use_ovc;
     merge_options.cancel = options.cancel;
     MergeStats merge_stats;
-    TOPK_ASSIGN_OR_RETURN(
-        merge_stats,
-        MergeRuns(spill, inputs, comparator, merge_options,
-                  [&](Row&& row) { return writer->Append(row); }));
-    RunMeta merged;
-    TOPK_ASSIGN_OR_RETURN(merged, writer->Finish());
-    // Crash-safe ordering: deregister the inputs but keep their files,
-    // register the output (which checkpoints the manifest when the spill
-    // manager runs in auto-manifest mode), make that checkpoint durable,
-    // and only then delete the input files. A crash at any point leaves a
-    // manifest whose runs — old inputs or the merged output — all still
-    // exist on disk, so the merge can resume from it.
-    std::vector<std::string> consumed_paths;
-    consumed_paths.reserve(inputs.size());
-    for (const RunMeta& consumed : inputs) {
-      std::string path;
-      TOPK_ASSIGN_OR_RETURN(path, spill->ReleaseRun(consumed.id));
-      consumed_paths.push_back(std::move(path));
-    }
-    if (merged.rows > 0) {
-      TOPK_RETURN_NOT_OK(spill->AddRun(merged));
-    } else {
-      // Nothing survived the cutoff filter; the registry still shrank, so
-      // checkpoint explicitly before the inputs disappear.
-      TOPK_RETURN_NOT_OK(spill->CheckpointManifest());
-      consumed_paths.push_back(merged.path);
-    }
-    if (spill->auto_manifest_enabled()) {
-      TOPK_RETURN_NOT_OK(spill->FlushManifest());
-    }
-    for (const std::string& path : consumed_paths) {
-      TOPK_RETURN_NOT_OK(spill->DeleteSpillFile(path));
-    }
+    TOPK_ASSIGN_OR_RETURN(merge_stats,
+                          MergeIntoCommittedRun(spill, inputs, comparator,
+                                                merge_options));
     // Crash point: the step is fully committed — output registered,
     // manifest durable, inputs gone.
     HitCrashPoint("post-merge-step");

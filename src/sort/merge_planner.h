@@ -9,6 +9,7 @@
 #include "histogram/cutoff_filter.h"
 #include "io/spill_manager.h"
 #include "row/row.h"
+#include "sort/merger.h"
 
 namespace topk {
 
@@ -61,6 +62,17 @@ struct MergePlanStats {
 Result<std::vector<RunMeta>> ReduceRunsForFinalMerge(
     SpillManager* spill, const RowComparator& comparator,
     const MergePlannerOptions& options, MergePlanStats* stats = nullptr);
+
+/// Merges `inputs` (registered in `spill`) into one new run and commits it
+/// crash-safely: the manifest never names a run whose file is gone.
+/// `quota_exempt` exempts the output from the spill quota while it is
+/// written (see SpillManager::NewRun). Intermediate merge steps, early
+/// merges and quota consolidations all go through here.
+Result<MergeStats> MergeIntoCommittedRun(SpillManager* spill,
+                                         const std::vector<RunMeta>& inputs,
+                                         const RowComparator& comparator,
+                                         const MergeOptions& options,
+                                         bool quota_exempt = false);
 
 /// Orders runs by the chosen policy; exposed for tests.
 void OrderRunsForMerge(std::vector<RunMeta>* runs,

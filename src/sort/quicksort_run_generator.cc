@@ -4,6 +4,7 @@
 #include "obs/obs_context.h"
 #include "obs/trace.h"
 #include "row/serialization.h"
+#include "sort/replacement_selection.h"
 #include "sort/run_generation.h"
 
 namespace topk {
@@ -17,6 +18,16 @@ ObsCounter& EarlySpillsCounter() {
   return counter;
 }
 }  // namespace
+
+std::unique_ptr<RunGenerator> MakeRunGenerator(
+    RunGenerationKind kind, SpillManager* spill,
+    const RowComparator& comparator, const RunGeneratorOptions& options) {
+  if (kind == RunGenerationKind::kReplacementSelection) {
+    return std::make_unique<ReplacementSelectionRunGenerator>(
+        spill, comparator, options);
+  }
+  return std::make_unique<QuicksortRunGenerator>(spill, comparator, options);
+}
 
 QuicksortRunGenerator::QuicksortRunGenerator(
     SpillManager* spill, const RowComparator& comparator,

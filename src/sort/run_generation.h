@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/memory_accounting.h"
@@ -128,6 +129,12 @@ class QuicksortRunGenerator : public RunGenerator {
   /// Lease covering buffered_bytes_ (detached without an arbiter).
   MemoryLease lease_;
 };
+
+/// Builds the run generator of `kind` (replacement selection or quicksort)
+/// spilling into `spill`.
+std::unique_ptr<RunGenerator> MakeRunGenerator(
+    RunGenerationKind kind, SpillManager* spill,
+    const RowComparator& comparator, const RunGeneratorOptions& options);
 
 }  // namespace topk
 

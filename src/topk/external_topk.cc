@@ -1,0 +1,381 @@
+#include "topk/external_topk.h"
+
+#include <algorithm>
+
+#include "common/memory_accounting.h"
+#include "obs/obs_context.h"
+#include "obs/trace.h"
+#include "row/serialization.h"
+
+namespace topk {
+
+Result<bool> CutoffPolicy::Buffer(Row& row, std::vector<Row>* into) {
+  InMemoryRows& mem = memory();
+  const size_t cost = row.MemoryFootprint() + kPerRowOverheadBytes;
+  if (mem.bytes + cost > options().memory_limit_bytes) return false;
+  mem.bytes += cost;
+  TOPK_RETURN_NOT_OK(mem.lease.EnsureAtLeast(mem.bytes));
+  stats().peak_memory_bytes = std::max(stats().peak_memory_bytes, mem.bytes);
+  into->push_back(std::move(row));
+  return true;
+}
+
+Result<MergeStats> CutoffPolicy::MergeDuringInput(
+    const std::vector<RunMeta>& inputs, CutoffFilter* filter,
+    bool quota_exempt) {
+  MergeOptions merge_options;
+  merge_options.limit = options().output_rows();
+  merge_options.with_ties = options().with_ties;
+  merge_options.stop_filter = filter;
+  merge_options.refine_filter = filter;
+  merge_options.use_ovc = options().use_ovc;
+  merge_options.cancel = options().cancel.get();
+  MergeStats merged;
+  TOPK_ASSIGN_OR_RETURN(merged,
+                        MergeIntoCommittedRun(spill(), inputs, comparator(),
+                                              merge_options, quota_exempt));
+  stats().merge_rows_written += merged.rows_emitted;
+  stats().merge_rows_read += merged.rows_read;
+  if (merged.rows_emitted > 0) ++op_->input_merge_runs_;
+  return merged;
+}
+
+ExternalTopK::ExternalTopK(const TopKOptions& options,
+                           std::unique_ptr<CutoffPolicy> policy)
+    : options_(options),
+      comparator_(options.direction),
+      policy_(std::move(policy)) {
+  policy_->op_ = this;
+}
+
+Status ExternalTopK::CreateGenerator() {
+  RunGeneratorOptions gen_options;
+  gen_options.memory_limit_bytes = options_.memory_limit_bytes;
+  gen_options.cancel = options_.cancel.get();
+  gen_options.arbiter = options_.effective_arbiter();
+  TOPK_RETURN_NOT_OK(policy_->StartRunGeneration(&gen_options));
+  generator_ = MakeRunGenerator(options_.run_generation, spill_.get(),
+                                comparator_, gen_options);
+  return Status::OK();
+}
+
+Status ExternalTopK::SwitchToExternal() {
+  PhaseScope phase("switch_to_external");
+  SampledScopeTimer::InFull in_full;
+  TraceSpan span("topk.switch_to_external", "topk",
+                 {TraceArg("buffered_rows", memory_.rows.size())});
+  TOPK_ASSIGN_OR_RETURN(spill_,
+                        SpillManager::Create(options_.env, options_.spill_dir,
+                                             options_.io_pipeline()));
+  if (!options_.manifest_filename.empty()) {
+    // Keep a manifest checkpointed from the very first run so a crash at
+    // any later point finds a resumable state on disk.
+    spill_->SetAutoManifest(options_.manifest_filename);
+    TOPK_RETURN_NOT_OK(spill_->CheckpointManifest());
+  }
+  TOPK_RETURN_NOT_OK(CreateGenerator());
+  TOPK_RETURN_NOT_OK(policy_->SpillInMemoryRows(generator_.get()));
+  for (Row& tie : memory_.ties) {
+    TOPK_RETURN_NOT_OK(generator_->Add(std::move(tie)));
+  }
+  memory_.rows.clear();
+  memory_.rows.shrink_to_fit();
+  memory_.ties.clear();
+  memory_.ties.shrink_to_fit();
+  memory_.bytes = 0;
+  memory_.lease.ShrinkTo(0);
+  return Status::OK();
+}
+
+Status ExternalTopK::CheckCancel() {
+  if (options_.cancel == nullptr || !options_.cancel->ShouldStop()) {
+    return Status::OK();
+  }
+  return OnCancelStatus(options_.cancel->status());
+}
+
+Status ExternalTopK::OnCancelStatus(Status cause) {
+  if (!IsCancellation(cause.code())) return cause;
+  if (options_.on_cancel != OnCancelPolicy::kKeepForResume ||
+      cancel_unwound_ || spill_ == nullptr ||
+      options_.manifest_filename.empty()) {
+    return cause;
+  }
+  // Preempted-but-resumable: perform Suspend's durable handoff before
+  // surfacing the cancellation, so the runs this query already paid for
+  // survive for ResumeFromManifest instead of being released.
+  cancel_unwound_ = true;
+  finished_ = true;
+  TraceSpan span("topk.cancel_keep_for_resume", "topk");
+  // The token has tripped; shield it (and detach it from the generator's
+  // spill loops) so the handoff's own flush and manifest I/O complete
+  // instead of re-observing the cancellation at every layer.
+  CancelShield shield(options_.cancel.get());
+  TOPK_RETURN_NOT_OK(MakeDurable());
+  spill_->DisownDir();
+  return cause;
+}
+
+Status ExternalTopK::MakeDurable() {
+  if (generator_ == nullptr) {
+    TOPK_RETURN_NOT_OK(spill_->CheckpointManifest());
+    return spill_->FlushManifest();
+  }
+  generator_->SetCancel(nullptr);
+  TOPK_RETURN_NOT_OK(generator_->Flush());
+  CollectRunStats();
+  return policy_->MakeInputDurable();
+}
+
+void ExternalTopK::CollectRunStats() {
+  const RunGeneratorStats& gen = generator_->stats();
+  stats_.rows_eliminated_spill = gen.rows_eliminated_at_spill;
+  stats_.rows_spilled = gen.rows_spilled;
+  stats_.runs_created = spill_->total_runs_created() - input_merge_runs_;
+  stats_.peak_memory_bytes =
+      std::max(stats_.peak_memory_bytes, gen.peak_memory_bytes);
+}
+
+void ExternalTopK::NoteError(const Status& status) {
+  if (!status.ok() && !IsCancellation(status.code()) && first_error_.ok()) {
+    first_error_ = status;
+  }
+}
+
+Status ExternalTopK::Consume(Row row) {
+  // No-op when the caller (CLI, test harness) already installed the same
+  // context around its consume loop — the per-row cost is then one TLS
+  // read and a pointer compare.
+  ObsScope obs_scope(options_.obs);
+  if (finished_) {
+    return Status::FailedPrecondition("Consume after Finish");
+  }
+  if (resumed_ && generator_ == nullptr) {
+    return Status::FailedPrecondition(
+        "a merge-phase resumed operator accepts no input; its runs already "
+        "hold the whole input");
+  }
+  Status status = RunWithAllocGuard(
+      "external-topk.Consume", [&] { return ConsumeImpl(std::move(row)); });
+  NoteError(status);
+  return status;
+}
+
+Status ExternalTopK::ConsumeImpl(Row row) {
+  TOPK_RETURN_NOT_OK(CheckCancel());
+  SampledScopeTimer timer(&consume_timing_, &stats_.consume_nanos);
+  // Checked once, before the row is buffered: an oversized payload must
+  // fail the same way whether it would stay in memory or spill.
+  TOPK_RETURN_NOT_OK(ValidateRowPayload(row));
+  ++stats_.rows_consumed;
+  if (generator_ == nullptr) {
+    MemoryArbiter* arbiter = options_.effective_arbiter();
+    if (arbiter != nullptr && !memory_.lease.attached()) {
+      TOPK_ASSIGN_OR_RETURN(memory_.lease, arbiter->Acquire(name(), 0));
+    }
+    bool kept = false;
+    TOPK_ASSIGN_OR_RETURN(kept, policy_->KeepInMemory(row));
+    if (kept) return Status::OK();
+    TOPK_RETURN_NOT_OK(SwitchToExternal());
+  }
+  Status status = policy_->ConsumeExternal(std::move(row));
+  if (!status.ok()) return OnCancelStatus(std::move(status));
+  return Status::OK();
+}
+
+Result<std::vector<Row>> ExternalTopK::Finish() {
+  ObsScope obs_scope(options_.obs);
+  if (finished_) {
+    return Status::FailedPrecondition("Finish called twice");
+  }
+  finished_ = true;
+  Result<std::vector<Row>> result =
+      RunWithAllocGuard("external-topk.Finish", [&] { return FinishImpl(); });
+  if (!result.ok()) NoteError(result.status());
+  return result;
+}
+
+Status ExternalTopK::FlushRuns() {
+  {
+    PhaseScope flush_phase("rungen.flush");
+    TraceSpan flush_span("rungen.flush", "topk");
+    Status flushed = generator_->Flush();
+    if (!flushed.ok()) return OnCancelStatus(std::move(flushed));
+  }
+  CollectRunStats();
+  if (!spill_->auto_manifest_enabled()) return Status::OK();
+  // Every run is registered and checkpointed; make the manifest durable so
+  // the crash point below (and any real crash between run generation and
+  // the merge) finds a resumable state.
+  TOPK_RETURN_NOT_OK(spill_->FlushManifest());
+  HitCrashPoint("post-run-flush");
+  if (spill_->manifest_checkpoint().has_value()) {
+    // The whole input now lives in the runs, so a mid-input checkpoint has
+    // served its purpose. Drop it: a merge-phase crash must resume from
+    // the runs alone — replaying input on top of merge output would
+    // double-count rows.
+    spill_->ClearManifestCheckpoint();
+    TOPK_RETURN_NOT_OK(spill_->CheckpointManifest());
+    TOPK_RETURN_NOT_OK(spill_->FlushManifest());
+  }
+  return Status::OK();
+}
+
+Status ExternalTopK::MergeRunsInto(std::vector<Row>* result) {
+  MergePlannerOptions planner_options;
+  planner_options.fan_in = options_.merge_fan_in;
+  planner_options.use_ovc = options_.use_ovc;
+  planner_options.cancel = options_.cancel.get();
+  policy_->ConfigureMerges(&planner_options);
+  MergePlanStats plan_stats;
+  std::vector<RunMeta> final_runs;
+  {
+    TraceSpan plan_span("merge.reduce_runs", "topk",
+                        {TraceArg("runs", spill_->run_count())});
+    TOPK_ASSIGN_OR_RETURN(
+        final_runs, ReduceRunsForFinalMerge(spill_.get(), comparator_,
+                                            planner_options, &plan_stats));
+  }
+  stats_.merge_rows_written += plan_stats.intermediate_rows_written;
+
+  MergeOptions merge_options;
+  merge_options.limit = options_.k;
+  merge_options.skip = options_.offset;
+  merge_options.with_ties = options_.with_ties;
+  merge_options.use_ovc = options_.use_ovc;
+  merge_options.cancel = options_.cancel.get();
+  MergeStats merge_stats;
+  {
+    PhaseScope merge_phase("merge.final");
+    TraceSpan merge_span("merge.final", "topk",
+                         {TraceArg("runs", final_runs.size())});
+    TOPK_ASSIGN_OR_RETURN(
+        merge_stats,
+        policy_->FinalMerge(final_runs, merge_options, [&](Row&& row) {
+          result->push_back(std::move(row));
+          return Status::OK();
+        }));
+  }
+  stats_.merge_rows_read +=
+      plan_stats.intermediate_rows_read + merge_stats.rows_read;
+  return Status::OK();
+}
+
+Result<std::vector<Row>> ExternalTopK::FinishImpl() {
+  TOPK_RETURN_NOT_OK(CheckCancel());
+  Stopwatch watch;
+  std::vector<Row> result;
+
+  if (generator_ == nullptr && !resumed_) {
+    // The input fit in memory: nothing ever spilled.
+    stats_.final_cutoff = cutoff();
+    result = SortAndSliceTopKRows(std::move(memory_.rows),
+                                  std::move(memory_.ties), options_);
+    memory_.lease.Release();
+  } else {
+    if (generator_ != nullptr) {
+      TOPK_RETURN_NOT_OK(FlushRuns());
+    } else {
+      // Merge-phase resume: run generation happened in the pre-crash
+      // process; the restored registry totals are all that remain of it.
+      stats_.rows_spilled = spill_->total_rows_spilled();
+      stats_.runs_created = spill_->total_runs_created();
+    }
+    Status merged = MergeRunsInto(&result);
+    if (!merged.ok()) {
+      if (spill_->auto_manifest_enabled()) {
+        // The merge failed, but the manifest still describes a consistent
+        // run set on disk (every merge step deletes its inputs only after
+        // checkpointing). Keep the directory so ResumeFromManifest can
+        // pick the query up. This also covers a cancellation that surfaced
+        // mid-merge, whatever the on_cancel policy: the runs are already
+        // durable, releasing them would only destroy a valid manifest's
+        // backing files.
+        (void)spill_->FlushManifest();
+        spill_->DisownDir();
+      }
+      return merged;
+    }
+    stats_.bytes_spilled = spill_->total_bytes_spilled();
+    stats_.final_cutoff = cutoff();
+    if (const CutoffFilter* cutoff_filter = filter()) {
+      stats_.filter_buckets_inserted = cutoff_filter->buckets_inserted();
+      stats_.filter_consolidations = cutoff_filter->consolidations();
+    }
+  }
+  stats_.finish_nanos = watch.ElapsedNanos();
+  if (options_.obs != nullptr) {
+    options_.obs->NoteMemoryBytes(stats_.peak_memory_bytes);
+  }
+  return result;
+}
+
+Status ExternalTopK::Suspend() {
+  return RunWithAllocGuard("external-topk.Suspend",
+                           [&] { return SuspendImpl(); });
+}
+
+Status ExternalTopK::SuspendImpl() {
+  ObsScope obs_scope(options_.obs);
+  if (!first_error_.ok()) {
+    // A prior entry point already failed; the real cause of the
+    // operator's demise beats a generic precondition complaint.
+    return first_error_;
+  }
+  if (finished_) {
+    return Status::FailedPrecondition("Suspend after Finish");
+  }
+  if (resumed_ && generator_ == nullptr) {
+    return Status::FailedPrecondition(
+        "Suspend of a merge-phase resumed operator");
+  }
+  if (options_.manifest_filename.empty()) {
+    return Status::FailedPrecondition(
+        "Suspend requires TopKOptions::manifest_filename");
+  }
+  finished_ = true;
+  TraceSpan span("topk.suspend", "topk");
+  // An explicit Suspend overrides a tripped cancellation token: it IS the
+  // orderly way to stop this query, so the spill and manifest work below
+  // must not be interrupted by the very cancellation that prompted it.
+  CancelShield shield(options_.cancel.get());
+  // Everything still buffered in memory must reach a run on disk — an
+  // in-memory operator spills via the normal external switch.
+  if (generator_ == nullptr) {
+    TOPK_RETURN_NOT_OK(SwitchToExternal());
+  }
+  TOPK_RETURN_NOT_OK(MakeDurable());
+  stats_.bytes_spilled = spill_->total_bytes_spilled();
+  HitCrashPoint("post-manifest-checkpoint");
+  spill_->DisownDir();
+  return Status::OK();
+}
+
+Status ExternalTopK::Reopen(RestoreReport* report) {
+  if (options_.manifest_filename.empty()) {
+    return Status::InvalidArgument(
+        "ResumeFromManifest requires TopKOptions::manifest_filename");
+  }
+  resumed_ = true;
+  ObsScope obs_scope(options_.obs);
+  TraceSpan span("topk.resume_from_manifest", "topk");
+  TOPK_ASSIGN_OR_RETURN(
+      spill_, SpillManager::OpenExisting(
+                  options_.env, options_.spill_dir, options_.manifest_filename,
+                  comparator_, options_.io_pipeline(), report));
+  // Keep checkpointing across the resumed execution so another crash is
+  // also recoverable.
+  spill_->SetAutoManifest(options_.manifest_filename);
+  std::optional<uint64_t> replay_from;
+  TOPK_ASSIGN_OR_RETURN(replay_from, policy_->Resume());
+  if (replay_from.has_value()) {
+    // Absolute input accounting continues where the checkpoint left it, so
+    // the next checkpoint's input_rows_consumed stays an absolute offset.
+    resume_input_offset_ = *replay_from;
+    stats_.rows_consumed = *replay_from;
+    TOPK_RETURN_NOT_OK(CreateGenerator());
+  }
+  return Status::OK();
+}
+
+}  // namespace topk

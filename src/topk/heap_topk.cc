@@ -122,38 +122,19 @@ Result<std::vector<Row>> HeapTopK::FinishImpl() {
   stats_.final_cutoff = cutoff();
 
   std::vector<Row> rows;
-  rows.reserve(heap_.size() + ties_.size());
+  rows.reserve(heap_.size());
   while (!heap_.empty()) {
     rows.push_back(heap_.top());
     heap_.pop();
   }
-  std::reverse(rows.begin(), rows.end());  // best-first in query order
-  if (!ties_.empty()) {
-    // Retained boundary-key duplicates; merge them into full query order.
-    rows.insert(rows.end(), std::make_move_iterator(ties_.begin()),
-                std::make_move_iterator(ties_.end()));
-    ties_.clear();
-    std::sort(rows.begin(), rows.end(), comparator_);
-  }
-  if (options_.offset > 0) {
-    const size_t skip = std::min<size_t>(options_.offset, rows.size());
-    rows.erase(rows.begin(), rows.begin() + skip);
-  }
-  if (rows.size() > options_.k) {
-    size_t end = options_.k;
-    if (options_.with_ties) {
-      // Extend past k while rows tie with the kth row's key.
-      const double boundary = rows[options_.k - 1].key;
-      while (end < rows.size() && rows[end].key == boundary) ++end;
-    }
-    rows.resize(end);
-  }
+  std::vector<Row> result =
+      SortAndSliceTopKRows(std::move(rows), std::move(ties_), options_);
   lease_.Release();
   stats_.finish_nanos = watch.ElapsedNanos();
   if (options_.obs != nullptr) {
     options_.obs->NoteMemoryBytes(stats_.peak_memory_bytes);
   }
-  return rows;
+  return result;
 }
 
 }  // namespace topk

@@ -1,6 +1,26 @@
 #include "topk/topk_operator.h"
 
+#include <algorithm>
+#include <iterator>
+
 namespace topk {
+
+std::vector<Row> SortAndSliceTopKRows(std::vector<Row> rows,
+                                      std::vector<Row> ties,
+                                      const TopKOptions& options) {
+  rows.insert(rows.end(), std::make_move_iterator(ties.begin()),
+              std::make_move_iterator(ties.end()));
+  std::sort(rows.begin(), rows.end(), RowComparator(options.direction));
+  const size_t begin = std::min<size_t>(options.offset, rows.size());
+  size_t end = std::min<size_t>(begin + options.k, rows.size());
+  if (options.with_ties && end > begin && end < rows.size()) {
+    // Extend past k while rows tie with the kth row's key.
+    const double boundary = rows[end - 1].key;
+    while (end < rows.size() && rows[end].key == boundary) ++end;
+  }
+  return std::vector<Row>(std::make_move_iterator(rows.begin() + begin),
+                          std::make_move_iterator(rows.begin() + end));
+}
 
 Status ValidateTopKOptions(const TopKOptions& options,
                            bool requires_storage) {

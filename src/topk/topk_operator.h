@@ -341,6 +341,13 @@ class TopKOperator {
   OperatorStats stats_;
 };
 
+/// The in-memory result: sorts `rows` and the WITH TIES boundary
+/// duplicates kept beside them (`ties`) into query order, then applies
+/// `options`' offset, k and WITH TIES.
+std::vector<Row> SortAndSliceTopKRows(std::vector<Row> rows,
+                                      std::vector<Row> ties,
+                                      const TopKOptions& options);
+
 /// Validates option combinations common to all operators.
 Status ValidateTopKOptions(const TopKOptions& options, bool requires_storage);
 

@@ -3,6 +3,7 @@
 #include <functional>
 #include <memory>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "obs/trace.h"
 #include "tests/test_util.h"
 #include "topk/histogram_topk.h"
+#include "topk/operator_factory.h"
 
 namespace topk {
 namespace {
@@ -236,6 +238,57 @@ TEST(ObsContextTest, DeltaSinceSubtractsAccumulationsKeepsLevels) {
   EXPECT_EQ(quiet.histograms.at("h").min_nanos, 0);
   EXPECT_EQ(quiet.histograms.at("h").max_nanos, 0);
 }
+
+/// The profile's peak memory is the operator's own figure on every Finish
+/// path: the input kept in memory, and the input spilled.
+class PeakMemoryTest
+    : public ::testing::TestWithParam<std::tuple<TopKAlgorithm, bool>> {};
+
+TEST_P(PeakMemoryTest, ProfilePeakEqualsOperatorStats) {
+  const auto [algorithm, spills] = GetParam();
+  ScratchDir scratch;
+  StorageEnv env;
+  auto obs = ObsContext::Create("peak");
+  TopKOptions options;
+  options.k = spills ? 2000 : 50;
+  options.memory_limit_bytes = spills ? 16 * 1024 : 16 << 20;
+  // The in-memory operator never spills; past its budget it needs leave to
+  // grow.
+  options.allow_unbounded_memory = algorithm == TopKAlgorithm::kHeap;
+  options.env = &env;
+  options.spill_dir = scratch.str();
+  options.obs = obs;
+  auto op = MakeTopKOperator(algorithm, options);
+  ASSERT_TRUE(op.ok()) << op.status().ToString();
+  DatasetSpec spec;
+  spec.WithRows(spills ? 20000 : 500).WithSeed(11);
+  auto result = RunOperator(op->get(), MaterializeDataset(spec));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  const OperatorStats& stats = (*op)->stats();
+  if (algorithm != TopKAlgorithm::kHeap) {
+    EXPECT_EQ(stats.rows_spilled > 0, spills);
+  }
+  EXPECT_GT(stats.peak_memory_bytes, 0u);
+  EXPECT_EQ(obs->peak_memory_bytes(), stats.peak_memory_bytes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllAlgorithms, PeakMemoryTest,
+    ::testing::Combine(::testing::Values(TopKAlgorithm::kHeap,
+                                         TopKAlgorithm::kTraditionalExternal,
+                                         TopKAlgorithm::kOptimizedExternal,
+                                         TopKAlgorithm::kHistogram),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<TopKAlgorithm, bool>>&
+           info) {
+      std::string name = TopKAlgorithmName(std::get<0>(info.param)) +
+                         (std::get<1>(info.param) ? "_spills" : "_fits");
+      for (char& ch : name) {
+        if (ch == '-') ch = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace topk

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "gen/distribution.h"
+#include "row/serialization.h"
 #include "tests/test_util.h"
 #include "topk/operator_factory.h"
 
@@ -246,6 +247,41 @@ TEST(TopKOperatorVariantsTest, AlgorithmNamesRoundTrip) {
   TopKAlgorithm parsed;
   EXPECT_FALSE(ParseTopKAlgorithm("bubble", &parsed));
 }
+
+/// A payload beyond the run-file wire limit fails Consume with
+/// InvalidArgument in every operator, even when the operator's budget would
+/// keep the row in memory and it would never reach a run file.
+class OversizedPayloadTest : public ::testing::TestWithParam<TopKAlgorithm> {
+};
+
+TEST_P(OversizedPayloadTest, ConsumeRejectsPayloadBeyondWireLimit) {
+  ScratchDir scratch;
+  StorageEnv env;
+  TopKOptions options;
+  options.k = 10;
+  options.memory_limit_bytes = size_t{256} << 20;
+  options.env = &env;
+  options.spill_dir = scratch.str();
+  auto op = MakeTopKOperator(GetParam(), options);
+  ASSERT_TRUE(op.ok()) << op.status().ToString();
+  Row row(1.0, 1, std::string(size_t{kMaxRowPayloadBytes} + 1, 'x'));
+  const Status status = (*op)->Consume(std::move(row));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllAlgorithms, OversizedPayloadTest,
+    ::testing::Values(TopKAlgorithm::kHeap,
+                      TopKAlgorithm::kTraditionalExternal,
+                      TopKAlgorithm::kOptimizedExternal,
+                      TopKAlgorithm::kHistogram),
+    [](const ::testing::TestParamInfo<TopKAlgorithm>& info) {
+      std::string name = TopKAlgorithmName(info.param);
+      for (char& ch : name) {
+        if (ch == '-') ch = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace topk
