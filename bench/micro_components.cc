@@ -1,6 +1,6 @@
 /// Google-benchmark microbenchmarks for the library's hot components: the
 /// cutoff filter's per-row operations, the loser tree, replacement
-/// selection, and row (de)serialization.
+/// selection, row (de)serialization, and the observability scope.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +14,7 @@
 #include "histogram/cutoff_filter.h"
 #include "io/spill_manager.h"
 #include "obs/metrics.h"
+#include "obs/obs_context.h"
 #include "row/serialization.h"
 #include "sort/loser_tree.h"
 #include "sort/merger.h"
@@ -125,6 +126,65 @@ void BM_ReplacementSelectionAdd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ReplacementSelectionAdd)->Arg(0)->Arg(64)->Arg(256);
+
+/// Replacement selection's spill path as the operators drive it, one Add
+/// per iteration: the selection step, the spill of one row, and the run
+/// writer's handoff to 2 background I/O threads, under a 1 MiB budget.
+/// Rows (64-byte payloads) are built outside the timed region and moved
+/// in, so unlike BM_ReplacementSelectionAdd no payload malloc is timed.
+/// Arg(0): uniform keys. Arg(1): descending keys under an ascending sort,
+/// so every row is deferred to the next run.
+void BM_ReplacementSelectionSpill(benchmark::State& state) {
+  const bool descending = state.range(0) != 0;
+  const std::string dir = "/tmp/topk_micro_rs_spill";
+  std::filesystem::remove_all(dir);
+  StorageEnv env;
+  IoPipelineOptions io;
+  io.background_threads = 2;
+  auto spill = SpillManager::Create(&env, dir, io);
+  TOPK_CHECK(spill.ok());
+  RunGeneratorOptions options;
+  options.memory_limit_bytes = 1 << 20;
+  ReplacementSelectionRunGenerator gen(spill->get(), RowComparator(),
+                                       options);
+  Random rng(17);
+  const std::string payload(64, 's');
+  std::vector<Row> rows(1 << 16);
+  size_t next = rows.size();
+  uint64_t id = 0;
+  for (auto _ : state) {
+    if (next == rows.size()) {
+      state.PauseTiming();
+      for (Row& row : rows) {
+        const double key =
+            descending ? -static_cast<double>(id) : rng.NextDouble();
+        row = Row(key, id++, payload);
+      }
+      next = 0;
+      state.ResumeTiming();
+    }
+    Status status = gen.Add(std::move(rows[next++]));
+    TOPK_CHECK(status.ok());
+  }
+  TOPK_CHECK(gen.Flush().ok());
+  state.SetItemsProcessed(state.iterations());
+  spill->reset();
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_ReplacementSelectionSpill)->Arg(0)->Arg(1);
+
+/// What an operator entry point pays per call to install its query's
+/// observability context when the caller has not installed it already
+/// (Consume is called once per row).
+void BM_ObsScopeEnter(benchmark::State& state) {
+  const std::shared_ptr<ObsContext> obs = ObsContext::Create("bench");
+  for (auto _ : state) {
+    ObsScope scope(obs);
+    benchmark::DoNotOptimize(CurrentObsContext());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ObsScopeEnter);
 
 void BM_RunWriterAppend(benchmark::State& state) {
   const std::string dir = "/tmp/topk_micro_rw";

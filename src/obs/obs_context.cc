@@ -14,14 +14,12 @@ int64_t SteadyNowNanos() {
 }
 
 /// Per-thread observability cursor: which context is installed and which
-/// phase node new work lands in. Both raw pointers — the CLI / test /
-/// pool-task wrapper that installed the scope holds the owning shared_ptr
+/// phase node new work lands in. Both raw pointers, so an install touches
+/// no reference count: whoever installed the scope (the CLI, a test, an
+/// operator entry point, the pool-task wrapper) holds the owning shared_ptr
 /// for strictly longer than the scope lives.
 struct ObsTls {
   ObsContext* context = nullptr;
-  /// Owning handle mirroring `context`, so pool tasks scheduled from this
-  /// thread can capture a shared_ptr without shared_from_this tricks.
-  std::shared_ptr<ObsContext> shared;
   PhaseNode* node = nullptr;
 };
 
@@ -103,7 +101,10 @@ void ObsContext::NoteSpillBytes(uint64_t bytes) {
 
 ObsContext* CurrentObsContext() { return Tls().context; }
 
-std::shared_ptr<ObsContext> CurrentObsContextShared() { return Tls().shared; }
+std::shared_ptr<ObsContext> CurrentObsContextShared() {
+  ObsContext* context = Tls().context;
+  return context == nullptr ? nullptr : context->shared_from_this();
+}
 
 ObsScope::ObsScope(const std::shared_ptr<ObsContext>& context,
                    bool background) {
@@ -112,10 +113,8 @@ ObsScope::ObsScope(const std::shared_ptr<ObsContext>& context,
   if (tls.context == context.get()) return;
   installed_ = true;
   saved_context_ = tls.context;
-  saved_shared_ = std::move(tls.shared);
   saved_node_ = tls.node;
   tls.context = context.get();
-  tls.shared = context;
   PhaseNode* entry = background ? context->timeline().background()
                                 : context->timeline().root();
   entry->entered.fetch_add(1, std::memory_order_relaxed);
@@ -126,7 +125,6 @@ ObsScope::~ObsScope() {
   if (!installed_) return;
   ObsTls& tls = Tls();
   tls.context = saved_context_;
-  tls.shared = std::move(saved_shared_);
   tls.node = saved_node_;
 }
 

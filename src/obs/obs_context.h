@@ -151,7 +151,8 @@ class ObsContext : public std::enable_shared_from_this<ObsContext> {
 /// regardless.
 ObsContext* CurrentObsContext();
 /// Shared handle to the same (for capture into pool tasks); null when no
-/// context is installed.
+/// context is installed. Takes a reference, so call it where a task is
+/// scheduled, not per row.
 std::shared_ptr<ObsContext> CurrentObsContextShared();
 
 /// RAII installation of a context on the current thread. A null context is
@@ -160,6 +161,8 @@ std::shared_ptr<ObsContext> CurrentObsContextShared();
 /// points do not reset the caller's phase). `background` routes this
 /// thread's phases under the timeline's background root — the pool-task
 /// wrapper uses it so overlapped work never distorts the foreground tree.
+/// The scope keeps only raw pointers (no reference-count traffic per
+/// install); the caller keeps `context` alive while the scope is open.
 class ObsScope {
  public:
   explicit ObsScope(const std::shared_ptr<ObsContext>& context,
@@ -172,7 +175,6 @@ class ObsScope {
  private:
   bool installed_ = false;
   ObsContext* saved_context_ = nullptr;
-  std::shared_ptr<ObsContext> saved_shared_;
   PhaseNode* saved_node_ = nullptr;
 };
 

@@ -139,102 +139,104 @@ Result<MergeStats> MergeRuns(SpillManager* spill,
   }
 
   CompareCounts compares;
-  LoserTree::LessFn less;
-  if (options.use_ovc) {
-    // OVC fast path. Both contestants' codes are always relative to the
-    // same base (initially the virtual start key, later the previous
-    // overall winner — the loser tree preserves this, see
-    // row/normalized_key.h), so differing codes decide the comparison
-    // outright. Equal codes fall back to one normalized-key comparison,
-    // after which the loser's code is recomputed relative to the winner —
-    // the update that keeps every stored loser comparable on later
-    // replays. Exhausted ways carry the sentinel code and lose to every
-    // live way for free.
-    less = [&ways, &compares](size_t a, size_t b) {
-      MergeWay& wa = ways[a];
-      MergeWay& wb = ways[b];
-      if (wa.ovc != wb.ovc) {
-        ++compares.ovc_hits;
-        return wa.ovc < wb.ovc;
+  // OVC fast path. Both contestants' codes are always relative to the
+  // same base (initially the virtual start key, later the previous
+  // overall winner — the loser tree preserves this, see
+  // row/normalized_key.h), so differing codes decide the comparison
+  // outright. Equal codes fall back to one normalized-key comparison,
+  // after which the loser's code is recomputed relative to the winner —
+  // the update that keeps every stored loser comparable on later
+  // replays. Exhausted ways carry the sentinel code and lose to every
+  // live way for free.
+  const auto ovc_less = [&ways, &compares](size_t a, size_t b) {
+    MergeWay& wa = ways[a];
+    MergeWay& wb = ways[b];
+    if (wa.ovc != wb.ovc) {
+      ++compares.ovc_hits;
+      return wa.ovc < wb.ovc;
+    }
+    if (wa.exhausted) return false;  // both exhausted: order is moot
+    ++compares.full;
+    const size_t offset = wa.norm.FirstDifferingByte(wb.norm);
+    if (offset >= 16) return false;  // identical (key, id): keep stable
+    if (wa.norm.ByteAt(offset) < wb.norm.ByteAt(offset)) {
+      wb.ovc = MakeOvc(offset, wb.norm.ByteAt(offset));
+      return true;
+    }
+    wa.ovc = MakeOvc(offset, wa.norm.ByteAt(offset));
+    return false;
+  };
+  // Legacy path: every repair re-compares the full (key, id) pair through
+  // RowComparator. Kept for the CI equivalence matrix and as the A/B
+  // baseline; the ordering is identical, so output bytes are too.
+  const auto legacy_less = [&ways, &compares, &comparator](size_t a,
+                                                           size_t b) {
+    if (ways[a].exhausted) return false;
+    if (ways[b].exhausted) return true;
+    ++compares.full;
+    return comparator.Less(ways[a].current, ways[b].current);
+  };
+  // The tree is instantiated per comparator, so each tournament match is a
+  // direct call the compiler can inline.
+  const auto drain = [&](auto less) -> Status {
+    LoserTree tree(ways.size(), less);
+    tree.Build();
+    // Rows already skipped via seeks count toward the offset.
+    const uint64_t residual_skip = options.skip - options.seek_rows_total;
+    stats.rows_skipped = options.seek_rows_total;
+    const uint64_t kMax = std::numeric_limits<uint64_t>::max();
+    const uint64_t target = (options.limit > kMax - residual_skip)
+                                ? kMax
+                                : residual_skip + options.limit;
+    uint64_t produced = 0;  // skipped + emitted
+    uint64_t last_key_norm = 0;
+    for (;;) {
+      // One relaxed load per merged row: a cancelled query's merge unwinds
+      // within a single row step, and the PrefetchCancelGuard above cancels
+      // every way's in-flight prefetch on the way out.
+      TOPK_RETURN_IF_CANCELLED(options.cancel);
+      const size_t w = tree.winner();
+      if (produced >= target) {
+        // Limit reached; only key-ties of the last emitted row may follow.
+        // Tie detection runs on the normalized key word, so NaN and ±0.0
+        // boundary keys tie exactly as they order.
+        if (!options.with_ties || stats.rows_emitted == 0 ||
+            ways[w].exhausted || ways[w].norm.key_word != last_key_norm) {
+          break;
+        }
       }
-      if (wa.exhausted) return false;  // both exhausted: order is moot
-      ++compares.full;
-      const size_t offset = wa.norm.FirstDifferingByte(wb.norm);
-      if (offset >= 16) return false;  // identical (key, id): keep stable
-      if (wa.norm.ByteAt(offset) < wb.norm.ByteAt(offset)) {
-        wb.ovc = MakeOvc(offset, wb.norm.ByteAt(offset));
-        return true;
-      }
-      wa.ovc = MakeOvc(offset, wa.norm.ByteAt(offset));
-      return false;
-    };
-  } else {
-    // Legacy path: every repair re-compares the full (key, id) pair through
-    // RowComparator. Kept for the CI equivalence matrix and as the A/B
-    // baseline; the ordering is identical, so output bytes are too.
-    less = [&ways, &compares, &comparator](size_t a, size_t b) {
-      if (ways[a].exhausted) return false;
-      if (ways[b].exhausted) return true;
-      ++compares.full;
-      return comparator.Less(ways[a].current, ways[b].current);
-    };
-  }
-  LoserTree tree(ways.size(), std::move(less));
-  tree.Build();
-
-  // Rows already skipped via seeks count toward the offset.
-  const uint64_t residual_skip = options.skip - options.seek_rows_total;
-  stats.rows_skipped = options.seek_rows_total;
-  const uint64_t kMax = std::numeric_limits<uint64_t>::max();
-  const uint64_t target = (options.limit > kMax - residual_skip)
-                              ? kMax
-                              : residual_skip + options.limit;
-  uint64_t produced = 0;  // skipped + emitted
-  uint64_t last_key_norm = 0;
-  for (;;) {
-    // One relaxed load per merged row: a cancelled query's merge unwinds
-    // within a single row step, and the PrefetchCancelGuard above cancels
-    // every way's in-flight prefetch on the way out.
-    TOPK_RETURN_IF_CANCELLED(options.cancel);
-    const size_t w = tree.winner();
-    if (produced >= target) {
-      // Limit reached; only key-ties of the last emitted row may follow.
-      // Tie detection runs on the normalized key word, so NaN and ±0.0
-      // boundary keys tie exactly as they order.
-      if (!options.with_ties || stats.rows_emitted == 0 ||
-          ways[w].exhausted || ways[w].norm.key_word != last_key_norm) {
+      if (ways[w].exhausted) {
+        stats.exhausted_inputs = true;
         break;
       }
-    }
-    if (ways[w].exhausted) {
-      stats.exhausted_inputs = true;
-      break;
-    }
-    if (options.stop_filter != nullptr &&
-        options.stop_filter->EliminateNormalizedKey(ways[w].norm.key_word)) {
-      // Every remaining row in every run sorts at or after this one.
-      break;
-    }
-    Row row = std::move(ways[w].current);
-    const uint64_t row_key_norm = ways[w].norm.key_word;
-    TOPK_RETURN_NOT_OK(ways[w].Advance(&stats, direction));
-    tree.ReplayWinner();
+      if (options.stop_filter != nullptr &&
+          options.stop_filter->EliminateNormalizedKey(ways[w].norm.key_word)) {
+        // Every remaining row in every run sorts at or after this one.
+        break;
+      }
+      Row row = std::move(ways[w].current);
+      const uint64_t row_key_norm = ways[w].norm.key_word;
+      TOPK_RETURN_NOT_OK(ways[w].Advance(&stats, direction));
+      tree.ReplayWinner();
 
-    ++produced;
-    if (produced <= residual_skip) {
-      ++stats.rows_skipped;
-      continue;
+      ++produced;
+      if (produced <= residual_skip) {
+        ++stats.rows_skipped;
+        continue;
+      }
+      stats.last_key = row.key;
+      last_key_norm = row_key_norm;
+      ++stats.rows_emitted;
+      if (options.refine_filter != nullptr &&
+          stats.rows_emitted + stats.rows_skipped ==
+              options.refine_filter->k()) {
+        options.refine_filter->ProposeCutoff(row.key);
+      }
+      TOPK_RETURN_NOT_OK(sink(std::move(row)));
     }
-    stats.last_key = row.key;
-    last_key_norm = row_key_norm;
-    ++stats.rows_emitted;
-    if (options.refine_filter != nullptr &&
-        stats.rows_emitted + stats.rows_skipped ==
-            options.refine_filter->k()) {
-      options.refine_filter->ProposeCutoff(row.key);
-    }
-    TOPK_RETURN_NOT_OK(sink(std::move(row)));
-  }
+    return Status::OK();
+  };
+  TOPK_RETURN_NOT_OK(options.use_ovc ? drain(ovc_less) : drain(legacy_less));
   if (!stats.exhausted_inputs) {
     // Check whether we happened to stop exactly at the end of all inputs.
     bool all_done = true;

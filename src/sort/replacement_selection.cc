@@ -1,6 +1,8 @@
 #include "sort/replacement_selection.h"
 
 #include <algorithm>
+#include <type_traits>
+#include <utility>
 
 #include "common/stopwatch.h"
 #include "obs/obs_context.h"
@@ -40,13 +42,11 @@ Status ReplacementSelectionRunGenerator::Add(Row row) {
                           options_.arbiter->Acquire("run-generation", 0));
   }
   TOPK_RETURN_NOT_OK(lease_.EnsureAtLeast(buffered_bytes_));
-  heap_.push_back(Entry{seq, norm, std::move(row)});
-  std::push_heap(heap_.begin(), heap_.end(), EntryGreater{});
   ++stats_.rows_added;
-  stats_.rows_in_memory = heap_.size();
+  stats_.rows_in_memory = rows_buffered_ + 1;
   stats_.peak_memory_bytes =
       std::max(stats_.peak_memory_bytes, buffered_bytes_);
-  // Under arbiter soft pressure the selection heap drains at half its
+  // Under arbiter soft pressure the selection tree drains at half its
   // configured budget: runs get shorter, but buffered bytes flow to disk
   // while the process still has headroom (the early-spill rung of the
   // degradation ladder).
@@ -55,37 +55,108 @@ Status ReplacementSelectionRunGenerator::Add(Row row) {
       options_.arbiter->pressure() >= MemoryPressure::kSoft) {
     effective_limit = std::max<size_t>(1, effective_limit / 2);
   }
+  // The incoming row is charged from here on, but it enters the tree only
+  // if the first spill does not take it.
+  const Node key{seq, norm, 0};
+  bool pending = true;
   bool early = false;
-  while (buffered_bytes_ > effective_limit && heap_.size() > 1) {
-    TOPK_RETURN_IF_CANCELLED(options_.cancel);
+  while (buffered_bytes_ > effective_limit &&
+         rows_buffered_ + (pending ? 1 : 0) > 1) {
+    if (options_.cancel != nullptr && options_.cancel->ShouldStop()) {
+      if (pending) Place(key, std::move(row));
+      return options_.cancel->status();
+    }
     if (!early && buffered_bytes_ <= options_.memory_limit_bytes) {
       early = true;
       EarlySpillsCounter().Add(1);
     }
-    TOPK_RETURN_NOT_OK(SpillOne());
+    if (pending) {
+      pending = false;
+      TOPK_RETURN_NOT_OK(SpillFused(key, std::move(row)));
+    } else {
+      TOPK_RETURN_NOT_OK(SpillWinner());
+    }
   }
+  if (pending) Place(key, std::move(row));
   lease_.ShrinkTo(buffered_bytes_);
-  stats_.rows_in_memory = heap_.size();
+  stats_.rows_in_memory = rows_buffered_;
   return Status::OK();
 }
 
-Status ReplacementSelectionRunGenerator::SpillOne() {
-  std::pop_heap(heap_.begin(), heap_.end(), EntryGreater{});
-  Entry entry = std::move(heap_.back());
-  heap_.pop_back();
+void ReplacementSelectionRunGenerator::Replay(size_t slot) {
+  Node* tree = tree_.data();
+  for (size_t i = (slots_.size() + slot) / 2; i >= 1; i /= 2) {
+    tree[i] = Winner(tree[2 * i], tree[2 * i + 1]);
+  }
+}
+
+void ReplacementSelectionRunGenerator::Place(const Node& key, Row row) {
+  if (free_slots_.empty()) {
+    // Slots keep their numbers; only the tree is rebuilt over the larger
+    // leaf level. Rows move to the new table, so their payloads keep the
+    // capacity Add charged.
+    static_assert(std::is_nothrow_move_constructible_v<Row>);
+    const size_t old_capacity = slots_.size();
+    const size_t capacity = std::max<size_t>(kMinSlots, 2 * old_capacity);
+    slots_.resize(capacity);
+    std::vector<Node> tree(2 * capacity);
+    for (size_t s = 0; s < capacity; ++s) {
+      tree[capacity + s] = s < old_capacity
+                               ? tree_[old_capacity + s]
+                               : Node{kEmptyRunSeq, NormalizedKey{}, s};
+    }
+    for (size_t i = capacity - 1; i >= 1; --i) {
+      tree[i] = Winner(tree[2 * i], tree[2 * i + 1]);
+    }
+    tree_ = std::move(tree);
+    for (size_t s = capacity; s-- > old_capacity;) free_slots_.push_back(s);
+  }
+  const size_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  slots_[slot] = std::move(row);
+  tree_[slots_.size() + slot] = Node{key.run_seq, key.norm, slot};
+  ++rows_buffered_;
+  Replay(slot);
+}
+
+Status ReplacementSelectionRunGenerator::SpillFused(const Node& key,
+                                                    Row row) {
+  if (Before(key, tree_[1])) {
+    buffered_bytes_ -= row.MemoryFootprint() + kPerRowOverheadBytes;
+    return SpillRow(key, row);
+  }
+  const Node winner = tree_[1];
+  Row out = std::exchange(slots_[winner.slot], std::move(row));
   // The row was moved, never copied, since Add charged it, so its payload
   // keeps the capacity Add measured and this returns exactly that charge.
-  buffered_bytes_ -= entry.row.MemoryFootprint() + kPerRowOverheadBytes;
+  buffered_bytes_ -= out.MemoryFootprint() + kPerRowOverheadBytes;
+  tree_[slots_.size() + winner.slot] = Node{key.run_seq, key.norm, winner.slot};
+  Replay(winner.slot);
+  return SpillRow(winner, out);
+}
 
-  if (entry.run_seq != current_seq_) {
+Status ReplacementSelectionRunGenerator::SpillWinner() {
+  const Node winner = tree_[1];
+  const Row out = std::move(slots_[winner.slot]);
+  buffered_bytes_ -= out.MemoryFootprint() + kPerRowOverheadBytes;
+  tree_[slots_.size() + winner.slot].run_seq = kEmptyRunSeq;
+  free_slots_.push_back(winner.slot);
+  --rows_buffered_;
+  Replay(winner.slot);
+  return SpillRow(winner, out);
+}
+
+Status ReplacementSelectionRunGenerator::SpillRow(const Node& key,
+                                                  const Row& row) {
+  if (key.run_seq != current_seq_) {
     // The current logical run is exhausted; start the next one.
     TOPK_RETURN_NOT_OK(CloseRun());
-    current_seq_ = entry.run_seq;
+    current_seq_ = key.run_seq;
     has_last_spilled_ = false;
   }
 
   if (options_.observer != nullptr &&
-      options_.observer->EliminateAtSpill(entry.row)) {
+      options_.observer->EliminateAtSpill(row)) {
     ++stats_.rows_eliminated_at_spill;
     return Status::OK();
   }
@@ -94,13 +165,13 @@ Status ReplacementSelectionRunGenerator::SpillOne() {
     TOPK_RETURN_NOT_OK(CloseRun());
   }
   TOPK_RETURN_NOT_OK(EnsureWriter());
-  TOPK_RETURN_NOT_OK(writer_->Append(entry.row));
+  TOPK_RETURN_NOT_OK(writer_->Append(row));
   if (options_.observer != nullptr) {
-    options_.observer->OnRowSpilled(entry.row);
+    options_.observer->OnRowSpilled(row);
   }
   ++stats_.rows_spilled;
   ++rows_in_physical_run_;
-  last_spilled_norm_ = entry.norm;
+  last_spilled_norm_ = key.norm;
   has_last_spilled_ = true;
   return Status::OK();
 }
@@ -136,9 +207,9 @@ Status ReplacementSelectionRunGenerator::CloseRun() {
 }
 
 Status ReplacementSelectionRunGenerator::Flush() {
-  while (!heap_.empty()) {
+  while (rows_buffered_ > 0) {
     TOPK_RETURN_IF_CANCELLED(options_.cancel);
-    TOPK_RETURN_NOT_OK(SpillOne());
+    TOPK_RETURN_NOT_OK(SpillWinner());
   }
   TOPK_RETURN_NOT_OK(CloseRun());
   buffered_bytes_ = 0;

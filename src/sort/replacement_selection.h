@@ -9,13 +9,23 @@
 namespace topk {
 
 /// Replacement-selection run generation (Knuth Vol. 3; used by the paper's
-/// production implementation, Sec 5.1.2). Rows live in a selection heap;
-/// when memory is full the smallest row is spilled to the current run.
+/// production implementation, Sec 5.1.2). Buffered rows sit in a selection
+/// tree; when memory is full the smallest row is spilled to the current run.
 /// Incoming rows that can still extend the current run (they sort at or
 /// after the last spilled row) are tagged for it; smaller rows are deferred
 /// to the next run. Run generation therefore never stalls the input
 /// ("pipelined operation", Sec 2.1) and runs average twice the memory size
 /// on random input.
+///
+/// The selection structure is a tournament tree of winners over a stable
+/// slot table (the tree-of-losers idea of Do & Graefe's run generation, in
+/// its winner form so that any slot can be refilled). A row is moved into a
+/// slot once, at Add, and moved out once, at spill; selection only ever
+/// touches the compact {run_seq, normalized key, slot} nodes. An Add that
+/// must spill fuses the push and the pop: the incoming row is spilled
+/// directly when it sorts before the tree's winner, and otherwise takes the
+/// winner's slot with one leaf-to-root replay. Rows therefore spill in
+/// exactly the order a push-then-pop-minimum priority queue would give.
 ///
 /// Variable-size rows are supported: the memory budget is tracked in bytes,
 /// so the number of buffered rows floats with row sizes.
@@ -41,27 +51,43 @@ class ReplacementSelectionRunGenerator : public RunGenerator {
   uint64_t current_run_seq() const { return current_seq_; }
 
  private:
-  struct Entry {
+  /// One tournament-tree node: the selection key of a buffered row and the
+  /// slot holding it. The key is the row's sort order, encoded once at Add
+  /// time, so every tournament match is integer comparisons and a NaN key
+  /// takes its defined place.
+  struct Node {
     uint64_t run_seq;
-    /// The row's sort order, encoded once at Add time: every heap sift
-    /// compares two integers instead of re-running RowComparator, and a
-    /// NaN key takes its defined place instead of corrupting the heap
-    /// invariant.
     NormalizedKey norm;
-    Row row;
+    size_t slot;
   };
+  /// The run_seq of an empty slot's leaf: it loses to every row.
+  static constexpr uint64_t kEmptyRunSeq = ~uint64_t{0};
 
-  /// Orders the selection heap: smallest (run_seq, normalized key) on top.
-  struct EntryGreater {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.run_seq != b.run_seq) return a.run_seq > b.run_seq;
-      return b.norm < a.norm;
-    }
-  };
+  /// True when `a` is spilled before `b`: smaller (run_seq, normalized key).
+  static bool Before(const Node& a, const Node& b) {
+    if (a.run_seq != b.run_seq) return a.run_seq < b.run_seq;
+    return a.norm < b.norm;
+  }
+  static const Node& Winner(const Node& left, const Node& right) {
+    return Before(right, left) ? right : left;
+  }
+  /// The slot table's first size; it doubles whenever every slot is full.
+  static constexpr size_t kMinSlots = 64;
 
-  /// Spills the heap minimum, honoring elimination, run boundaries, and the
-  /// physical row limit.
-  Status SpillOne();
+  /// Recomputes the winners on the path from `slot`'s leaf to the root.
+  void Replay(size_t slot);
+  /// Puts a row into a free slot, doubling the slot table when none is free.
+  void Place(const Node& key, Row row);
+  /// Moves the winner out of the tree, leaving its slot empty, and spills
+  /// it.
+  Status SpillWinner();
+  /// The spill side of one push-then-pop-minimum: spills the incoming row
+  /// when it sorts before the winner, otherwise spills the winner and puts
+  /// the incoming row in its slot.
+  Status SpillFused(const Node& key, Row row);
+  /// Writes one row that has left the buffer to the current run, honoring
+  /// elimination, run boundaries, and the physical row limit.
+  Status SpillRow(const Node& key, const Row& row);
   Status CloseRun();
   Status EnsureWriter();
 
@@ -70,10 +96,15 @@ class ReplacementSelectionRunGenerator : public RunGenerator {
   RunGeneratorOptions options_;
   RunGeneratorStats stats_;
 
-  /// Binary min-heap under EntryGreater, kept with std::push_heap and
-  /// std::pop_heap so SpillOne can move the minimum out instead of copying
-  /// it off a priority_queue's const top().
-  std::vector<Entry> heap_;
+  /// Tournament tree of winners: the leaf of slot s is
+  /// tree_[slots_.size() + s], the children of node i are 2i and 2i + 1
+  /// (adjacent, so one match reads one pair), and tree_[1] is the next row
+  /// to spill. tree_[0] is unused.
+  std::vector<Node> tree_;
+  /// Buffered rows by slot; a row stays in its slot until it is spilled.
+  std::vector<Row> slots_;
+  std::vector<size_t> free_slots_;
+  size_t rows_buffered_ = 0;
   size_t buffered_bytes_ = 0;
   /// Lease covering buffered_bytes_ (detached without an arbiter).
   MemoryLease lease_;

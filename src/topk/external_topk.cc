@@ -117,6 +117,12 @@ Status ExternalTopK::OnCancelStatus(Status cause) {
 }
 
 Status ExternalTopK::MakeDurable() {
+  // Callers hold a CancelShield, but a background manifest write that the
+  // tripped token stopped before its first attempt has already latched
+  // that cancellation. The handoff below writes a fresh manifest, so only
+  // a real storage error may fail it.
+  Status pending = spill_->FlushManifest();
+  if (!pending.ok() && !IsCancellation(pending.code())) return pending;
   if (generator_ == nullptr) {
     TOPK_RETURN_NOT_OK(spill_->CheckpointManifest());
     return spill_->FlushManifest();

@@ -1,6 +1,7 @@
 #include "obs/obs_context.h"
 
 #include <functional>
+#include <future>
 #include <memory>
 #include <thread>
 #include <tuple>
@@ -179,6 +180,60 @@ TEST(ObsContextTest, PoolTasksInheritTheSpawningScope) {
   EXPECT_TRUE(report.phases.children.empty());
   EXPECT_GE(report.background.entered, 8u);
   EXPECT_GE(report.background.io_wait_nanos, 800);
+}
+
+TEST(ObsContextTest, ScopesTakeNoReference) {
+  // Operators install their query's context on every Consume call; the
+  // install must not touch the reference count.
+  auto obs = ObsContext::Create("refcount");
+  auto other = ObsContext::Create("other");
+  const long count = obs.use_count();
+  {
+    ObsScope outer(obs);
+    EXPECT_EQ(obs.use_count(), count);
+    {
+      ObsScope again(obs);  // re-installing the current context
+      EXPECT_EQ(obs.use_count(), count);
+      ObsScope nested(other);
+      EXPECT_EQ(CurrentObsContext(), other.get());
+      EXPECT_EQ(obs.use_count(), count);
+      EXPECT_EQ(other.use_count(), 1);
+    }
+    EXPECT_EQ(CurrentObsContext(), obs.get());
+    EXPECT_EQ(obs.use_count(), count);
+  }
+  EXPECT_EQ(CurrentObsContext(), nullptr);
+  EXPECT_EQ(obs.use_count(), count);
+}
+
+TEST(ObsContextTest, PoolTaskRecordsAfterItsSchedulingScopeCloses) {
+  auto obs = ObsContext::Create("late");
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::promise<void> recorded;
+  std::future<void> done = recorded.get_future();
+  {
+    ThreadPool pool(1);
+    {
+      ObsScope scope(obs);
+      pool.Schedule([opened, &recorded] {
+        opened.wait();
+        static ObsCounter counter("test.obs.late_task");
+        counter.Add(1);
+        recorded.set_value();
+      });
+      // Scheduling is where the reference is taken: the queued task owns
+      // one.
+      EXPECT_EQ(obs.use_count(), 2);
+    }
+    // The scheduling scope is closed before the task runs.
+    EXPECT_EQ(CurrentObsContext(), nullptr);
+    gate.set_value();
+    done.wait();
+  }
+  EXPECT_EQ(obs->metrics().GetCounter("test.obs.late_task")->value(), 1u);
+  EXPECT_EQ(BuildProfileReport(*obs).background.entered, 1u);
+  EXPECT_EQ(obs.use_count(), 1);
 }
 
 TEST(ObsContextTest, TraceBufferCapDropsAndCounts) {

@@ -1,12 +1,20 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <filesystem>
+#include <limits>
+#include <ostream>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/query_control.h"
 #include "common/random.h"
+#include "common/resource_arbiter.h"
 #include "gen/generator.h"
 #include "sort/replacement_selection.h"
 #include "sort/run_generation.h"
@@ -357,6 +365,399 @@ TEST_F(ReplacementSelectionTest, SpillReleasesWhatAddChargedForSpareCapacity) {
   ASSERT_TRUE(gen.Flush().ok());
   EXPECT_EQ(gen.stats().rows_spilled, static_cast<uint64_t>(n));
 }
+
+// --- Differential check against the priority-queue semantics ---
+
+/// One observer call, in order: an elimination probe (with its verdict), a
+/// written row, or a closed run.
+struct ObserverEvent {
+  char kind;  // 'e' probe, 's' spilled, 'r' run finished
+  uint64_t key_bits;
+  uint64_t id;
+  bool eliminated;
+  bool operator==(const ObserverEvent&) const = default;
+};
+
+/// Logs every observer call; optionally eliminates every third probed row
+/// and trips a cancellation token at the n-th probe, i.e. in the middle of
+/// whatever spill loop is running then.
+class LoggingObserver : public SpillObserver {
+ public:
+  LoggingObserver(bool eliminate_every_third, uint64_t cancel_at_probe,
+                  CancellationToken* cancel)
+      : eliminate_every_third_(eliminate_every_third),
+        cancel_at_probe_(cancel_at_probe),
+        cancel_(cancel) {}
+
+  bool EliminateAtSpill(const Row& row) override {
+    ++probes_;
+    if (probes_ == cancel_at_probe_) cancel_->RequestCancel("differential");
+    const bool eliminate = eliminate_every_third_ && probes_ % 3 == 0;
+    log.push_back({'e', std::bit_cast<uint64_t>(row.key), row.id, eliminate});
+    return eliminate;
+  }
+  void OnRowSpilled(const Row& row) override {
+    log.push_back({'s', std::bit_cast<uint64_t>(row.key), row.id, false});
+  }
+  std::vector<HistogramBucket> OnRunFinished() override {
+    log.push_back({'r', 0, 0, false});
+    return {};
+  }
+
+  uint64_t probes() const { return probes_; }
+
+  std::vector<ObserverEvent> log;
+
+ private:
+  const bool eliminate_every_third_;
+  const uint64_t cancel_at_probe_;
+  CancellationToken* const cancel_;
+  uint64_t probes_ = 0;
+};
+
+/// (key bits, id) of one row as it sits in a run.
+using RunRow = std::pair<uint64_t, uint64_t>;
+
+/// Replacement selection as a binary min-heap over (run_seq, normalized
+/// key): push the row, then pop the minimum while over budget and more than
+/// one row is buffered. The generator's tournament tree must spill in
+/// exactly this order, with the same run cuts, observer calls and stats.
+class HeapModel {
+ public:
+  HeapModel(const RunGeneratorOptions& options, SortDirection direction)
+      : options_(options), direction_(direction) {}
+
+  Status Add(Row row) {
+    const NormalizedKey norm = row.normalized_key(direction_);
+    uint64_t seq = current_seq_;
+    if (has_last_ && norm < last_norm_) seq = current_seq_ + 1;
+    buffered_bytes_ += row.MemoryFootprint() + kPerRowOverheadBytes;
+    heap_.push_back(Entry{seq, norm, std::move(row)});
+    std::push_heap(heap_.begin(), heap_.end(), Greater{});
+    ++stats.rows_added;
+    stats.rows_in_memory = heap_.size();
+    stats.peak_memory_bytes = std::max(stats.peak_memory_bytes,
+                                       buffered_bytes_);
+    size_t limit = options_.memory_limit_bytes;
+    if (options_.arbiter != nullptr &&
+        options_.arbiter->pressure() >= MemoryPressure::kSoft) {
+      limit = std::max<size_t>(1, limit / 2);
+    }
+    while (buffered_bytes_ > limit && heap_.size() > 1) {
+      TOPK_RETURN_IF_CANCELLED(options_.cancel);
+      SpillOne();
+    }
+    stats.rows_in_memory = heap_.size();
+    return Status::OK();
+  }
+
+  Status Flush() {
+    while (!heap_.empty()) {
+      TOPK_RETURN_IF_CANCELLED(options_.cancel);
+      SpillOne();
+    }
+    CloseRun();
+    buffered_bytes_ = 0;
+    stats.rows_in_memory = 0;
+    return Status::OK();
+  }
+
+  void SetCancel(const CancellationToken* cancel) { options_.cancel = cancel; }
+
+  RunGeneratorStats stats;
+  std::vector<std::vector<RunRow>> runs;
+
+ private:
+  struct Entry {
+    uint64_t seq;
+    NormalizedKey norm;
+    Row row;
+  };
+  struct Greater {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.seq != b.seq) return a.seq > b.seq;
+      return b.norm < a.norm;
+    }
+  };
+
+  void SpillOne() {
+    std::pop_heap(heap_.begin(), heap_.end(), Greater{});
+    Entry entry = std::move(heap_.back());
+    heap_.pop_back();
+    buffered_bytes_ -= entry.row.MemoryFootprint() + kPerRowOverheadBytes;
+    if (entry.seq != current_seq_) {
+      CloseRun();
+      current_seq_ = entry.seq;
+      has_last_ = false;
+    }
+    if (options_.observer != nullptr &&
+        options_.observer->EliminateAtSpill(entry.row)) {
+      ++stats.rows_eliminated_at_spill;
+      return;
+    }
+    if (run_open_ && runs.back().size() >= options_.run_row_limit) {
+      CloseRun();
+    }
+    if (!run_open_) {
+      runs.emplace_back();
+      run_open_ = true;
+    }
+    runs.back().emplace_back(std::bit_cast<uint64_t>(entry.row.key),
+                             entry.row.id);
+    if (options_.observer != nullptr) {
+      options_.observer->OnRowSpilled(entry.row);
+    }
+    ++stats.rows_spilled;
+    last_norm_ = entry.norm;
+    has_last_ = true;
+  }
+
+  void CloseRun() {
+    if (options_.observer != nullptr) options_.observer->OnRunFinished();
+    run_open_ = false;
+  }
+
+  RunGeneratorOptions options_;
+  SortDirection direction_;
+  std::vector<Entry> heap_;
+  size_t buffered_bytes_ = 0;
+  uint64_t current_seq_ = 0;
+  bool has_last_ = false;
+  NormalizedKey last_norm_;
+  bool run_open_ = false;
+};
+
+enum class KeyShape { kRandom, kAscending, kDescending, kAllEqual, kSpecial };
+
+double ShapedKey(KeyShape shape, size_t i, Random* rng) {
+  switch (shape) {
+    case KeyShape::kRandom:
+      return rng->NextDouble();
+    case KeyShape::kAscending:
+      return static_cast<double>(i);
+    case KeyShape::kDescending:
+      return -static_cast<double>(i);
+    case KeyShape::kAllEqual:
+      return 7.0;
+    case KeyShape::kSpecial: {
+      static const double kSpecials[] = {
+          std::numeric_limits<double>::quiet_NaN(),
+          -std::numeric_limits<double>::quiet_NaN(),
+          0.0,
+          -0.0,
+          std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity()};
+      // Half the rows take a special value, the rest are ordinary keys
+      // around zero so the specials interleave with them.
+      if (rng->NextUint64(2) == 0) return kSpecials[rng->NextUint64(6)];
+      return rng->NextDouble() - 0.5;
+    }
+  }
+  return 0.0;
+}
+
+/// Payload lengths from 0 to 4 KiB, mostly small: against a 64 KiB budget a
+/// large row forces several spills in one Add, and the small rows after it
+/// often spill none.
+size_t PayloadBytes(Random* rng) {
+  const uint64_t pick = rng->NextUint64(10);
+  if (pick < 5) return rng->NextUint64(65);
+  if (pick < 9) return 64 + rng->NextUint64(449);
+  return 1024 + rng->NextUint64(3073);
+}
+
+struct DifferentialCase {
+  std::string name;
+  KeyShape shape = KeyShape::kRandom;
+  SortDirection direction = SortDirection::kAscending;
+  uint64_t run_row_limit = std::numeric_limits<uint64_t>::max();
+  bool eliminate_every_third = false;
+  /// Row index at which soft memory pressure turns on (0 = never).
+  size_t soft_pressure_at = 0;
+  /// Observer probe at which the query is cancelled (0 = never).
+  uint64_t cancel_at_probe = 0;
+};
+
+void PrintTo(const DifferentialCase& c, std::ostream* os) { *os << c.name; }
+
+void ExpectSameStats(const RunGeneratorStats& tree,
+                     const RunGeneratorStats& model, size_t row) {
+  EXPECT_EQ(tree.rows_added, model.rows_added) << "row " << row;
+  EXPECT_EQ(tree.rows_eliminated_at_spill, model.rows_eliminated_at_spill)
+      << "row " << row;
+  EXPECT_EQ(tree.rows_spilled, model.rows_spilled) << "row " << row;
+  EXPECT_EQ(tree.peak_memory_bytes, model.peak_memory_bytes) << "row " << row;
+  EXPECT_EQ(tree.rows_in_memory, model.rows_in_memory) << "row " << row;
+}
+
+class ReplacementSelectionDifferentialTest
+    : public ::testing::TestWithParam<DifferentialCase> {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("topk_rs_diff_" + std::to_string(::getpid()) + "_" +
+            GetParam().name);
+    auto spill = SpillManager::Create(&env_, dir_.string());
+    ASSERT_TRUE(spill.ok());
+    spill_ = std::move(*spill);
+  }
+
+  void TearDown() override {
+    spill_.reset();
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+
+  std::vector<std::vector<RunRow>> ReadRuns() {
+    std::vector<std::vector<RunRow>> runs;
+    for (const RunMeta& meta : spill_->runs()) {
+      auto reader = spill_->OpenRun(meta);
+      EXPECT_TRUE(reader.ok());
+      if (!reader.ok()) break;
+      runs.emplace_back();
+      Row row;
+      bool eof = false;
+      for (;;) {
+        EXPECT_TRUE((*reader)->Next(&row, &eof).ok());
+        if (eof) break;
+        runs.back().emplace_back(std::bit_cast<uint64_t>(row.key), row.id);
+      }
+    }
+    return runs;
+  }
+
+  std::filesystem::path dir_;
+  StorageEnv env_;
+  std::unique_ptr<SpillManager> spill_;
+};
+
+TEST_P(ReplacementSelectionDifferentialTest, SpillsLikePushThenPopMinimum) {
+  const DifferentialCase& c = GetParam();
+  // Both sides share one arbiter. Its budget dwarfs their leases, so the
+  // pressure level is set by the hog lease alone and both see it flip at
+  // the same row.
+  MemoryArbiter::Options arbiter_options;
+  arbiter_options.budget_bytes = 16 << 20;
+  MemoryArbiter arbiter(arbiter_options);
+  CancellationToken model_cancel;
+  CancellationToken tree_cancel;
+  LoggingObserver model_observer(c.eliminate_every_third, c.cancel_at_probe,
+                                 &model_cancel);
+  LoggingObserver tree_observer(c.eliminate_every_third, c.cancel_at_probe,
+                                &tree_cancel);
+
+  RunGeneratorOptions options;
+  options.memory_limit_bytes = 64 * 1024;
+  options.run_row_limit = c.run_row_limit;
+  options.arbiter = &arbiter;
+  options.observer = &model_observer;
+  options.cancel = &model_cancel;
+  HeapModel model(options, c.direction);
+  options.observer = &tree_observer;
+  options.cancel = &tree_cancel;
+  ReplacementSelectionRunGenerator tree(spill_.get(),
+                                        RowComparator(c.direction), options);
+
+  Random rng(1000 + static_cast<uint64_t>(c.shape));
+  MemoryLease hog;
+  const size_t kRows = 6000;
+  // Adds that spilled no row, one row, and several rows.
+  size_t adds_by_spills[3] = {0, 0, 0};
+  size_t added = 0;
+  for (; added < kRows; ++added) {
+    if (c.soft_pressure_at != 0 && added == c.soft_pressure_at) {
+      auto lease = arbiter.Acquire("hog", 13 << 20);
+      ASSERT_TRUE(lease.ok()) << lease.status().ToString();
+      hog = std::move(*lease);
+      ASSERT_EQ(arbiter.pressure(), MemoryPressure::kSoft);
+    }
+    const double key = ShapedKey(c.shape, added, &rng);
+    const Row row(key, added, std::string(PayloadBytes(&rng), 'p'));
+    const uint64_t probes_before = tree_observer.probes();
+    const Status model_status = model.Add(row);
+    const Status tree_status = tree.Add(row);
+    ++adds_by_spills[std::min<uint64_t>(
+        2, tree_observer.probes() - probes_before)];
+    ASSERT_EQ(model_status.code(), tree_status.code()) << "row " << added;
+    ExpectSameStats(tree.stats(), model.stats, added);
+    if (!model_status.ok()) {
+      ASSERT_EQ(model_status.code(), StatusCode::kCancelled);
+      break;
+    }
+  }
+  if (c.shape == KeyShape::kRandom && c.cancel_at_probe == 0) {
+    EXPECT_GT(adds_by_spills[0], 0u);
+    EXPECT_GT(adds_by_spills[1], 0u);
+    EXPECT_GT(adds_by_spills[2], 0u);
+  }
+  if (c.cancel_at_probe != 0) {
+    ASSERT_LT(added, kRows) << "the cancel never fired";
+    // The keep-for-resume unwind: detach the token and flush what is left.
+    // Every added row must still reach a run or the eliminated count.
+    ++added;
+    model.SetCancel(nullptr);
+    tree.SetCancel(nullptr);
+  }
+  ASSERT_TRUE(model.Flush().ok());
+  ASSERT_TRUE(tree.Flush().ok());
+
+  ExpectSameStats(tree.stats(), model.stats, added);
+  EXPECT_EQ(tree.stats().rows_added, added);
+  EXPECT_EQ(tree.stats().rows_spilled + tree.stats().rows_eliminated_at_spill,
+            added);
+  EXPECT_EQ(tree_observer.log, model_observer.log);
+  EXPECT_EQ(ReadRuns(), model.runs);
+}
+
+DifferentialCase Case(std::string name, KeyShape shape) {
+  DifferentialCase c;
+  c.name = std::move(name);
+  c.shape = shape;
+  return c;
+}
+
+std::vector<DifferentialCase> DifferentialCases() {
+  std::vector<DifferentialCase> cases = {
+      Case("Random", KeyShape::kRandom),
+      Case("Ascending", KeyShape::kAscending),
+      Case("Descending", KeyShape::kDescending),
+      Case("AllEqual", KeyShape::kAllEqual),
+      Case("NanZeroInf", KeyShape::kSpecial),
+  };
+  DifferentialCase c = Case("RandomDescendingQuery", KeyShape::kRandom);
+  c.direction = SortDirection::kDescending;
+  cases.push_back(c);
+  c = Case("NanZeroInfDescendingQuery", KeyShape::kSpecial);
+  c.direction = SortDirection::kDescending;
+  cases.push_back(c);
+  c = Case("RunRowLimit", KeyShape::kRandom);
+  c.run_row_limit = 37;
+  cases.push_back(c);
+  c = Case("EliminateEveryThird", KeyShape::kRandom);
+  c.eliminate_every_third = true;
+  c.run_row_limit = 100;
+  cases.push_back(c);
+  c = Case("SoftPressureMidStream", KeyShape::kRandom);
+  c.soft_pressure_at = 2500;
+  cases.push_back(c);
+  c = Case("SoftPressureDescending", KeyShape::kDescending);
+  c.soft_pressure_at = 2500;
+  cases.push_back(c);
+  for (const uint64_t probe : {1, 700, 701, 702, 2001}) {
+    c = Case("CancelAtProbe" + std::to_string(probe), KeyShape::kRandom);
+    c.eliminate_every_third = true;
+    c.cancel_at_probe = probe;
+    cases.push_back(c);
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Inputs, ReplacementSelectionDifferentialTest,
+    ::testing::ValuesIn(DifferentialCases()),
+    [](const ::testing::TestParamInfo<DifferentialCase>& info) {
+      return info.param.name;
+    });
 
 }  // namespace
 }  // namespace topk
