@@ -2,6 +2,11 @@
 #define TOPK_COMMON_MEMORY_ACCOUNTING_H_
 
 #include <cstddef>
+#include <new>
+#include <string>
+#include <string_view>
+
+#include "common/status.h"
 
 namespace topk {
 
@@ -13,6 +18,20 @@ namespace topk {
 /// duplicated in four translation units; it lives here so accounting cannot
 /// drift again.
 inline constexpr size_t kPerRowOverheadBytes = 32;
+
+/// Runs an operator entry-point (or worker-thread) body and contains
+/// std::bad_alloc — real or injected (MemFaultProfile mode=throw) — as
+/// Status::OutOfMemory, so an allocation failure surfaces as a failed
+/// query, never a crash. `where` names the boundary in the message.
+template <typename Fn>
+auto RunWithAllocGuard(std::string_view where, Fn&& fn) -> decltype(fn()) {
+  try {
+    return fn();
+  } catch (const std::bad_alloc&) {
+    return Status::OutOfMemory("allocation failure contained at " +
+                               std::string(where));
+  }
+}
 
 }  // namespace topk
 

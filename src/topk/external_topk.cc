@@ -53,6 +53,7 @@ Status ExternalTopK::CreateGenerator() {
   gen_options.memory_limit_bytes = options_.memory_limit_bytes;
   gen_options.cancel = options_.cancel.get();
   gen_options.arbiter = options_.effective_arbiter();
+  gen_options.workers = options_.workers;
   TOPK_RETURN_NOT_OK(policy_->StartRunGeneration(&gen_options));
   generator_ = MakeRunGenerator(options_.run_generation, spill_.get(),
                                 comparator_, gen_options);

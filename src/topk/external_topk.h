@@ -50,6 +50,9 @@ class CutoffPolicy {
 
   /// Checks the options the policy alone reads.
   virtual Status ValidateOptions() const { return Status::OK(); }
+  /// True when the policy's cutoff state serves parallel run generators
+  /// (TopKOptions::workers > 1).
+  virtual bool parallel_run_generation() const { return false; }
 
   /// In-memory phase: keeps `row` in memory, or returns false — leaving
   /// `row` untouched — when memory is full and the operator must switch to
@@ -182,9 +185,10 @@ class ExternalTopK : public TopKOperator {
   static Result<std::unique_ptr<Op>> Open(const TopKOptions& options,
                                           bool resume,
                                           RestoreReport* report = nullptr) {
-    TOPK_RETURN_NOT_OK(
-        ValidateTopKOptions(options, /*requires_storage=*/true));
     std::unique_ptr<Op> op(new Op(options));
+    TOPK_RETURN_NOT_OK(
+        ValidateTopKOptions(options, /*requires_storage=*/true,
+                            op->policy_->parallel_run_generation()));
     TOPK_RETURN_NOT_OK(op->policy_->ValidateOptions());
     if (resume) TOPK_RETURN_NOT_OK(op->Reopen(report));
     return op;

@@ -21,17 +21,39 @@ ObsCounter& QuotaConsolidationsCounter() {
   return counter;
 }
 
+/// A run generator's spill hook: Algorithm 1 lines 11-13 on the cutoff
+/// filter, through a Spiller of its own, so that parallel run generators
+/// (Sec 4.4) can share the filter.
+class FilterSpillObserver final : public SpillObserver {
+ public:
+  explicit FilterSpillObserver(CutoffFilter* filter)
+      : filter_(filter), spiller_(filter) {}
+
+  bool EliminateAtSpill(const Row& row) override {
+    return filter_->Eliminate(row);
+  }
+  void OnRowSpilled(const Row& row) override { spiller_.RowSpilled(row.key); }
+  std::vector<HistogramBucket> OnRunFinished() override {
+    return spiller_.RunFinished();
+  }
+
+ private:
+  CutoffFilter* filter_;
+  CutoffFilter::Spiller spiller_;
+};
+
 /// The histogram filter (Sec 3). In memory it is the bounded
 /// priority-queue algorithm: the operator's rows form a query-order
 /// max-heap (top = worst kept row) of at most k+offset rows. In external
 /// mode the cutoff filter probes every input row (Algorithm 1 line 4),
 /// re-checks rows leaving for a run (line 11) and learns from every
-/// spilled row (line 13) — the policy is the run generator's spill
-/// observer. Merges stop at the cutoff and refine it; the final merge
-/// seeks past the offset prefix (Sec 4.1).
-class HistogramFilterPolicy final : public CutoffPolicy,
-                                    private SpillObserver {
+/// spilled row (line 13), through each run generator's spill observer —
+/// one per generator when TopKOptions::workers > 1 (Sec 4.4). Merges stop
+/// at the cutoff and refine it; the final merge seeks past the offset
+/// prefix (Sec 4.1).
+class HistogramFilterPolicy final : public CutoffPolicy {
  public:
+  bool parallel_run_generation() const override { return true; }
   Result<bool> KeepInMemory(Row& row) override;
   Status SpillInMemoryRows(RunGenerator* generator) override;
   Status StartRunGeneration(RunGeneratorOptions* gen_options) override;
@@ -65,15 +87,6 @@ class HistogramFilterPolicy final : public CutoffPolicy,
   const CutoffFilter* filter() const override { return filter_.get(); }
 
  private:
-  // SpillObserver: Algorithm 1 lines 11-13.
-  bool EliminateAtSpill(const Row& row) override {
-    return filter_->Eliminate(row);
-  }
-  void OnRowSpilled(const Row& row) override { filter_->RowSpilled(row.key); }
-  std::vector<HistogramBucket> OnRunFinished() override {
-    return filter_->RunFinished();
-  }
-
   CutoffFilter::Options MakeFilterOptions(uint64_t expected_run_rows);
 
   /// Consolidates spilled runs early when the spill quota is nearly full
@@ -93,6 +106,8 @@ class HistogramFilterPolicy final : public CutoffPolicy,
   /// acquired at the external switch.
   MemoryLease filter_lease_;
   std::unique_ptr<CutoffFilter> filter_;
+  /// One spill hook per run generator.
+  std::vector<std::unique_ptr<FilterSpillObserver>> observers_;
   /// total_runs_created() at the last quota consolidation attempt; a new
   /// attempt waits for at least one new run so a consolidation that could
   /// not free enough space is not retried on every row.
@@ -178,14 +193,18 @@ CutoffFilter::Options HistogramFilterPolicy::MakeFilterOptions(
   filter_options.memory_limit_bytes = opts.histogram_memory_limit_bytes;
   filter_options.consolidation = opts.histogram_consolidation;
   // Cutoff-evolution timeline: one instant event per establishment /
-  // tightening, annotated with operator progress. The callback runs on the
-  // single consumer thread, so reading the stats here is safe.
+  // tightening, annotated with operator progress. With one run generator
+  // the callback runs on the consumer thread, where reading the stats is
+  // safe. With several it may run on any worker, where the stats are off
+  // limits: progress then reads 0.
+  const bool on_consumer = opts.workers == 1;
   filter_options.on_cutoff_change =
-      [this](const CutoffFilter::CutoffUpdate& update) {
+      [this, on_consumer](const CutoffFilter::CutoffUpdate& update) {
         CutoffUpdatesCounter().Add(1);
         const std::shared_ptr<ObsContext>& obs = options().obs;
-        const uint64_t consumed = stats().rows_consumed;
-        const uint64_t eliminated = stats().rows_eliminated_input;
+        const uint64_t consumed = on_consumer ? stats().rows_consumed : 0;
+        const uint64_t eliminated =
+            on_consumer ? stats().rows_eliminated_input : 0;
         if (obs != nullptr) {
           // The profile report's cutoff-evolution timeline, captured even
           // when tracing is off (it is cheap: one capped vector append).
@@ -234,15 +253,20 @@ Status HistogramFilterPolicy::StartRunGeneration(
   // truncated by the run-size limit ("A best effort is made to decide the
   // target number of histogram buckets collected from each run",
   // Sec 5.1.2). The heap size at the moment memory overflowed is our
-  // estimate of rows-per-memory-load.
+  // estimate of rows-per-memory-load; parallel run generators split it.
   uint64_t expected_run_rows =
-      2 * std::max<uint64_t>(memory().rows.size(), 1);
+      2 * std::max<uint64_t>(memory().rows.size() / opts.workers, 1);
   if (opts.limit_run_size_to_output) {
     expected_run_rows = std::min(expected_run_rows, opts.output_rows());
     gen_options->run_row_limit = opts.output_rows();
   }
   filter_ = std::make_unique<CutoffFilter>(MakeFilterOptions(expected_run_rows));
-  gen_options->observer = this;
+  observers_.clear();
+  for (size_t i = 0; i < opts.workers; ++i) {
+    observers_.push_back(std::make_unique<FilterSpillObserver>(filter_.get()));
+    gen_options->worker_observers.push_back(observers_.back().get());
+  }
+  gen_options->observer = observers_.front().get();
   // Index granularity that yields ~64 seek points per run even when runs
   // are small (offset skips need entries inside every run).
   gen_options->run_index_stride =

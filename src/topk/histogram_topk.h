@@ -27,6 +27,13 @@ namespace topk {
 /// The final result is produced by merging the surviving runs until k rows
 /// are emitted, with lowest-keys-first intermediate merges that stop at the
 /// cutoff and refine it (Sec 4.1).
+///
+/// With TopKOptions::workers > 1, run generation runs on that many worker
+/// threads, each with an equal share of the memory budget and all filtering
+/// through the one cutoff filter (Sec 4.4: threads sharing one histogram
+/// priority queue retain about as many rows as one thread). The input probe
+/// stays on the consuming thread; everything else above — cancellation,
+/// Suspend and resume, WITH TIES, the merges — is unchanged.
 class HistogramTopK : public ExternalTopK {
  public:
   static Result<std::unique_ptr<HistogramTopK>> Make(

@@ -77,13 +77,25 @@ const MemChaosCell kCells[] = {
      true},
 };
 
-const TopKAlgorithm kOperators[] = {
-    TopKAlgorithm::kHeap, TopKAlgorithm::kTraditionalExternal,
-    TopKAlgorithm::kOptimizedExternal, TopKAlgorithm::kHistogram};
+/// An operator under test: an algorithm and its run-generation workers.
+/// With several workers, an allocation failure hits a worker thread and
+/// must still surface as a status from Consume or Finish.
+struct MemChaosOperator {
+  TopKAlgorithm algorithm;
+  size_t workers;
+};
+
+const MemChaosOperator kOperators[] = {
+    {TopKAlgorithm::kHeap, 1},
+    {TopKAlgorithm::kTraditionalExternal, 1},
+    {TopKAlgorithm::kOptimizedExternal, 1},
+    {TopKAlgorithm::kHistogram, 1},
+    {TopKAlgorithm::kHistogram, 4}};
 
 /// Child body: run the query against an armed arbiter and classify the
 /// outcome. Never returns; never asserts (the parent owns the test state).
-[[noreturn]] void RunChild(TopKAlgorithm algorithm, const MemChaosCell& cell,
+[[noreturn]] void RunChild(const MemChaosOperator& op_under_test,
+                           const MemChaosCell& cell,
                            const std::vector<Row>& rows,
                            const std::vector<Row>& expected,
                            const std::string& spill_dir) {
@@ -96,9 +108,11 @@ const TopKAlgorithm kOperators[] = {
     arbiter.SetFaultProfile(*profile);
   }
 
+  const TopKAlgorithm algorithm = op_under_test.algorithm;
   StorageEnv env;
   TopKOptions options;
   options.k = kK;
+  options.workers = op_under_test.workers;
   options.memory_limit_bytes = 16 * 1024;
   options.io_background_threads = 0;
   options.env = &env;
@@ -138,14 +152,15 @@ const TopKAlgorithm kOperators[] = {
 TEST(MemChaosTest, FaultMatrixNeverCrashesAnOperator) {
   const auto rows = Dataset();
   const auto expected = ReferenceTopK(rows, kK, 0, SortDirection::kAscending);
-  for (const TopKAlgorithm algorithm : kOperators) {
+  for (const MemChaosOperator& op_under_test : kOperators) {
     for (const MemChaosCell& cell : kCells) {
-      SCOPED_TRACE(TopKAlgorithmName(algorithm) + " @ " + cell.name);
+      SCOPED_TRACE(TopKAlgorithmName(op_under_test.algorithm) + " x" +
+                   std::to_string(op_under_test.workers) + " @ " + cell.name);
       ScratchDir scratch;
       const pid_t pid = ::fork();
       ASSERT_GE(pid, 0) << "fork failed";
       if (pid == 0) {
-        RunChild(algorithm, cell, rows, expected, scratch.str());
+        RunChild(op_under_test, cell, rows, expected, scratch.str());
       }
       int wait_status = 0;
       ASSERT_EQ(::waitpid(pid, &wait_status, 0), pid);

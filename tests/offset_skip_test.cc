@@ -236,6 +236,35 @@ TEST_F(OffsetSkipTest, OperatorLevelOffsetSkipMatchesPlain) {
   }
 }
 
+TEST_F(OffsetSkipTest, ParallelRunGenerationKeepsTheOffsetSkip) {
+  // Runs written by four parallel run generators carry seek indexes too,
+  // so the final merge still seeks past the offset prefix.
+  ScratchDir op_scratch;
+  StorageEnv env;
+  DatasetSpec spec;
+  spec.WithRows(40000).WithSeed(21);
+  const auto rows = MaterializeDataset(spec);
+  const uint64_t k = 500, offset = 5000;
+  for (const SortDirection direction :
+       {SortDirection::kAscending, SortDirection::kDescending}) {
+    TopKOptions options;
+    options.k = k;
+    options.offset = offset;
+    options.direction = direction;
+    options.memory_limit_bytes = 16 * 1024;
+    options.workers = 4;
+    options.env = &env;
+    options.spill_dir = op_scratch.str() + "/" +
+                        std::to_string(static_cast<int>(direction));
+    auto op = HistogramTopK::Make(options);
+    ASSERT_TRUE(op.ok()) << op.status().ToString();
+    auto result = RunOperator(op->get(), rows);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectSameRows(ReferenceTopK(rows, k, offset, direction), *result);
+    EXPECT_GT((*op)->stats().offset_rows_seek_skipped, 0u);
+  }
+}
+
 /// Property sweep: random runs, random offsets — seek-merge must equal the
 /// flattened sorted reference in every case.
 class OffsetSkipPropertyTest : public ::testing::TestWithParam<uint64_t> {};

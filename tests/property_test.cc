@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/random.h"
 #include "tests/test_util.h"
 #include "topk/histogram_topk.h"
@@ -17,6 +19,22 @@ using testing_util::MaterializeDataset;
 using testing_util::ReferenceTopK;
 using testing_util::RunOperator;
 using testing_util::ScratchDir;
+
+/// One operator column of the sweeps: an algorithm and its run-generation
+/// workers.
+struct Column {
+  TopKAlgorithm algorithm;
+  size_t workers;
+
+  std::string Name() const {
+    return TopKAlgorithmName(algorithm) + "x" + std::to_string(workers);
+  }
+};
+
+const Column kColumns[] = {{TopKAlgorithm::kTraditionalExternal, 1},
+                           {TopKAlgorithm::kOptimizedExternal, 1},
+                           {TopKAlgorithm::kHistogram, 1},
+                           {TopKAlgorithm::kHistogram, 4}};
 
 class RandomConfigTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -68,15 +86,15 @@ TEST_P(RandomConfigTest, AllOperatorsAgreeWithReference) {
                                : RunGenerationKind::kQuicksort;
   options.env = &env;
 
-  for (TopKAlgorithm algorithm :
-       {TopKAlgorithm::kTraditionalExternal, TopKAlgorithm::kOptimizedExternal,
-        TopKAlgorithm::kHistogram}) {
-    options.spill_dir = scratch.str() + "/" + TopKAlgorithmName(algorithm);
-    auto op = MakeTopKOperator(algorithm, options);
+  for (const Column& column : kColumns) {
+    SCOPED_TRACE(column.Name());
+    options.spill_dir = scratch.str() + "/" + column.Name();
+    options.workers = column.workers;
+    auto op = MakeTopKOperator(column.algorithm, options);
     ASSERT_TRUE(op.ok());
     auto result = RunOperator(op->get(), rows);
     ASSERT_TRUE(result.ok())
-        << TopKAlgorithmName(algorithm) << ": " << result.status().ToString();
+        << column.Name() << ": " << result.status().ToString();
     ExpectSameRows(expected, *result);
 
     // Accounting invariants.
@@ -158,14 +176,15 @@ TEST_P(DuplicateKeysTest, HeavyDuplicationHandledByAllOperators) {
   options.k = k;
   options.memory_limit_bytes = 16 * 1024;
   options.env = &env;
-  for (TopKAlgorithm algorithm :
-       {TopKAlgorithm::kTraditionalExternal, TopKAlgorithm::kOptimizedExternal,
-        TopKAlgorithm::kHistogram}) {
-    options.spill_dir = scratch.str() + "/" + TopKAlgorithmName(algorithm);
-    auto op = MakeTopKOperator(algorithm, options);
+  for (const Column& column : kColumns) {
+    SCOPED_TRACE(column.Name());
+    options.spill_dir = scratch.str() + "/" + column.Name();
+    options.workers = column.workers;
+    auto op = MakeTopKOperator(column.algorithm, options);
     ASSERT_TRUE(op.ok());
     auto result = RunOperator(op->get(), rows);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_TRUE(result.ok())
+        << column.Name() << ": " << result.status().ToString();
     ExpectSameRows(expected, *result);
   }
 }

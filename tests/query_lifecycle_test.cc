@@ -213,13 +213,14 @@ TEST(OperatorCancelTest, FinishObservesCancel) {
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
 }
 
-TEST(OperatorCancelTest, CancelUnwindLatencyBounded) {
-  // A controller cancelling mid-stream must see the query thread unwind
-  // quickly — the per-row poll guarantees bounded observation latency.
+/// A controller cancelling mid-stream must see the query thread unwind
+/// quickly — the per-row poll guarantees bounded observation latency.
+void ExpectCancelUnwindLatencyBounded(size_t workers) {
   const auto rows = Dataset(200000);
   ScratchDir scratch;
   StorageEnv env;
   TopKOptions options = SmallOptions(&env, scratch.str());
+  options.workers = workers;
   options.cancel = std::make_shared<CancellationToken>();
   auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
   ASSERT_TRUE(op.ok());
@@ -248,6 +249,16 @@ TEST(OperatorCancelTest, CancelUnwindLatencyBounded) {
   EXPECT_LT(cancel_watch.ElapsedSeconds(), 5.0);
   ASSERT_TRUE(unwound.load());
   EXPECT_EQ(final_status.code(), StatusCode::kCancelled);
+}
+
+TEST(OperatorCancelTest, CancelUnwindLatencyBounded) {
+  ExpectCancelUnwindLatencyBounded(/*workers=*/1);
+}
+
+TEST(OperatorCancelTest, ParallelCancelUnwindLatencyBounded) {
+  // The run-generation workers stop with the query: none keeps spilling
+  // after the cancel, and none outlives the operator.
+  ExpectCancelUnwindLatencyBounded(/*workers=*/4);
 }
 
 // --------------------------------------------- retry/pool classification
@@ -362,7 +373,9 @@ TEST(OperatorCancelTest, CancelRacingBackgroundPoolWork) {
 
 // ----------------------------------------------------- keep-for-resume
 
-TEST(KeepForResumeTest, HistogramCancelMidConsumeResumesPrefix) {
+/// Cancels a keep-for-resume histogram query mid-consume, then resumes it
+/// from the manifest its cancel handoff left behind.
+void ExpectCancelMidConsumeResumesPrefix(size_t workers) {
   const auto rows = Dataset(30000);
   constexpr size_t kCancelAt = 20000;
   const auto expected = ReferenceTopK(
@@ -371,6 +384,7 @@ TEST(KeepForResumeTest, HistogramCancelMidConsumeResumesPrefix) {
   ScratchDir scratch;
   StorageEnv env;
   TopKOptions options = SmallOptions(&env, scratch.str());
+  options.workers = workers;
   options.manifest_filename = kManifest;
   options.on_cancel = OnCancelPolicy::kKeepForResume;
   options.cancel = std::make_shared<CancellationToken>();
@@ -394,6 +408,16 @@ TEST(KeepForResumeTest, HistogramCancelMidConsumeResumesPrefix) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Exactly the top-k of the prefix the query consumed before preemption.
   ExpectSameRows(expected, *result);
+}
+
+TEST(KeepForResumeTest, HistogramCancelMidConsumeResumesPrefix) {
+  ExpectCancelMidConsumeResumesPrefix(/*workers=*/1);
+}
+
+TEST(KeepForResumeTest, ParallelHistogramCancelMidConsumeResumesPrefix) {
+  // Rows still queued for or buffered in the four run-generation workers
+  // reach the runs before the manifest is made durable.
+  ExpectCancelMidConsumeResumesPrefix(/*workers=*/4);
 }
 
 TEST(KeepForResumeTest, TraditionalCancelBeforeFinishResumesFull) {
@@ -538,6 +562,30 @@ TEST(SuspendErrorTest, ExplicitSuspendOverridesTrippedToken) {
   TopKOptions resume_options = options;
   resume_options.cancel = nullptr;
   auto resumed = ResumeTopKOperator(TopKAlgorithm::kHistogram, resume_options);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  auto result = (*resumed)->Finish();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectSameRows(expected, *result);
+}
+
+TEST(SuspendErrorTest, ParallelSuspendThenResumeMatchesReference) {
+  const auto rows = Dataset(30000);
+  const auto expected =
+      ReferenceTopK(rows, 500, 0, SortDirection::kAscending);
+  ScratchDir scratch;
+  StorageEnv env;
+  TopKOptions options = SmallOptions(&env, scratch.str());
+  options.workers = 4;
+  options.manifest_filename = kManifest;
+  {
+    auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
+    ASSERT_TRUE(op.ok());
+    for (const Row& row : rows) {
+      ASSERT_TRUE((*op)->Consume(row).ok());
+    }
+    ASSERT_TRUE((*op)->Suspend().ok());
+  }
+  auto resumed = ResumeTopKOperator(TopKAlgorithm::kHistogram, options);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   auto result = (*resumed)->Finish();
   ASSERT_TRUE(result.ok()) << result.status().ToString();

@@ -1,9 +1,10 @@
-/// Concurrency contract of SharedCutoffFilter: while any number of threads
-/// mutate it (InsertBucket / ProposeCutoff / RowSpilled), the published
-/// cutoff only ever tightens — an observer never sees it loosen, because a
-/// looser cutoff could readmit rows that were already eliminated. Run this
-/// under ThreadSanitizer (tools/run_sanitized.sh thread) to also validate
-/// the lock-free Eliminate path against the locked mutation path.
+/// Concurrency contract of CutoffFilter shared by several threads (Sec 4.4):
+/// while any number of threads mutate it (InsertBucket / ProposeCutoff, or
+/// RowSpilled through a Spiller each), the published cutoff only ever
+/// tightens — an observer never sees it loosen, because a looser cutoff
+/// could readmit rows that were already eliminated. Run this under
+/// ThreadSanitizer (tools/run_sanitized.sh thread) to also validate the
+/// lock-free probe path against the locked mutation path.
 
 #include <atomic>
 #include <optional>
@@ -12,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "extensions/parallel_topk.h"
+#include "common/random.h"
 #include "histogram/cutoff_filter.h"
 
 namespace topk {
@@ -30,7 +31,7 @@ CutoffFilter::Options MakeOptions(SortDirection direction) {
 /// Reader thread: samples cutoff() in a loop and records every transition.
 /// Monotonicity check: for consecutive samples c1 then c2, c2 must not sort
 /// after c1 in the query direction (KeyLess(c1, c2) must be false).
-void CheckMonotone(const SharedCutoffFilter& filter,
+void CheckMonotone(const CutoffFilter& filter,
                    const std::atomic<bool>& stop,
                    std::atomic<bool>* violation) {
   const RowComparator& cmp = filter.comparator();
@@ -54,7 +55,7 @@ class SharedFilterConcurrencyTest
 
 TEST_P(SharedFilterConcurrencyTest, CutoffOnlyTightensUnderConcurrentInserts) {
   const SortDirection direction = GetParam();
-  SharedCutoffFilter filter(MakeOptions(direction));
+  CutoffFilter filter(MakeOptions(direction));
   const RowComparator cmp(direction);
 
   std::atomic<bool> stop{false};
@@ -108,6 +109,50 @@ TEST_P(SharedFilterConcurrencyTest, CutoffOnlyTightensUnderConcurrentInserts) {
   const double within =
       direction == SortDirection::kAscending ? -1.0e12 : 1.0e12;
   EXPECT_FALSE(filter.EliminateKey(within));
+}
+
+TEST_P(SharedFilterConcurrencyTest, SpillersShareOneModel) {
+  // Several spilling threads, each with its own run histograms, probing
+  // and feeding one filter: the model must establish a valid cutoff, and
+  // the readers must never see it loosen.
+  const SortDirection direction = GetParam();
+  CutoffFilter::Options options;
+  options.k = 1000;
+  options.direction = direction;
+  options.target_buckets_per_run = 10;
+  options.target_run_rows = 100;
+  CutoffFilter filter(options);
+
+  std::atomic<bool> stop{false};
+  std::atomic<bool> violation{false};
+  std::thread reader(
+      [&filter, &stop, &violation] { CheckMonotone(filter, stop, &violation); });
+  std::vector<std::thread> spillers;
+  for (int t = 0; t < 4; ++t) {
+    spillers.emplace_back([&filter, direction, t] {
+      CutoffFilter::Spiller spiller(&filter);
+      Random rng(t);
+      for (int i = 0; i < 5000; ++i) {
+        const double unit = rng.NextDouble();
+        const double key =
+            direction == SortDirection::kAscending ? unit : -unit;
+        if (!filter.EliminateKey(key)) spiller.RowSpilled(key);
+        if (i % 200 == 199) spiller.RunFinished();
+      }
+    });
+  }
+  for (auto& t : spillers) t.join();
+  stop.store(true);
+  reader.join();
+
+  EXPECT_FALSE(violation.load()) << "published cutoff loosened";
+  ASSERT_TRUE(filter.cutoff().has_value());
+  const double magnitude =
+      direction == SortDirection::kAscending ? *filter.cutoff()
+                                             : -*filter.cutoff();
+  EXPECT_GT(magnitude, 0.0);
+  EXPECT_LE(magnitude, 1.0);
+  EXPECT_GT(filter.buckets_inserted(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Directions, SharedFilterConcurrencyTest,

@@ -185,6 +185,40 @@ TEST(WithTiesRobustnessTest, HistogramSwitchesToExternalAndSucceeds) {
   EXPECT_EQ(result->size(), static_cast<size_t>(n));  // all rows tie
 }
 
+TEST(WithTiesRobustnessTest, ParallelRunGenerationKeepsEveryTie) {
+  // Four run generators sharing one cutoff filter: the boundary key's
+  // duplicates land in every worker's runs, and all of them must reach
+  // the answer — in both directions, with and without an offset.
+  const auto rows = DuplicateHeavyRows(30000, 40, 5);
+  for (const SortDirection direction :
+       {SortDirection::kAscending, SortDirection::kDescending}) {
+    for (const uint64_t offset : {uint64_t{0}, uint64_t{123}}) {
+      SCOPED_TRACE(testing::Message()
+                   << (direction == SortDirection::kAscending ? "asc" : "desc")
+                   << " offset " << offset);
+      const auto expected = ReferenceWithTies(rows, 1000, offset, direction);
+      ASSERT_GT(expected.size(), 1000u);  // the boundary really has ties
+      ScratchDir scratch;
+      StorageEnv env;
+      TopKOptions options;
+      options.k = 1000;
+      options.offset = offset;
+      options.with_ties = true;
+      options.direction = direction;
+      options.memory_limit_bytes = 24 * 1024;
+      options.workers = 4;
+      options.env = &env;
+      options.spill_dir = scratch.str();
+      auto op = HistogramTopK::Make(options);
+      ASSERT_TRUE(op.ok()) << op.status().ToString();
+      auto result = RunOperator(op->get(), rows);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_TRUE((*op)->is_external());
+      ExpectSameRows(expected, *result);
+    }
+  }
+}
+
 TEST(WithTiesRobustnessTest, TiesNeverEliminatedByFilter) {
   // Property: over many random duplicate-heavy configurations, no tied
   // boundary row is ever lost to the cutoff filter.

@@ -5,7 +5,7 @@
 #
 # Default is thread (TSan) — the configuration that validates the
 # background I/O pipeline (DoubleBufferedWriter / PrefetchingBlockReader)
-# and the parallel_topk worker loop.
+# and the parallel run-generation workers (FanOutRunGenerator).
 set -euo pipefail
 
 SANITIZER="${1:-thread}"
