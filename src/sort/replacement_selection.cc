@@ -11,15 +11,6 @@
 
 namespace topk {
 
-namespace {
-/// Spills forced by arbiter soft pressure before the generator's own
-/// memory limit was reached — the degradation ladder's run-generation rung.
-ObsCounter& EarlySpillsCounter() {
-  static ObsCounter counter("mem.arbiter.early_spills");
-  return counter;
-}
-}  // namespace
-
 ReplacementSelectionRunGenerator::ReplacementSelectionRunGenerator(
     SpillManager* spill, const RowComparator& comparator,
     const RunGeneratorOptions& options)
@@ -46,15 +37,7 @@ Status ReplacementSelectionRunGenerator::Add(Row row) {
   stats_.rows_in_memory = rows_buffered_ + 1;
   stats_.peak_memory_bytes =
       std::max(stats_.peak_memory_bytes, buffered_bytes_);
-  // Under arbiter soft pressure the selection tree drains at half its
-  // configured budget: runs get shorter, but buffered bytes flow to disk
-  // while the process still has headroom (the early-spill rung of the
-  // degradation ladder).
-  size_t effective_limit = options_.memory_limit_bytes;
-  if (options_.arbiter != nullptr &&
-      options_.arbiter->pressure() >= MemoryPressure::kSoft) {
-    effective_limit = std::max<size_t>(1, effective_limit / 2);
-  }
+  const size_t effective_limit = SpillThreshold(options_);
   // The incoming row is charged from here on, but it enters the tree only
   // if the first spill does not take it.
   const Node key{seq, norm, 0};
@@ -68,7 +51,7 @@ Status ReplacementSelectionRunGenerator::Add(Row row) {
     }
     if (!early && buffered_bytes_ <= options_.memory_limit_bytes) {
       early = true;
-      EarlySpillsCounter().Add(1);
+      CountEarlySpill();
     }
     if (pending) {
       pending = false;

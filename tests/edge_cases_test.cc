@@ -1,6 +1,7 @@
 /// Boundary conditions every operator must get right: empty inputs, k or
 /// offset at or past the input size, k = 1, single-row inputs, extreme
-/// payloads, and degenerate memory budgets.
+/// payloads, and degenerate memory budgets. The histogram operator runs
+/// each case also with four run-generation workers.
 
 #include <cmath>
 #include <limits>
@@ -21,11 +22,19 @@ using testing_util::ReferenceTopK;
 using testing_util::RunOperator;
 using testing_util::ScratchDir;
 
-constexpr TopKAlgorithm kAllAlgorithms[] = {
-    TopKAlgorithm::kHeap, TopKAlgorithm::kTraditionalExternal,
-    TopKAlgorithm::kOptimizedExternal, TopKAlgorithm::kHistogram};
+/// An operator and its run-generation workers.
+struct Variant {
+  TopKAlgorithm algorithm;
+  size_t workers;
+};
 
-class EdgeCasesTest : public ::testing::TestWithParam<TopKAlgorithm> {
+constexpr Variant kAllVariants[] = {{TopKAlgorithm::kHeap, 1},
+                                    {TopKAlgorithm::kTraditionalExternal, 1},
+                                    {TopKAlgorithm::kOptimizedExternal, 1},
+                                    {TopKAlgorithm::kHistogram, 1},
+                                    {TopKAlgorithm::kHistogram, 4}};
+
+class EdgeCasesTest : public ::testing::TestWithParam<Variant> {
  protected:
   TopKOptions Options(uint64_t k, size_t memory_bytes = 32 * 1024) {
     TopKOptions options;
@@ -33,7 +42,8 @@ class EdgeCasesTest : public ::testing::TestWithParam<TopKAlgorithm> {
     options.memory_limit_bytes = memory_bytes;
     options.env = &env_;
     options.spill_dir = scratch_.str() + "/" + std::to_string(seq_++);
-    if (GetParam() == TopKAlgorithm::kHeap) {
+    options.workers = GetParam().workers;
+    if (GetParam().algorithm == TopKAlgorithm::kHeap) {
       options.allow_unbounded_memory = true;
     }
     return options;
@@ -41,7 +51,7 @@ class EdgeCasesTest : public ::testing::TestWithParam<TopKAlgorithm> {
 
   Result<std::vector<Row>> Run(const TopKOptions& options,
                                const std::vector<Row>& rows) {
-    auto op = MakeTopKOperator(GetParam(), options);
+    auto op = MakeTopKOperator(GetParam().algorithm, options);
     if (!op.ok()) return op.status();
     return RunOperator(op->get(), rows);
   }
@@ -213,11 +223,14 @@ TEST_P(EdgeCasesTest, AlreadySortedInput) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Algorithms, EdgeCasesTest, ::testing::ValuesIn(kAllAlgorithms),
-    [](const ::testing::TestParamInfo<TopKAlgorithm>& info) {
-      std::string name = TopKAlgorithmName(info.param);
+    Algorithms, EdgeCasesTest, ::testing::ValuesIn(kAllVariants),
+    [](const ::testing::TestParamInfo<Variant>& info) {
+      std::string name = TopKAlgorithmName(info.param.algorithm);
       for (char& ch : name) {
         if (ch == '-') ch = '_';
+      }
+      if (info.param.workers != 1) {
+        name += "_x" + std::to_string(info.param.workers);
       }
       return name;
     });
