@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "bench/bench_util.h"
 
@@ -41,14 +42,12 @@ int main() {
 
     TopKOptions heap_options;
     heap_options.k = k;
-    heap_options.memory_limit_bytes = (k + 16) * row_bytes;
-    heap_options.allow_unbounded_memory = true;
+    heap_options.memory_limit_bytes = std::numeric_limits<size_t>::max();
     StorageEnv env;
     heap_options.env = &env;
     RunResult mem = MeasureTopK(TopKAlgorithm::kHeap, heap_options, spec);
 
     TopKOptions hist_options = heap_options;
-    hist_options.allow_unbounded_memory = false;
     hist_options.memory_limit_bytes = memory_rows * row_bytes;
     hist_options.spill_dir = dir.Sub("hist" + std::to_string(run_id++));
     RunResult hist =

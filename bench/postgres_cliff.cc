@@ -47,9 +47,7 @@ int main() {
     const bool fits = k < memory_rows;
     RunResult trad;
     if (fits) {
-      TopKOptions heap_options = options;
-      heap_options.allow_unbounded_memory = false;
-      trad = MeasureTopK(TopKAlgorithm::kHeap, heap_options, spec);
+      trad = MeasureTopK(TopKAlgorithm::kHeap, options, spec);
     } else {
       options.spill_dir = dir.Sub("trad" + std::to_string(run_id));
       trad = MeasureTopK(TopKAlgorithm::kTraditionalExternal, options, spec);

@@ -20,6 +20,93 @@ Result<bool> CutoffPolicy::Buffer(Row& row, std::vector<Row>* into) {
   return true;
 }
 
+namespace {
+
+/// Bytes a row is charged while it is held in memory.
+size_t HeldCost(const Row& row) {
+  return row.MemoryFootprint() + kPerRowOverheadBytes;
+}
+
+/// True when the row behind the heap top shares its key, so evicting the
+/// top leaves the boundary key unchanged. The candidates for the next top
+/// are the root's two children.
+bool BoundaryKeyHeldBehindTop(const std::vector<Row>& heap) {
+  const double key = heap.front().key;
+  return (heap.size() > 1 && heap[1].key == key) ||
+         (heap.size() > 2 && heap[2].key == key);
+}
+
+}  // namespace
+
+Result<bool> BoundedHeapPolicy::KeepInMemory(Row& row) {
+  const TopKOptions& opts = options();
+  const RowComparator& cmp = comparator();
+  InMemoryRows& mem = memory();
+  std::vector<Row>& heap = mem.rows;
+  if (!saturated_) {
+    bool kept = false;
+    TOPK_ASSIGN_OR_RETURN(kept, Buffer(row, &heap));
+    if (!kept) return false;
+    std::push_heap(heap.begin(), heap.end(), cmp);
+    saturated_ = heap.size() >= opts.output_rows();
+    return true;
+  }
+  if (opts.with_ties && row.key == heap.front().key) {
+    // A boundary-key duplicate must be kept, and nobody knows how many
+    // follow: Sec 2.3's robustness hazard.
+    return Buffer(row, &mem.ties);
+  }
+  if (!cmp.Less(row, heap.front())) {
+    ++stats().rows_eliminated_input;
+    return true;
+  }
+  // `row` displaces the worst kept row. With ties, the evicted row stays as
+  // a tie while the boundary key holds; otherwise the boundary sharpens and
+  // the old ties fall out of the output with it.
+  const bool evicted_is_tie = opts.with_ties && BoundaryKeyHeldBehindTop(heap);
+  size_t released = 0;
+  if (!evicted_is_tie) {
+    released = HeldCost(heap.front());
+    for (const Row& tie : mem.ties) released += HeldCost(tie);
+  }
+  const size_t bytes = mem.bytes - released + HeldCost(row);
+  if (bytes > opts.memory_limit_bytes) return false;
+  std::pop_heap(heap.begin(), heap.end(), cmp);
+  Row evicted = std::move(heap.back());
+  heap.back() = std::move(row);
+  std::push_heap(heap.begin(), heap.end(), cmp);
+  if (evicted_is_tie) {
+    mem.ties.push_back(std::move(evicted));
+  } else {
+    stats().rows_eliminated_input += mem.ties.size();
+    mem.ties.clear();
+  }
+  mem.bytes = bytes;
+  TOPK_RETURN_NOT_OK(mem.lease.EnsureAtLeast(mem.bytes));
+  mem.lease.ShrinkTo(mem.bytes);
+  stats().peak_memory_bytes = std::max(stats().peak_memory_bytes, mem.bytes);
+  return true;
+}
+
+Status BoundedHeapPolicy::SpillInMemoryRows(RunGenerator* generator) {
+  // Heap order is irrelevant, run generation re-sorts. Each row is handed
+  // over as a copy, whose payload capacity is its size: run generation
+  // charges capacity, so the copy decides where runs are cut.
+  std::vector<Row>& heap = memory().rows;
+  while (!heap.empty()) {
+    TOPK_RETURN_NOT_OK(generator->Add(heap.front()));
+    std::pop_heap(heap.begin(), heap.end(), comparator());
+    heap.pop_back();
+  }
+  return Status::OK();
+}
+
+std::optional<double> BoundedHeapPolicy::cutoff() const {
+  const std::vector<Row>& heap = memory().rows;
+  if (!saturated_ || heap.empty()) return std::nullopt;
+  return heap.front().key;
+}
+
 Result<MergeStats> CutoffPolicy::MergeDuringInput(
     const std::vector<RunMeta>& inputs, CutoffFilter* filter,
     bool quota_exempt) {
@@ -183,6 +270,13 @@ Status ExternalTopK::ConsumeImpl(Row row) {
     bool kept = false;
     TOPK_ASSIGN_OR_RETURN(kept, policy_->KeepInMemory(row));
     if (kept) return Status::OK();
+    if (!policy_->can_spill()) {
+      // Sec 2.3: the in-memory algorithm "may unexpectedly fail".
+      return Status::OutOfMemory(
+          "requested output does not fit in operator memory (" +
+          std::to_string(memory_.rows.size() + memory_.ties.size()) +
+          " rows buffered); an external top-k operator is required");
+    }
     TOPK_RETURN_NOT_OK(SwitchToExternal());
   }
   Status status = policy_->ConsumeExternal(std::move(row));
@@ -323,6 +417,7 @@ Status ExternalTopK::Suspend() {
 }
 
 Status ExternalTopK::SuspendImpl() {
+  if (!policy_->can_spill()) return TopKOperator::Suspend();
   ObsScope obs_scope(options_.obs);
   if (!first_error_.ok()) {
     // A prior entry point already failed; the real cause of the

@@ -21,8 +21,8 @@ class ExternalTopK;
 /// The rows an ExternalTopK holds before it spills, and what they cost.
 struct InMemoryRows {
   std::vector<Row> rows;
-  /// WITH TIES: boundary-key duplicates a bounded policy keeps beside
-  /// `rows` (the histogram policy's k-heap).
+  /// WITH TIES: boundary-key duplicates a BoundedHeapPolicy keeps beside
+  /// its heap in `rows`.
   std::vector<Row> ties;
   /// Bytes charged for `rows` and `ties` (footprint plus
   /// kPerRowOverheadBytes each).
@@ -31,12 +31,13 @@ struct InMemoryRows {
   MemoryLease lease;
 };
 
-/// What distinguishes the paper's three external top-k algorithms. They
+/// What distinguishes the paper's four top-k algorithms. The external ones
 /// are increments of one external merge sort: the traditional sort
 /// (Sec 2.4) gains a run-size limit, a kth-key cutoff and an early merge
-/// (Sec 2.5), then the histogram filter (Sec 3). ExternalTopK owns the
-/// operator around the sort; a policy supplies only the steps where the
-/// algorithms differ.
+/// (Sec 2.5), then the histogram filter (Sec 3), whose in-memory phase is
+/// the bounded priority queue of Sec 2.3; that heap alone, never spilling,
+/// is the in-memory algorithm. ExternalTopK owns the operator around the
+/// sort; a policy supplies only the steps where the algorithms differ.
 ///
 /// The defaults are the traditional sort: buffer the whole input while it
 /// fits, spill all of it into unlimited runs, merge smallest runs first.
@@ -53,6 +54,10 @@ class CutoffPolicy {
   /// True when the policy's cutoff state serves parallel run generators
   /// (TopKOptions::workers > 1).
   virtual bool parallel_run_generation() const { return false; }
+  /// False for the in-memory algorithm: it needs no storage, memory that
+  /// overflows fails the query with OutOfMemory (Sec 2.3), and it cannot
+  /// Suspend.
+  virtual bool can_spill() const { return true; }
 
   /// In-memory phase: keeps `row` in memory, or returns false — leaving
   /// `row` untouched — when memory is full and the operator must switch to
@@ -136,7 +141,26 @@ class CutoffPolicy {
   ExternalTopK* op_ = nullptr;
 };
 
-/// External merge sort for top-k queries: the shell the traditional,
+/// The bounded priority queue of Sec 2.3 as the in-memory phase: the rows
+/// form a query-order max-heap (top = worst kept row) of at most k+offset
+/// rows, and WITH TIES keeps the boundary key's duplicates beside it. Every
+/// row that grows the footprint is checked against the memory budget
+/// first; one that does not fit is left untouched for the operator to
+/// spill or fail on. Rows leave the heap by move, so the bytes released are
+/// the bytes that were charged.
+class BoundedHeapPolicy : public CutoffPolicy {
+ public:
+  Result<bool> KeepInMemory(Row& row) override;
+  Status SpillInMemoryRows(RunGenerator* generator) override;
+  /// The heap top once the heap holds k+offset rows.
+  std::optional<double> cutoff() const override;
+
+ private:
+  /// The heap holds k+offset rows.
+  bool saturated_ = false;
+};
+
+/// External merge sort for top-k queries: the shell the heap, traditional,
 /// optimized and histogram operators share. It owns the entry points and
 /// their guards (observability scope, allocation containment, the
 /// first-error latch, cancellation with the keep-for-resume handoff), the
@@ -145,14 +169,15 @@ class CutoffPolicy {
 /// Suspend, and reopening a manifest. The CutoffPolicy decides what is
 /// filtered, how runs are cut, and how they are merged.
 ///
-/// TraditionalExternalTopK, OptimizedExternalTopK and HistogramTopK are
-/// named configurations of this class.
+/// HeapTopK, TraditionalExternalTopK, OptimizedExternalTopK and
+/// HistogramTopK are named configurations of this class.
 class ExternalTopK : public TopKOperator {
  public:
   Status Consume(Row row) final;
   Result<std::vector<Row>> Finish() final;
 
   /// Requires options.manifest_filename; spills what is still buffered.
+  /// FailedPrecondition for a policy that cannot spill.
   Status Suspend() final;
 
   bool resume_accepts_input() const final {
@@ -187,7 +212,7 @@ class ExternalTopK : public TopKOperator {
                                           RestoreReport* report = nullptr) {
     std::unique_ptr<Op> op(new Op(options));
     TOPK_RETURN_NOT_OK(
-        ValidateTopKOptions(options, /*requires_storage=*/true,
+        ValidateTopKOptions(options, op->policy_->can_spill(),
                             op->policy_->parallel_run_generation()));
     TOPK_RETURN_NOT_OK(op->policy_->ValidateOptions());
     if (resume) TOPK_RETURN_NOT_OK(op->Reopen(report));

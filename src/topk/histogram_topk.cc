@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/memory_accounting.h"
 #include "extensions/offset_skip.h"
 #include "obs/metrics.h"
 #include "obs/obs_context.h"
@@ -43,19 +42,17 @@ class FilterSpillObserver final : public SpillObserver {
 };
 
 /// The histogram filter (Sec 3). In memory it is the bounded
-/// priority-queue algorithm: the operator's rows form a query-order
-/// max-heap (top = worst kept row) of at most k+offset rows. In external
-/// mode the cutoff filter probes every input row (Algorithm 1 line 4),
+/// priority-queue algorithm of Sec 2.3, the same BoundedHeapPolicy the heap
+/// operator runs; a row that does not fit switches it to external mode.
+/// There the cutoff filter probes every input row (Algorithm 1 line 4),
 /// re-checks rows leaving for a run (line 11) and learns from every
 /// spilled row (line 13), through each run generator's spill observer —
 /// one per generator when TopKOptions::workers > 1 (Sec 4.4). Merges stop
 /// at the cutoff and refine it; the final merge seeks past the offset
 /// prefix (Sec 4.1).
-class HistogramFilterPolicy final : public CutoffPolicy {
+class HistogramFilterPolicy final : public BoundedHeapPolicy {
  public:
   bool parallel_run_generation() const override { return true; }
-  Result<bool> KeepInMemory(Row& row) override;
-  Status SpillInMemoryRows(RunGenerator* generator) override;
   Status StartRunGeneration(RunGeneratorOptions* gen_options) override;
   Status ConsumeExternal(Row row) override {
     // Algorithm 1 line 4.
@@ -80,9 +77,7 @@ class HistogramFilterPolicy final : public CutoffPolicy {
   Result<std::optional<uint64_t>> Resume() override;
   std::optional<double> cutoff() const override {
     if (filter_ != nullptr) return filter_->cutoff();
-    const std::vector<Row>& heap = memory().rows;
-    if (saturated_ && !heap.empty()) return heap.front().key;
-    return std::nullopt;
+    return BoundedHeapPolicy::cutoff();
   }
   const CutoffFilter* filter() const override { return filter_.get(); }
 
@@ -99,9 +94,6 @@ class HistogramFilterPolicy final : public CutoffPolicy {
   /// no longer help does a write surface ResourceExhausted.
   Status MaybeConsolidateForQuota();
 
-  /// The heap holds k+offset rows and acts as HeapTopK.
-  bool saturated_ = false;
-
   /// Arbiter lease covering the cutoff filter's bucket-queue budget,
   /// acquired at the external switch.
   MemoryLease filter_lease_;
@@ -113,74 +105,6 @@ class HistogramFilterPolicy final : public CutoffPolicy {
   /// not free enough space is not retried on every row.
   uint64_t runs_created_at_last_quota_merge_ = 0;
 };
-
-Result<bool> HistogramFilterPolicy::KeepInMemory(Row& row) {
-  const TopKOptions& opts = options();
-  const RowComparator& cmp = comparator();
-  InMemoryRows& mem = memory();
-  std::vector<Row>& heap = mem.rows;
-  if (!saturated_) {
-    // Memory overflowed before k+offset rows were buffered: the output
-    // does not fit, switch to the external algorithm.
-    bool kept = false;
-    TOPK_ASSIGN_OR_RETURN(kept, Buffer(row, &heap));
-    if (!kept) return false;
-    std::push_heap(heap.begin(), heap.end(), cmp);
-    saturated_ = heap.size() >= opts.output_rows();
-    return true;
-  }
-  if (opts.with_ties && row.key == heap.front().key) {
-    // Boundary-key duplicate: must be retained (Sec 2.3's hazard). When
-    // the duplicates overflow memory we — unlike the bare in-memory
-    // algorithm — simply switch to the external algorithm.
-    return Buffer(row, &mem.ties);
-  }
-  if (!cmp.Less(row, heap.front())) {
-    ++stats().rows_eliminated_input;
-    return true;
-  }
-  const size_t new_cost = row.MemoryFootprint() + kPerRowOverheadBytes;
-  const size_t old_cost = heap.front().MemoryFootprint() + kPerRowOverheadBytes;
-  // Replacement row does not fit (variable-size rows): spill.
-  if (mem.bytes - old_cost + new_cost > opts.memory_limit_bytes) return false;
-  Row evicted = heap.front();
-  std::pop_heap(heap.begin(), heap.end(), cmp);
-  heap.pop_back();
-  mem.bytes = mem.bytes - old_cost + new_cost;
-  heap.push_back(std::move(row));
-  std::push_heap(heap.begin(), heap.end(), cmp);
-  if (opts.with_ties && evicted.key == heap.front().key) {
-    // Boundary unchanged: the evicted row is now a retained tie. This can
-    // transiently overshoot the budget by at most the boundary key's
-    // duplicate count already in the heap; the next duplicate arrival
-    // takes the checked path and switches to external mode.
-    mem.bytes += old_cost;
-    mem.ties.push_back(std::move(evicted));
-  } else if (opts.with_ties && !mem.ties.empty()) {
-    // Boundary sharpened: old boundary ties fell out of the output.
-    for (const Row& tie : mem.ties) {
-      mem.bytes -= tie.MemoryFootprint() + kPerRowOverheadBytes;
-    }
-    stats().rows_eliminated_input += mem.ties.size();
-    mem.ties.clear();
-  }
-  TOPK_RETURN_NOT_OK(mem.lease.EnsureAtLeast(mem.bytes));
-  stats().peak_memory_bytes = std::max(stats().peak_memory_bytes, mem.bytes);
-  return true;
-}
-
-Status HistogramFilterPolicy::SpillInMemoryRows(RunGenerator* generator) {
-  // Heap order is irrelevant, replacement selection re-sorts. Each row is
-  // handed over as a copy, whose payload capacity is its size: run
-  // generation charges capacity, so the copy decides where runs are cut.
-  std::vector<Row>& heap = memory().rows;
-  while (!heap.empty()) {
-    TOPK_RETURN_NOT_OK(generator->Add(heap.front()));
-    std::pop_heap(heap.begin(), heap.end(), comparator());
-    heap.pop_back();
-  }
-  return Status::OK();
-}
 
 CutoffFilter::Options HistogramFilterPolicy::MakeFilterOptions(
     uint64_t expected_run_rows) {

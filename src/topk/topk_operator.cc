@@ -37,7 +37,7 @@ Status ValidateTopKOptions(const TopKOptions& options, bool requires_storage,
         "workers > 1 needs the histogram operator; this operator runs one "
         "run generator");
   }
-  if (options.memory_limit_bytes == 0 && !options.allow_unbounded_memory) {
+  if (options.memory_limit_bytes == 0) {
     return Status::InvalidArgument("memory limit must be positive");
   }
   if (requires_storage) {

@@ -55,7 +55,8 @@ struct TopKOptions {
   SortDirection direction = SortDirection::kAscending;
 
   /// Operator memory budget in bytes (paper default: 1 GB; experiments use
-  /// much smaller budgets).
+  /// much smaller budgets). std::numeric_limits<size_t>::max() never runs
+  /// out, which grants the heap operator whatever its output needs.
   size_t memory_limit_bytes = 64 << 20;
 
   /// Target histogram buckets collected per run (paper default: 50; 0
@@ -207,11 +208,6 @@ struct TopKOptions {
   /// possible shortfall of output rows for earlier, sharper cutoffs. Must
   /// be <= k + offset.
   uint64_t approx_filter_k = 0;
-
-  /// HeapTopK only: allow the heap to grow past memory_limit_bytes instead
-  /// of failing (used by the Figure 6 cost study where the in-memory
-  /// operator is deliberately granted output-sized memory).
-  bool allow_unbounded_memory = false;
 
   /// Per-query observability context (obs_context.h). When set, the
   /// operator installs it for the duration of every entry point, so all

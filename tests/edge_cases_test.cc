@@ -44,7 +44,7 @@ class EdgeCasesTest : public ::testing::TestWithParam<Variant> {
     options.spill_dir = scratch_.str() + "/" + std::to_string(seq_++);
     options.workers = GetParam().workers;
     if (GetParam().algorithm == TopKAlgorithm::kHeap) {
-      options.allow_unbounded_memory = true;
+      options.memory_limit_bytes = std::numeric_limits<size_t>::max();
     }
     return options;
   }

@@ -497,7 +497,6 @@ TEST(SuspendResumeTest, ResumeUnsupportedAlgorithmsRejected) {
   StorageEnv env;
   TopKOptions options = SmallOptions(&env, scratch.str());
   options.manifest_filename = kManifest;
-  options.allow_unbounded_memory = true;
   auto heap = ResumeTopKOperator(TopKAlgorithm::kHeap, options);
   ASSERT_FALSE(heap.ok());
   EXPECT_EQ(heap.status().code(), StatusCode::kInvalidArgument);

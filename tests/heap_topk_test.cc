@@ -1,7 +1,10 @@
 #include "topk/heap_topk.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
+#include "common/memory_accounting.h"
 #include "tests/test_util.h"
 
 namespace topk {
@@ -86,12 +89,48 @@ TEST(HeapTopKTest, FailsWithOutOfMemoryWhenOutputExceedsBudget) {
     status = (*op)->Consume(Row(i * 1.0, i));
   }
   EXPECT_EQ(status.code(), StatusCode::kOutOfMemory);
+
+  // The same holds once the heap is full: a row that displaces the heap
+  // top but brings a larger payload must still fit the budget.
+  options = HeapOptions(2);
+  options.memory_limit_bytes = 4096;
+  op = HeapTopK::Make(options);
+  ASSERT_TRUE(op.ok());
+  ASSERT_TRUE((*op)->Consume(Row(5, 1)).ok());
+  ASSERT_TRUE((*op)->Consume(Row(6, 2)).ok());
+  status = (*op)->Consume(Row(1, 3, std::string(8192, 'x')));
+  EXPECT_EQ(status.code(), StatusCode::kOutOfMemory);
+  EXPECT_LE((*op)->stats().peak_memory_bytes, options.memory_limit_bytes);
 }
 
-TEST(HeapTopKTest, UnboundedMemoryModeNeverFails) {
+TEST(HeapTopKTest, PeakMemoryIsTheLiveFootprint) {
+  // 40-byte payloads in 400-byte buffers, in descending key order, so
+  // every row displaces the heap top. The bytes released for an evicted
+  // row must be the bytes charged for it: the peak is k rows' footprint.
+  TopKOptions options = HeapOptions(100);
+  options.memory_limit_bytes = 200 * 1024;
+  auto op = HeapTopK::Make(options);
+  ASSERT_TRUE(op.ok());
+  size_t row_cost = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string payload;
+    payload.reserve(400);
+    payload.assign(40, 'p');
+    Row row(20000.0 - i, i, std::move(payload));
+    row_cost = row.MemoryFootprint() + kPerRowOverheadBytes;
+    ASSERT_TRUE((*op)->Consume(std::move(row)).ok());
+  }
+  auto result = (*op)->Finish();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->size(), 100u);
+  EXPECT_EQ(result->front().key, 1.0);
+  EXPECT_EQ((*op)->stats().peak_memory_bytes, 100 * row_cost);
+  EXPECT_LE((*op)->stats().peak_memory_bytes, options.memory_limit_bytes);
+}
+
+TEST(HeapTopKTest, MaximumMemoryLimitNeverFails) {
   TopKOptions options = HeapOptions(50000);
-  options.memory_limit_bytes = 4096;
-  options.allow_unbounded_memory = true;
+  options.memory_limit_bytes = std::numeric_limits<size_t>::max();
   auto op = HeapTopK::Make(options);
   ASSERT_TRUE(op.ok());
   DatasetSpec spec;

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -119,7 +120,7 @@ const MemChaosOperator kOperators[] = {
   options.spill_dir = spill_dir;
   options.arbiter = &arbiter;
   if (algorithm == TopKAlgorithm::kHeap) {
-    options.allow_unbounded_memory = true;
+    options.memory_limit_bytes = std::numeric_limits<size_t>::max();
   }
 
   auto op = MakeTopKOperator(algorithm, options);

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <new>
 #include <string>
@@ -129,7 +130,7 @@ TopKOptions ConformanceOptions(StorageEnv* env, const std::string& dir,
   options.spill_dir = dir;
   options.arbiter = arbiter;
   if (algorithm == TopKAlgorithm::kHeap) {
-    options.allow_unbounded_memory = true;
+    options.memory_limit_bytes = std::numeric_limits<size_t>::max();
   }
   return options;
 }

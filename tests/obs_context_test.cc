@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <future>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <tuple>
@@ -307,9 +308,10 @@ TEST_P(PeakMemoryTest, ProfilePeakEqualsOperatorStats) {
   TopKOptions options;
   options.k = spills ? 2000 : 50;
   options.memory_limit_bytes = spills ? 16 * 1024 : 16 << 20;
-  // The in-memory operator never spills; past its budget it needs leave to
-  // grow.
-  options.allow_unbounded_memory = algorithm == TopKAlgorithm::kHeap;
+  if (algorithm == TopKAlgorithm::kHeap) {
+    // The in-memory operator never spills; past its budget it fails.
+    options.memory_limit_bytes = std::numeric_limits<size_t>::max();
+  }
   options.env = &env;
   options.spill_dir = scratch.str();
   options.obs = obs;

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <thread>
 
 #include "common/query_control.h"
@@ -163,7 +164,7 @@ TEST(OperatorCancelTest, EveryOperatorUnwindsOnNextConsume) {
     StorageEnv env;
     TopKOptions options = SmallOptions(&env, scratch.str());
     if (algorithm == TopKAlgorithm::kHeap) {
-      options.allow_unbounded_memory = true;
+      options.memory_limit_bytes = std::numeric_limits<size_t>::max();
     }
     options.cancel = std::make_shared<CancellationToken>();
     auto op = MakeTopKOperator(algorithm, options);

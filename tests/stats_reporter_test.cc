@@ -15,8 +15,30 @@ TEST(FormatCountTest, ThousandsSeparators) {
   EXPECT_EQ(FormatCount(12345), "12,345");
   EXPECT_EQ(FormatCount(123456), "123,456");
   EXPECT_EQ(FormatCount(1234567), "1,234,567");
+  EXPECT_EQ(FormatCount(12345678), "12,345,678");
   EXPECT_EQ(FormatCount(18446744073709551615ull),
             "18,446,744,073,709,551,615");
+}
+
+TEST(FormatOperatorStatsTest, MentionsKeyFields) {
+  OperatorStats stats;
+  stats.rows_consumed = 1000;
+  stats.rows_eliminated_input = 600;
+  stats.rows_spilled = 300;
+  stats.final_cutoff = 0.25;
+  stats.filter_buckets_inserted = 42;
+  const std::string report = FormatOperatorStats(stats);
+  EXPECT_NE(report.find("rows consumed"), std::string::npos);
+  EXPECT_NE(report.find("1,000"), std::string::npos);
+  EXPECT_NE(report.find("(60.0%)"), std::string::npos);
+  EXPECT_NE(report.find("0.25"), std::string::npos);
+  EXPECT_NE(report.find("buckets inserted"), std::string::npos);
+}
+
+TEST(FormatOperatorStatsTest, NoCutoffPrintsNone) {
+  OperatorStats stats;
+  const std::string report = FormatOperatorStats(stats);
+  EXPECT_NE(report.find("(none)"), std::string::npos);
 }
 
 TEST(FormatOperatorStatsTest, ZeroRowsHasNoPercentagesOrDivisionByZero) {

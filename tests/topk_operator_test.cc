@@ -3,6 +3,7 @@
 /// distributions, directions, output sizes, payload shapes and memory
 /// budgets — including configurations that force heavy spilling.
 
+#include <limits>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -26,7 +27,12 @@ struct OperatorCase {
   KeyDistribution distribution;
   SortDirection direction;
   uint64_t k;
+  RunGenerationKind run_generation = RunGenerationKind::kReplacementSelection;
+  size_t merge_fan_in = 64;
 };
+
+/// Input rows per case; k = kRows is a full external sort.
+constexpr uint64_t kRows = 20000;
 
 std::string CaseName(const ::testing::TestParamInfo<OperatorCase>& info) {
   const OperatorCase& c = info.param;
@@ -35,6 +41,8 @@ std::string CaseName(const ::testing::TestParamInfo<OperatorCase>& info) {
                      (c.direction == SortDirection::kAscending ? "asc"
                                                                : "desc") +
                      "_k" + std::to_string(c.k);
+  if (c.run_generation == RunGenerationKind::kQuicksort) name += "_quicksort";
+  if (c.merge_fan_in != 64) name += "_fanin" + std::to_string(c.merge_fan_in);
   for (char& ch : name) {
     if (ch == '-') ch = '_';
   }
@@ -49,7 +57,7 @@ TEST_P(TopKOperatorTest, MatchesReferenceSort) {
   StorageEnv env;
 
   DatasetSpec spec;
-  spec.WithRows(20000)
+  spec.WithRows(kRows)
       .WithDistribution(c.distribution)
       .WithPayload(8, 40)
       .WithSeed(c.k * 7919 + static_cast<uint64_t>(c.distribution));
@@ -61,10 +69,12 @@ TEST_P(TopKOperatorTest, MatchesReferenceSort) {
   // Small budget: rows are ~100 bytes with overhead, so ~500 rows fit.
   // k=2000 cannot fit -> every external case truly spills.
   options.memory_limit_bytes = 64 * 1024;
+  options.run_generation = c.run_generation;
+  options.merge_fan_in = c.merge_fan_in;
   options.env = &env;
   options.spill_dir = scratch.str();
   if (c.algorithm == TopKAlgorithm::kHeap) {
-    options.allow_unbounded_memory = true;  // heap is the in-memory oracle
+    options.memory_limit_bytes = std::numeric_limits<size_t>::max();  // the in-memory oracle
   }
 
   auto op = MakeTopKOperator(c.algorithm, options);
@@ -75,6 +85,13 @@ TEST_P(TopKOperatorTest, MatchesReferenceSort) {
 
   const OperatorStats& stats = (*op)->stats();
   EXPECT_EQ(stats.rows_consumed, rows.size());
+  if (c.k == kRows) {
+    // A full sort: every row reaches a run.
+    EXPECT_EQ(stats.rows_spilled, rows.size());
+  }
+  if (c.merge_fan_in == 2) {
+    EXPECT_GT(stats.merge_rows_written, 0u);
+  }
 }
 
 std::vector<OperatorCase> AllCases() {
@@ -93,6 +110,18 @@ std::vector<OperatorCase> AllCases() {
       }
     }
   }
+  // General external sort: the traditional operator with k = n, also with
+  // quicksort runs and with binary merges over several passes.
+  const auto kTraditional = TopKAlgorithm::kTraditionalExternal;
+  const auto kUniform = KeyDistribution::kUniform;
+  for (SortDirection dir :
+       {SortDirection::kAscending, SortDirection::kDescending}) {
+    cases.push_back({kTraditional, kUniform, dir, kRows});
+  }
+  cases.push_back({kTraditional, kUniform, SortDirection::kAscending, kRows,
+                   RunGenerationKind::kQuicksort});
+  cases.push_back({kTraditional, kUniform, SortDirection::kAscending, kRows,
+                   RunGenerationKind::kReplacementSelection, 2});
   return cases;
 }
 
@@ -118,7 +147,7 @@ TEST_P(TopKOffsetTest, OffsetMatchesReference) {
     options.env = &env;
     options.spill_dir = scratch.str() + "/off" + std::to_string(offset);
     if (GetParam() == TopKAlgorithm::kHeap) {
-      options.allow_unbounded_memory = true;
+      options.memory_limit_bytes = std::numeric_limits<size_t>::max();
     }
     auto op = MakeTopKOperator(GetParam(), options);
     ASSERT_TRUE(op.ok());
@@ -234,6 +263,15 @@ TEST(TopKOperatorVariantsTest, FactoryRejectsMissingStorage) {
   // Heap does not need storage.
   options.memory_limit_bytes = 1 << 20;
   EXPECT_TRUE(MakeTopKOperator(TopKAlgorithm::kHeap, options).ok());
+  // Merges need a fan-in of at least two.
+  StorageEnv env;
+  options.env = &env;
+  options.spill_dir = "unused";
+  options.merge_fan_in = 1;
+  EXPECT_EQ(MakeTopKOperator(TopKAlgorithm::kTraditionalExternal, options)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(TopKOperatorVariantsTest, AlgorithmNamesRoundTrip) {

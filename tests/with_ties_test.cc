@@ -4,6 +4,8 @@
 /// hazard for the in-memory algorithm; these tests demonstrate both the
 /// hazard and the external operators' immunity to it.
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -58,7 +60,7 @@ class WithTiesTest : public ::testing::TestWithParam<TopKAlgorithm> {
     options.env = &env_;
     options.spill_dir = scratch_.str() + "/" + std::to_string(seq_++);
     if (GetParam() == TopKAlgorithm::kHeap) {
-      options.allow_unbounded_memory = true;
+      options.memory_limit_bytes = std::numeric_limits<size_t>::max();
     }
     return options;
   }
@@ -160,6 +162,53 @@ TEST(WithTiesRobustnessTest, HeapFailsOnUnboundedDuplicates) {
     status = (*op)->Consume(Row(1.0, i, std::string(32, 't')));
   }
   EXPECT_EQ(status.code(), StatusCode::kOutOfMemory);
+}
+
+TEST(WithTiesRobustnessTest, EvictedTiesReleaseWhatTheyWereCharged) {
+  // Key pairs in descending order, 40-byte payloads in 400-byte buffers:
+  // for k=3 ascending, each pair first turns the evicted heap top into a
+  // tie, then sharpens the boundary and drops it. The live set is at most
+  // five rows, so both the heap and the histogram operator's in-memory
+  // phase must finish within 64 KiB without spilling.
+  const int pairs = 2000;
+  const auto slack_row = [&](int i) {
+    std::string payload;
+    payload.reserve(400);
+    payload.assign(40, 'p');
+    return Row(pairs - i / 2, i, std::move(payload));
+  };
+  std::vector<Row> rows;
+  for (int i = 0; i < 2 * pairs; ++i) rows.push_back(slack_row(i));
+  const auto expected =
+      ReferenceWithTies(rows, 3, 0, SortDirection::kAscending);
+  ASSERT_EQ(expected.size(), 4u);
+  ScratchDir scratch;
+  StorageEnv env;
+  TopKOptions options;
+  options.k = 3;
+  options.with_ties = true;
+  options.memory_limit_bytes = 64 * 1024;
+  options.env = &env;
+  options.spill_dir = scratch.str();
+
+  auto heap = HeapTopK::Make(options);
+  ASSERT_TRUE(heap.ok());
+  auto histogram = HistogramTopK::Make(options);
+  ASSERT_TRUE(histogram.ok());
+  for (int i = 0; i < 2 * pairs; ++i) {
+    ASSERT_TRUE((*heap)->Consume(slack_row(i)).ok());
+    ASSERT_TRUE((*histogram)->Consume(slack_row(i)).ok());
+  }
+  for (TopKOperator* op :
+       {static_cast<TopKOperator*>(heap->get()),
+        static_cast<TopKOperator*>(histogram->get())}) {
+    SCOPED_TRACE(op->name());
+    auto result = op->Finish();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectSameRows(expected, *result);
+    EXPECT_LE(op->stats().peak_memory_bytes, options.memory_limit_bytes);
+  }
+  EXPECT_FALSE((*histogram)->is_external());
 }
 
 TEST(WithTiesRobustnessTest, HistogramSwitchesToExternalAndSucceeds) {

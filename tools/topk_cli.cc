@@ -104,6 +104,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <thread>
 
 #include <fstream>
@@ -405,7 +406,8 @@ int main(int argc, char** argv) {
   options.on_cancel = on_cancel_name == "keep" ? OnCancelPolicy::kKeepForResume
                                                : OnCancelPolicy::kReleaseSpill;
   if (algorithm == TopKAlgorithm::kHeap) {
-    options.allow_unbounded_memory = true;
+    // The in-memory operator holds its whole output, whatever --memory-mb.
+    options.memory_limit_bytes = std::numeric_limits<size_t>::max();
   }
 
   // Query lifecycle control: one token shared by the query and (when
