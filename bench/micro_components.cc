@@ -173,6 +173,47 @@ void BM_ReplacementSelectionSpill(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplacementSelectionSpill)->Arg(0)->Arg(1);
 
+/// The same spill-heavy stream through load-sort-store run generation:
+/// Arg(0) uniform keys, Arg(1) descending keys. Each Add serializes a row
+/// into the load's buffer; one Add per memory load sorts and spills it.
+void BM_QuicksortSpill(benchmark::State& state) {
+  const bool descending = state.range(0) != 0;
+  const std::string dir = "/tmp/topk_micro_qs_spill";
+  std::filesystem::remove_all(dir);
+  StorageEnv env;
+  IoPipelineOptions io;
+  io.background_threads = 2;
+  auto spill = SpillManager::Create(&env, dir, io);
+  TOPK_CHECK(spill.ok());
+  RunGeneratorOptions options;
+  options.memory_limit_bytes = 1 << 20;
+  QuicksortRunGenerator gen(spill->get(), RowComparator(), options);
+  Random rng(17);
+  const std::string payload(64, 's');
+  std::vector<Row> rows(1 << 16);
+  size_t next = rows.size();
+  uint64_t id = 0;
+  for (auto _ : state) {
+    if (next == rows.size()) {
+      state.PauseTiming();
+      for (Row& row : rows) {
+        const double key =
+            descending ? -static_cast<double>(id) : rng.NextDouble();
+        row = Row(key, id++, payload);
+      }
+      next = 0;
+      state.ResumeTiming();
+    }
+    Status status = gen.Add(std::move(rows[next++]));
+    TOPK_CHECK(status.ok());
+  }
+  TOPK_CHECK(gen.Flush().ok());
+  state.SetItemsProcessed(state.iterations());
+  spill->reset();
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_QuicksortSpill)->Arg(0)->Arg(1);
+
 /// What an operator entry point pays per call to install its query's
 /// observability context when the caller has not installed it already
 /// (Consume is called once per row).

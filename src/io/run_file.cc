@@ -52,28 +52,33 @@ Result<std::unique_ptr<RunWriter>> RunWriter::Create(
 }
 
 Status RunWriter::Append(const Row& row) {
+  TOPK_RETURN_NOT_OK(ValidateRowPayload(row));
+  scratch_.clear();
+  SerializeRow(row, &scratch_);
+  return AppendSerialized(row.key, row.normalized_key(comparator_.direction()),
+                          scratch_);
+}
+
+Status RunWriter::AppendSerialized(double key, const NormalizedKey& norm,
+                                   std::string_view bytes) {
   if (finished_) {
     return Status::FailedPrecondition("append to finished run");
   }
-  const NormalizedKey norm = row.normalized_key(comparator_.direction());
   if (meta_.rows > 0 && norm < last_key_norm_) {
     return Status::InvalidArgument(
         "rows must be appended to a run in sorted order");
   }
-  TOPK_RETURN_NOT_OK(ValidateRowPayload(row));
-  scratch_.clear();
-  SerializeRow(row, &scratch_);
-  TOPK_RETURN_NOT_OK(writer_->Append(scratch_));
-  meta_.crc32c = Crc32c(meta_.crc32c, scratch_.data(), scratch_.size());
-  if (meta_.rows == 0) meta_.first_key = row.key;
-  meta_.last_key = row.key;
+  TOPK_RETURN_NOT_OK(writer_->Append(bytes));
+  meta_.crc32c = Crc32c(meta_.crc32c, bytes.data(), bytes.size());
+  if (meta_.rows == 0) meta_.first_key = key;
+  meta_.last_key = key;
   last_key_norm_ = norm;
   ++meta_.rows;
   if (index_stride_ > 0 && meta_.rows % index_stride_ == 0) {
     // Position after this row, relative to the start of row data (i.e.
     // excluding the file magic) — exactly what RunReader::SkipToByte wants.
     meta_.index.push_back(RunIndexEntry{
-        row.key, meta_.rows, writer_->bytes_appended() - sizeof(kRunFileMagic)});
+        key, meta_.rows, writer_->bytes_appended() - sizeof(kRunFileMagic)});
   }
   return Status::OK();
 }
@@ -171,21 +176,14 @@ Status RunReader::Next(Row* row, bool* eof) {
     }
     return Status::OK();
   }
-  size_t offset = 0;
-  double key = 0.0;
-  uint64_t id = 0;
-  uint32_t len = 0;
-  std::memcpy(&key, scratch_.data(), sizeof(key));
-  offset += sizeof(key);
-  std::memcpy(&id, scratch_.data() + offset, sizeof(id));
-  offset += sizeof(id);
-  std::memcpy(&len, scratch_.data() + offset, sizeof(len));
+  const RowHeader header = ReadRowHeader(scratch_.data());
+  const uint32_t len = header.payload_len;
   if (len > kMaxRowPayloadBytes) {
     return Status::Corruption("row payload length " + std::to_string(len) +
                               " exceeds the format limit");
   }
-  row->key = key;
-  row->id = id;
+  row->key = header.key;
+  row->id = header.id;
   row->payload.resize(len);
   if (len > 0) {
     bool payload_eof = false;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -82,7 +83,16 @@ class RunWriter {
       SpillQuota* quota = nullptr,
       MemoryArbiter* arbiter = nullptr);
 
+  /// Validates, serializes and appends one row (see AppendSerialized).
   Status Append(const Row& row);
+
+  /// Appends one row already in wire format (row/serialization.h):
+  /// `bytes` is its whole serialized form, `key` its sort key and `norm`
+  /// its normalized key in the run's direction. The caller has validated
+  /// the payload when it serialized the row. This is the writer's one
+  /// append path; run generators hand it the bytes they buffered.
+  Status AppendSerialized(double key, const NormalizedKey& norm,
+                          std::string_view bytes);
 
   /// Flushes, closes the file, and returns the run's metadata (histogram is
   /// attached by the caller / sizing policy afterwards if desired).

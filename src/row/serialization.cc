@@ -7,11 +7,6 @@ namespace topk {
 namespace {
 
 template <typename T>
-void AppendRaw(const T& v, std::string* out) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
 bool ReadRaw(const char* data, size_t size, size_t* offset, T* v) {
   if (*offset + sizeof(T) > size) return false;
   std::memcpy(v, data + *offset, sizeof(T));
@@ -32,11 +27,27 @@ Status ValidateRowPayload(const Row& row) {
 }
 
 void SerializeRow(const Row& row, std::string* out) {
-  AppendRaw(row.key, out);
-  AppendRaw(row.id, out);
+  const size_t offset = out->size();
+  out->resize(offset + row.SerializedSize());
+  SerializeRowTo(row, out->data() + offset);
+}
+
+void SerializeRowTo(const Row& row, char* out) {
   const uint32_t len = static_cast<uint32_t>(row.payload.size());
-  AppendRaw(len, out);
-  out->append(row.payload);
+  std::memcpy(out, &row.key, sizeof(row.key));
+  std::memcpy(out + sizeof(row.key), &row.id, sizeof(row.id));
+  std::memcpy(out + sizeof(row.key) + sizeof(row.id), &len, sizeof(len));
+  std::memcpy(out + kRowHeaderBytes, row.payload.data(), len);
+}
+
+RowHeader ReadRowHeader(const char* data) {
+  RowHeader header;
+  std::memcpy(&header.key, data, sizeof(header.key));
+  std::memcpy(&header.id, data + sizeof(header.key), sizeof(header.id));
+  std::memcpy(&header.payload_len,
+              data + sizeof(header.key) + sizeof(header.id),
+              sizeof(header.payload_len));
+  return header;
 }
 
 Status DeserializeRow(const char* data, size_t size, size_t* offset,

@@ -17,6 +17,10 @@ namespace topk {
 /// Appends the serialized form of `row` to `out`.
 void SerializeRow(const Row& row, std::string* out);
 
+/// Writes the serialized form of `row` to `out`, which has room for
+/// row.SerializedSize() bytes.
+void SerializeRowTo(const Row& row, char* out);
+
 /// Parses one row from `data + *offset`, advancing `*offset`. Returns
 /// Corruption if the buffer is truncated.
 Status DeserializeRow(const char* data, size_t size, size_t* offset, Row* row);
@@ -24,6 +28,16 @@ Status DeserializeRow(const char* data, size_t size, size_t* offset, Row* row);
 /// Fixed per-row header size of the wire format.
 inline constexpr size_t kRowHeaderBytes =
     sizeof(double) + sizeof(uint64_t) + sizeof(uint32_t);
+
+/// The fixed-size head of one serialized row.
+struct RowHeader {
+  double key = 0.0;
+  uint64_t id = 0;
+  uint32_t payload_len = 0;
+};
+
+/// Decodes the kRowHeaderBytes at `data`.
+RowHeader ReadRowHeader(const char* data);
 
 /// Hard format limit on a row's payload. Enforced at write time
 /// (InvalidArgument) and at read time (Corruption) — a corrupt length

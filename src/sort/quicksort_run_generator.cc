@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
 #include "common/query_control.h"
@@ -26,6 +27,21 @@ std::unique_ptr<RunGenerator> MakeRunGenerator(
   return std::make_unique<QuicksortRunGenerator>(spill, comparator, options);
 }
 
+namespace {
+
+/// Gives `v` room for `need` elements. It doubles, but only into
+/// `*spare_bytes`, and charges what it takes beyond `need` there.
+template <typename T>
+void GrowInto(std::vector<T>* v, size_t need, size_t* spare_bytes) {
+  if (need <= v->capacity()) return;
+  const size_t capacity = std::min(std::max(need, 2 * v->capacity()),
+                                   need + *spare_bytes / sizeof(T));
+  *spare_bytes -= (capacity - need) * sizeof(T);
+  v->reserve(capacity);
+}
+
+}  // namespace
+
 QuicksortRunGenerator::QuicksortRunGenerator(
     SpillManager* spill, const RowComparator& comparator,
     const RunGeneratorOptions& options)
@@ -36,9 +52,9 @@ Status QuicksortRunGenerator::Add(Row row) {
   const size_t cost = row.MemoryFootprint() + kPerRowOverheadBytes;
   // A spill that a cancellation stopped is finished before more is
   // buffered.
-  Status spilled = order_.empty() ? Status::OK() : SortAndSpill();
+  Status spilled = sorted_ == 0 ? Status::OK() : SortAndSpill();
   if (spilled.ok() && buffered_bytes_ + cost > SpillThreshold(options_) &&
-      !buffer_.empty()) {
+      !entries_.empty()) {
     if (buffered_bytes_ + cost <= options_.memory_limit_bytes) {
       CountEarlySpill();
     }
@@ -54,12 +70,29 @@ Status QuicksortRunGenerator::Add(Row row) {
                           options_.arbiter->Acquire("run-generation", 0));
   }
   TOPK_RETURN_NOT_OK(lease_.EnsureAtLeast(buffered_bytes_));
-  buffer_.push_back(std::move(row));
+  Buffer(row);
   ++stats_.rows_added;
-  stats_.rows_in_memory = buffer_.size();
+  stats_.rows_in_memory = entries_.size();
   stats_.peak_memory_bytes =
       std::max(stats_.peak_memory_bytes, buffered_bytes_);
   return spilled;
+}
+
+void QuicksortRunGenerator::Buffer(const Row& row) {
+  const size_t offset = wire_.size();
+  const size_t wire_need = offset + row.SerializedSize();
+  const size_t entries_need = entries_.size() + 1;
+  // A row is charged more than its bytes and its entry, so the buffers
+  // always fit in the bytes charged; what the charges leave over is the
+  // room they may double into.
+  size_t spare = buffered_bytes_ - std::max(wire_need, wire_.capacity()) -
+                 std::max(entries_need, entries_.capacity()) * sizeof(Entry);
+  GrowInto(&wire_, wire_need, &spare);
+  GrowInto(&entries_, entries_need, &spare);
+  wire_.resize(wire_need);
+  SerializeRowTo(row, wire_.data() + offset);
+  entries_.push_back(
+      Entry{row.normalized_key(comparator_.direction()), offset});
 }
 
 Status QuicksortRunGenerator::SortAndSpill() {
@@ -67,35 +100,33 @@ Status QuicksortRunGenerator::SortAndSpill() {
   // typical call, so a sampled consume timer must not scale it up.
   SampledScopeTimer::InFull in_full;
   TraceSpan span("rungen.sort_and_spill", "sort",
-                 {TraceArg("rows", buffer_.size())});
-  if (order_.empty()) {
-    // Sort (normalized key, buffer index) pairs instead of the rows
+                 {TraceArg("rows", entries_.size())});
+  if (sorted_ == 0) {
+    // Sort (normalized key, offset) entries instead of the rows
     // themselves: ordering was decided once at encode time (NaN-total,
     // -0.0 folded, direction baked in), every quicksort comparison is a
-    // two-word integer compare, and the variable-size payloads are never
-    // moved during the sort — only the 24-byte pairs are.
-    order_.reserve(buffer_.size());
-    const SortDirection direction = comparator_.direction();
-    for (uint32_t i = 0; i < buffer_.size(); ++i) {
-      order_.emplace_back(buffer_[i].normalized_key(direction), i);
-    }
-    TraceSpan sort_span("rungen.quicksort", "sort");
-    std::sort(order_.begin(), order_.end(),
-              [](const std::pair<NormalizedKey, uint32_t>& a,
-                 const std::pair<NormalizedKey, uint32_t>& b) {
-                return a.first < b.first;
-              });
+    // two-word integer compare, and the variable-size wire bytes are never
+    // moved during the sort — only the 24-byte entries are.
+    sorted_ = entries_.size();
+    sorted_charge_ = buffered_bytes_;
     next_ = 0;
+    TraceSpan sort_span("rungen.quicksort", "sort");
+    std::sort(entries_.begin(), entries_.end(),
+              [](const Entry& a, const Entry& b) { return a.norm < b.norm; });
   }
 
   // A cancellation stops the spill between two rows and keeps its place
   // (next_, the open writer_): finishing it later writes every row once
   // and reports each to the observer once.
-  for (; next_ < order_.size(); ++next_) {
+  for (; next_ < sorted_; ++next_) {
     TOPK_RETURN_IF_CANCELLED(options_.cancel);
-    Row& row = buffer_[order_[next_].second];
+    const Entry& entry = entries_[next_];
+    const char* bytes = wire_.data() + entry.offset;
+    const RowHeader header = ReadRowHeader(bytes);
+    observed_.key = header.key;
+    observed_.id = header.id;
     if (options_.observer != nullptr &&
-        options_.observer->EliminateAtSpill(row)) {
+        options_.observer->EliminateAtSpill(observed_)) {
       ++stats_.rows_eliminated_at_spill;
       continue;
     }
@@ -106,8 +137,12 @@ Status QuicksortRunGenerator::SortAndSpill() {
       TOPK_ASSIGN_OR_RETURN(
           writer_, spill_->NewRun(comparator_, options_.run_index_stride));
     }
-    TOPK_RETURN_NOT_OK(writer_->Append(row));
-    if (options_.observer != nullptr) options_.observer->OnRowSpilled(row);
+    TOPK_RETURN_NOT_OK(writer_->AppendSerialized(
+        header.key, entry.norm,
+        std::string_view(bytes, kRowHeaderBytes + header.payload_len)));
+    if (options_.observer != nullptr) {
+      options_.observer->OnRowSpilled(observed_);
+    }
     ++stats_.rows_spilled;
     ++rows_in_run_;
   }
@@ -117,16 +152,21 @@ Status QuicksortRunGenerator::SortAndSpill() {
     // Everything was eliminated; still reset the observer's per-run state.
     options_.observer->OnRunFinished();
   }
-  // Rows buffered behind a cancelled spill were not in its order; they
-  // stay for the next one.
-  buffer_.erase(buffer_.begin(), buffer_.begin() + order_.size());
-  std::vector<std::pair<NormalizedKey, uint32_t>>().swap(order_);
-  buffered_bytes_ = 0;
-  for (const Row& row : buffer_) {
-    buffered_bytes_ += row.MemoryFootprint() + kPerRowOverheadBytes;
-  }
+  // Rows buffered behind a cancelled spill were not in its order; their
+  // bytes follow all of the spilled rows' bytes. They stay for the next
+  // spill, in buffers of exactly their size, so the bytes held stay within
+  // the bytes charged.
+  const size_t spilled_bytes =
+      sorted_ < entries_.size() ? entries_[sorted_].offset : wire_.size();
+  std::vector<char> wire(wire_.begin() + spilled_bytes, wire_.end());
+  std::vector<Entry> entries(entries_.begin() + sorted_, entries_.end());
+  for (Entry& entry : entries) entry.offset -= spilled_bytes;
+  wire_.swap(wire);
+  entries_.swap(entries);
+  buffered_bytes_ -= sorted_charge_;
+  sorted_ = 0;
   lease_.ShrinkTo(buffered_bytes_);
-  stats_.rows_in_memory = buffer_.size();
+  stats_.rows_in_memory = entries_.size();
   return Status::OK();
 }
 
@@ -144,7 +184,7 @@ Status QuicksortRunGenerator::FinishRun() {
 Status QuicksortRunGenerator::Flush() {
   // Each pass finishes one spill; rows buffered behind a cancelled one
   // take a second.
-  while (!buffer_.empty()) TOPK_RETURN_NOT_OK(SortAndSpill());
+  while (!entries_.empty()) TOPK_RETURN_NOT_OK(SortAndSpill());
   return Status::OK();
 }
 

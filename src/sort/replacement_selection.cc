@@ -46,7 +46,7 @@ Status ReplacementSelectionRunGenerator::Add(Row row) {
   while (buffered_bytes_ > effective_limit &&
          rows_buffered_ + (pending ? 1 : 0) > 1) {
     if (options_.cancel != nullptr && options_.cancel->ShouldStop()) {
-      if (pending) Place(key, std::move(row));
+      if (pending) Place(key, row, cost);
       return options_.cancel->status();
     }
     if (!early && buffered_bytes_ <= options_.memory_limit_bytes) {
@@ -55,15 +55,21 @@ Status ReplacementSelectionRunGenerator::Add(Row row) {
     }
     if (pending) {
       pending = false;
-      TOPK_RETURN_NOT_OK(SpillFused(key, std::move(row)));
+      TOPK_RETURN_NOT_OK(SpillFused(key, row, cost));
     } else {
       TOPK_RETURN_NOT_OK(SpillWinner());
     }
   }
-  if (pending) Place(key, std::move(row));
+  if (pending) Place(key, row, cost);
   lease_.ShrinkTo(buffered_bytes_);
   stats_.rows_in_memory = rows_buffered_;
   return Status::OK();
+}
+
+size_t ReplacementSelectionRunGenerator::held_bytes() const {
+  size_t held = rows_buffered_ * sizeof(Slot);
+  for (const Slot& slot : slots_) held += slot.capacity;
+  return held;
 }
 
 void ReplacementSelectionRunGenerator::Replay(size_t slot) {
@@ -73,12 +79,31 @@ void ReplacementSelectionRunGenerator::Replay(size_t slot) {
   }
 }
 
-void ReplacementSelectionRunGenerator::Place(const Node& key, Row row) {
+void ReplacementSelectionRunGenerator::Store(const Row& row, size_t charge,
+                                             Slot* slot) {
+  const size_t size = row.SerializedSize();
+  // The row's charge covers its slot record and its bytes (the row struct
+  // alone is charged more than a slot record, a header and an inline
+  // payload), so a buffer that fits both is reused and any other is
+  // replaced by one of exactly the row's size.
+  if (size > slot->capacity || sizeof(Slot) + slot->capacity > charge) {
+    slot->wire.reset();
+    slot->wire.reset(new char[size]);
+    slot->capacity = static_cast<uint32_t>(size);
+  }
+  SerializeRowTo(row, slot->wire.get());
+  slot->key = row.key;
+  slot->id = row.id;
+  slot->charge = charge;
+  slot->size = static_cast<uint32_t>(size);
+}
+
+void ReplacementSelectionRunGenerator::Place(const Node& key, const Row& row,
+                                             size_t charge) {
   if (free_slots_.empty()) {
     // Slots keep their numbers; only the tree is rebuilt over the larger
-    // leaf level. Rows move to the new table, so their payloads keep the
-    // capacity Add charged.
-    static_assert(std::is_nothrow_move_constructible_v<Row>);
+    // leaf level.
+    static_assert(std::is_nothrow_move_constructible_v<Slot>);
     const size_t old_capacity = slots_.size();
     const size_t capacity = std::max<size_t>(kMinSlots, 2 * old_capacity);
     slots_.resize(capacity);
@@ -96,50 +121,75 @@ void ReplacementSelectionRunGenerator::Place(const Node& key, Row row) {
   }
   const size_t slot = free_slots_.back();
   free_slots_.pop_back();
-  slots_[slot] = std::move(row);
+  Store(row, charge, &slots_[slot]);
   tree_[slots_.size() + slot] = Node{key.run_seq, key.norm, slot};
   ++rows_buffered_;
   Replay(slot);
 }
 
 Status ReplacementSelectionRunGenerator::SpillFused(const Node& key,
-                                                    Row row) {
-  if (Before(key, tree_[1])) {
-    buffered_bytes_ -= row.MemoryFootprint() + kPerRowOverheadBytes;
-    return SpillRow(key, row);
-  }
+                                                    const Row& row,
+                                                    size_t charge) {
+  const bool incoming_first = Before(key, tree_[1]);
   const Node winner = tree_[1];
-  Row out = std::exchange(slots_[winner.slot], std::move(row));
-  // The row was moved, never copied, since Add charged it, so its payload
-  // keeps the capacity Add measured and this returns exactly that charge.
-  buffered_bytes_ -= out.MemoryFootprint() + kPerRowOverheadBytes;
+  Slot& slot = slots_[winner.slot];
+  Status spilled;
+  if (incoming_first) {
+    incoming_wire_.clear();
+    SerializeRow(row, &incoming_wire_);
+    spilled = SpillRow(key, row.key, row.id, incoming_wire_);
+  } else {
+    // The winner's bytes are written before the incoming row takes its
+    // slot.
+    spilled = SpillRow(winner, slot.key, slot.id,
+                       std::string_view(slot.wire.get(), slot.size));
+  }
+  if (!spilled.ok()) {
+    // Nothing left the buffer: the incoming row takes a slot of its own, so
+    // a keep-for-resume flush still finds every row.
+    Place(key, row, charge);
+    return spilled;
+  }
+  if (incoming_first) {
+    buffered_bytes_ -= charge;
+    return Status::OK();
+  }
+  buffered_bytes_ -= slot.charge;
+  Store(row, charge, &slot);
   tree_[slots_.size() + winner.slot] = Node{key.run_seq, key.norm, winner.slot};
   Replay(winner.slot);
-  return SpillRow(winner, out);
+  return Status::OK();
 }
 
 Status ReplacementSelectionRunGenerator::SpillWinner() {
   const Node winner = tree_[1];
-  const Row out = std::move(slots_[winner.slot]);
-  buffered_bytes_ -= out.MemoryFootprint() + kPerRowOverheadBytes;
+  Slot& slot = slots_[winner.slot];
+  TOPK_RETURN_NOT_OK(SpillRow(winner, slot.key, slot.id,
+                              std::string_view(slot.wire.get(), slot.size)));
+  // An empty slot is charged nothing, so it holds nothing.
+  buffered_bytes_ -= slot.charge;
+  slot = Slot();
   tree_[slots_.size() + winner.slot].run_seq = kEmptyRunSeq;
   free_slots_.push_back(winner.slot);
   --rows_buffered_;
   Replay(winner.slot);
-  return SpillRow(winner, out);
+  return Status::OK();
 }
 
-Status ReplacementSelectionRunGenerator::SpillRow(const Node& key,
-                                                  const Row& row) {
-  if (key.run_seq != current_seq_) {
+Status ReplacementSelectionRunGenerator::SpillRow(const Node& node, double key,
+                                                  uint64_t id,
+                                                  std::string_view wire) {
+  if (node.run_seq != current_seq_) {
     // The current logical run is exhausted; start the next one.
     TOPK_RETURN_NOT_OK(CloseRun());
-    current_seq_ = key.run_seq;
+    current_seq_ = node.run_seq;
     has_last_spilled_ = false;
   }
 
+  observed_.key = key;
+  observed_.id = id;
   if (options_.observer != nullptr &&
-      options_.observer->EliminateAtSpill(row)) {
+      options_.observer->EliminateAtSpill(observed_)) {
     ++stats_.rows_eliminated_at_spill;
     return Status::OK();
   }
@@ -148,13 +198,13 @@ Status ReplacementSelectionRunGenerator::SpillRow(const Node& key,
     TOPK_RETURN_NOT_OK(CloseRun());
   }
   TOPK_RETURN_NOT_OK(EnsureWriter());
-  TOPK_RETURN_NOT_OK(writer_->Append(row));
+  TOPK_RETURN_NOT_OK(writer_->AppendSerialized(key, node.norm, wire));
   if (options_.observer != nullptr) {
-    options_.observer->OnRowSpilled(row);
+    options_.observer->OnRowSpilled(observed_);
   }
   ++stats_.rows_spilled;
   ++rows_in_physical_run_;
-  last_spilled_norm_ = key.norm;
+  last_spilled_norm_ = node.norm;
   has_last_spilled_ = true;
   return Status::OK();
 }

@@ -2,6 +2,8 @@
 #define TOPK_SORT_REPLACEMENT_SELECTION_H_
 
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "sort/run_generation.h"
@@ -19,16 +21,25 @@ namespace topk {
 ///
 /// The selection structure is a tournament tree of winners over a stable
 /// slot table (the tree-of-losers idea of Do & Graefe's run generation, in
-/// its winner form so that any slot can be refilled). A row is moved into a
-/// slot once, at Add, and moved out once, at spill; selection only ever
-/// touches the compact {run_seq, normalized key, slot} nodes. An Add that
-/// must spill fuses the push and the pop: the incoming row is spilled
-/// directly when it sorts before the tree's winner, and otherwise takes the
-/// winner's slot with one leaf-to-root replay. Rows therefore spill in
-/// exactly the order a push-then-pop-minimum priority queue would give.
+/// its winner form so that any slot can be refilled). A row is serialized
+/// once, at Add, into the wire-format bytes its run file will carry, in a
+/// buffer its slot owns; selection only ever touches the compact {run_seq,
+/// normalized key, slot} nodes, and a spill copies the slot's bytes to the
+/// run writer. An Add that must spill fuses the push and the pop: the
+/// incoming row is serialized straight to the run when it sorts before the
+/// tree's winner, and otherwise the winner's bytes are written and the
+/// incoming row is serialized into the buffer they leave, with one
+/// leaf-to-root replay. Rows therefore spill in exactly the order a
+/// push-then-pop-minimum priority queue would give, and a spill copies
+/// bytes that were just touched instead of chasing and freeing a payload
+/// allocated thousands of rows earlier.
 ///
 /// Variable-size rows are supported: the memory budget is tracked in bytes,
-/// so the number of buffered rows floats with row sizes.
+/// so the number of buffered rows floats with row sizes. A row is charged
+/// what it occupied as it arrived (Row::MemoryFootprint() plus
+/// kPerRowOverheadBytes), and a spill returns exactly that charge. A slot
+/// reuses its buffer only while the buffer and the slot record fit the new
+/// row's charge, so the bytes held never exceed the bytes charged.
 ///
 /// Physical runs are additionally cut at `run_row_limit` rows (the top-k
 /// "limit run size to k" optimization); a cut mid-sequence is safe because
@@ -49,6 +60,11 @@ class ReplacementSelectionRunGenerator : public RunGenerator {
 
   /// Logical run sequence currently being written (for tests).
   uint64_t current_run_seq() const { return current_seq_; }
+  /// Bytes charged for the buffered rows (for tests).
+  size_t buffered_bytes() const { return buffered_bytes_; }
+  /// Bytes the buffered rows occupy: slot records and wire buffers (for
+  /// tests). Never above buffered_bytes().
+  size_t held_bytes() const;
 
  private:
   /// One tournament-tree node: the selection key of a buffered row and the
@@ -74,20 +90,35 @@ class ReplacementSelectionRunGenerator : public RunGenerator {
   /// The slot table's first size; it doubles whenever every slot is full.
   static constexpr size_t kMinSlots = 64;
 
+  /// One buffered row: its key and id (all a spill observer is shown), the
+  /// bytes Add charged for it, and its wire-format bytes in a buffer the
+  /// slot owns and reuses for the next row placed in it.
+  struct Slot {
+    double key = 0.0;
+    uint64_t id = 0;
+    size_t charge = 0;
+    std::unique_ptr<char[]> wire;
+    uint32_t size = 0;
+    uint32_t capacity = 0;
+  };
+
   /// Recomputes the winners on the path from `slot`'s leaf to the root.
   void Replay(size_t slot);
-  /// Puts a row into a free slot, doubling the slot table when none is free.
-  void Place(const Node& key, Row row);
-  /// Moves the winner out of the tree, leaving its slot empty, and spills
-  /// it.
+  /// Serializes `row` into a free slot, doubling the slot table when none
+  /// is free.
+  void Place(const Node& key, const Row& row, size_t charge);
+  /// Serializes `row` into `slot`, reusing its buffer when that fits.
+  static void Store(const Row& row, size_t charge, Slot* slot);
+  /// Spills the winner and empties its slot.
   Status SpillWinner();
   /// The spill side of one push-then-pop-minimum: spills the incoming row
   /// when it sorts before the winner, otherwise spills the winner and puts
   /// the incoming row in its slot.
-  Status SpillFused(const Node& key, Row row);
-  /// Writes one row that has left the buffer to the current run, honoring
-  /// elimination, run boundaries, and the physical row limit.
-  Status SpillRow(const Node& key, const Row& row);
+  Status SpillFused(const Node& key, const Row& row, size_t charge);
+  /// Writes one row that is leaving the buffer to the current run,
+  /// honoring elimination, run boundaries, and the physical row limit.
+  Status SpillRow(const Node& node, double key, uint64_t id,
+                  std::string_view wire);
   Status CloseRun();
   Status EnsureWriter();
 
@@ -102,7 +133,7 @@ class ReplacementSelectionRunGenerator : public RunGenerator {
   /// to spill. tree_[0] is unused.
   std::vector<Node> tree_;
   /// Buffered rows by slot; a row stays in its slot until it is spilled.
-  std::vector<Row> slots_;
+  std::vector<Slot> slots_;
   std::vector<size_t> free_slots_;
   size_t rows_buffered_ = 0;
   size_t buffered_bytes_ = 0;
@@ -117,6 +148,10 @@ class ReplacementSelectionRunGenerator : public RunGenerator {
 
   std::unique_ptr<RunWriter> writer_;
   uint64_t rows_in_physical_run_ = 0;
+  /// Wire bytes of an incoming row spilled without entering the tree.
+  std::string incoming_wire_;
+  /// The row shown to the observer: key and id, no payload.
+  Row observed_;
 };
 
 }  // namespace topk

@@ -31,6 +31,9 @@ enum class RunGenerationKind {
 /// run-generation algorithm", Sec 3.1.2): the observer re-checks rows right
 /// before they hit secondary storage (line 11) and accounts written rows
 /// into the input model (line 13).
+///
+/// The run generators hold rows serialized, so the `Row` each hook
+/// receives carries the row's key and id only; its payload is empty.
 class SpillObserver {
  public:
   virtual ~SpillObserver() = default;
@@ -131,6 +134,12 @@ class RunGenerator {
 /// (split at run_row_limit). Simple and cache-friendly, but consumption of
 /// the input stalls during each sort+spill (the paper's motivation for
 /// replacement selection); runs are at most one memory-load long.
+///
+/// Rows are serialized once, at Add, into one buffer of wire-format bytes;
+/// the sort orders (normalized key, offset) pairs over it and a spill
+/// copies each row's bytes to the run writer. Rows are charged and their
+/// charges returned exactly as replacement selection does, and the buffers
+/// grow only within the bytes charged.
 class QuicksortRunGenerator : public RunGenerator {
  public:
   QuicksortRunGenerator(SpillManager* spill, const RowComparator& comparator,
@@ -143,7 +152,23 @@ class QuicksortRunGenerator : public RunGenerator {
   }
   const RunGeneratorStats& stats() const override { return stats_; }
 
+  /// Bytes charged for the buffered rows (for tests).
+  size_t buffered_bytes() const { return buffered_bytes_; }
+  /// Bytes the buffered rows occupy: the wire buffer and the sort entries
+  /// (for tests). Never above buffered_bytes().
+  size_t held_bytes() const {
+    return wire_.capacity() + entries_.capacity() * sizeof(Entry);
+  }
+
  private:
+  /// One buffered row: its sort order and where its bytes start in wire_.
+  struct Entry {
+    NormalizedKey norm;
+    size_t offset;
+  };
+
+  /// Serializes `row` behind the buffered rows.
+  void Buffer(const Row& row);
   /// Sorts the buffer and spills it, or finishes the spill a cancellation
   /// stopped.
   Status SortAndSpill();
@@ -154,15 +179,21 @@ class QuicksortRunGenerator : public RunGenerator {
   RowComparator comparator_;
   RunGeneratorOptions options_;
   RunGeneratorStats stats_;
-  std::vector<Row> buffer_;
+  /// Wire bytes of the buffered rows, back to back in arrival order.
+  std::vector<char> wire_;
+  std::vector<Entry> entries_;
   size_t buffered_bytes_ = 0;
-  /// The spill in progress: buffer_'s first order_.size() rows in sort
-  /// order, the next of them to write, and the open run. order_ is empty
-  /// between spills.
-  std::vector<std::pair<NormalizedKey, uint32_t>> order_;
+  /// The spill in progress: entries_'s first `sorted_` rows are in sort
+  /// order, next_ is the next of them to write, `sorted_charge_` is what
+  /// they were charged, and writer_ is the open run. sorted_ is 0 between
+  /// spills.
+  size_t sorted_ = 0;
   size_t next_ = 0;
+  size_t sorted_charge_ = 0;
   std::unique_ptr<RunWriter> writer_;
   uint64_t rows_in_run_ = 0;
+  /// The row shown to the observer: key and id, no payload.
+  Row observed_;
   /// Lease covering buffered_bytes_ (detached without an arbiter).
   MemoryLease lease_;
 };

@@ -1,7 +1,10 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +14,7 @@
 #include "io/run_file.h"
 #include "io/spill_manager.h"
 #include "io/storage_env.h"
+#include "row/serialization.h"
 
 namespace topk {
 namespace {
@@ -235,6 +239,81 @@ TEST_F(IoTest, RunWriterRejectsOutOfOrderRows) {
             StatusCode::kInvalidArgument);
   // Equal keys with ascending ids are fine.
   ASSERT_TRUE((*writer)->Append(Row(5.0, 2)).ok());
+}
+
+TEST_F(IoTest, AppendSerializedWritesWhatAppendWrites) {
+  // Run generators hand the writer rows they serialized themselves. The
+  // run must come out exactly as Append would have written it: file bytes,
+  // checksum, seek index and key range. Payloads straddle the string's
+  // inline-buffer edge (15 and 16 bytes) and reach a 4 KiB row.
+  const RowComparator cmp;
+  const size_t payloads[] = {0, 15, 16, 64, 4096, 16, 0, 15, 4096, 64, 0};
+  std::vector<Row> rows;
+  for (size_t i = 0; i < std::size(payloads); ++i) {
+    rows.emplace_back(0.5 * static_cast<double>(i / 2), i,
+                      std::string(payloads[i], static_cast<char>('a' + i)));
+  }
+  const uint64_t stride = 3;
+  auto by_row = RunWriter::Create(&env_, Path("by_row"), 1, cmp,
+                                  kDefaultBlockBytes, stride);
+  auto by_bytes = RunWriter::Create(&env_, Path("by_bytes"), 1, cmp,
+                                    kDefaultBlockBytes, stride);
+  ASSERT_TRUE(by_row.ok());
+  ASSERT_TRUE(by_bytes.ok());
+  std::string wire;
+  for (const Row& row : rows) {
+    ASSERT_TRUE((*by_row)->Append(row).ok());
+    wire.clear();
+    SerializeRow(row, &wire);
+    ASSERT_TRUE((*by_bytes)
+                    ->AppendSerialized(row.key,
+                                       row.normalized_key(cmp.direction()),
+                                       wire)
+                    .ok());
+  }
+  auto row_meta = (*by_row)->Finish();
+  auto bytes_meta = (*by_bytes)->Finish();
+  ASSERT_TRUE(row_meta.ok());
+  ASSERT_TRUE(bytes_meta.ok());
+  EXPECT_EQ(bytes_meta->rows, rows.size());
+  EXPECT_EQ(bytes_meta->rows, row_meta->rows);
+  EXPECT_EQ(bytes_meta->bytes, row_meta->bytes);
+  EXPECT_EQ(bytes_meta->crc32c, row_meta->crc32c);
+  EXPECT_EQ(bytes_meta->first_key, row_meta->first_key);
+  EXPECT_EQ(bytes_meta->last_key, row_meta->last_key);
+  ASSERT_EQ(bytes_meta->index.size(), rows.size() / stride);
+  ASSERT_EQ(bytes_meta->index.size(), row_meta->index.size());
+  for (size_t i = 0; i < row_meta->index.size(); ++i) {
+    EXPECT_EQ(bytes_meta->index[i].key, row_meta->index[i].key) << i;
+    EXPECT_EQ(bytes_meta->index[i].rows, row_meta->index[i].rows) << i;
+    EXPECT_EQ(bytes_meta->index[i].bytes, row_meta->index[i].bytes) << i;
+  }
+  const auto file_bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string written = file_bytes(Path("by_bytes"));
+  EXPECT_EQ(written.size(), bytes_meta->bytes);
+  EXPECT_EQ(written, file_bytes(Path("by_row")));
+
+  // The sorted-order check guards this path too.
+  auto writer = RunWriter::Create(&env_, Path("out_of_order"), 2, cmp);
+  ASSERT_TRUE(writer.ok());
+  const Row high(5.0, 1, "x"), low(4.0, 2, "y");
+  wire.clear();
+  SerializeRow(high, &wire);
+  ASSERT_TRUE((*writer)
+                  ->AppendSerialized(high.key,
+                                     high.normalized_key(cmp.direction()),
+                                     wire)
+                  .ok());
+  wire.clear();
+  SerializeRow(low, &wire);
+  EXPECT_EQ((*writer)
+                ->AppendSerialized(low.key,
+                                   low.normalized_key(cmp.direction()), wire)
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(IoTest, RunWriterDescendingOrder) {

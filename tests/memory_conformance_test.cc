@@ -18,7 +18,10 @@
 #include <vector>
 
 #include "common/resource_arbiter.h"
+#include "common/random.h"
 #include "io/spill_manager.h"
+#include "sort/replacement_selection.h"
+#include "sort/run_generation.h"
 #include "tests/test_util.h"
 #include "topk/operator_factory.h"
 
@@ -228,6 +231,49 @@ TEST(MemoryConformanceTest, MeasuredHeapBacksTheGrantedBytes) {
       << measured_peak_delta << ", arbiter peak=" << arbiter.peak_bytes()
       << ")";
   EXPECT_GT(arbiter.peak_bytes(), 0u);
+}
+
+TEST(MemoryConformanceTest, RunGeneratorsHoldNoMoreThanTheyCharge) {
+  // Run generators keep rows as wire-format bytes in buffers they reuse. A
+  // buffer sized for a large row must not stay behind a small one: after
+  // every Add the bytes a generator holds stay within the bytes it charged
+  // for the rows it buffers. Payloads alternate between phases of 4 KiB,
+  // 8 B and 64 KiB rows, and each phase fills memory, so small rows keep
+  // landing where large ones were and large rows where small ones were.
+  ScratchDir scratch;
+  StorageEnv env;
+  auto spill = SpillManager::Create(&env, scratch.str());
+  ASSERT_TRUE(spill.ok()) << spill.status().ToString();
+  RunGeneratorOptions options;
+  options.memory_limit_bytes = 256 * 1024;
+  ReplacementSelectionRunGenerator selection(spill->get(), RowComparator(),
+                                             options);
+  QuicksortRunGenerator quicksort(spill->get(), RowComparator(), options);
+  const std::pair<size_t, size_t> phases[] = {
+      {4096, 300}, {8, 3000}, {64 * 1024, 20}};
+  Random rng(23);
+  uint64_t id = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (const auto& [payload, rows] : phases) {
+      for (size_t i = 0; i < rows; ++i, ++id) {
+        const Row row(rng.NextDouble(), id, std::string(payload, 'q'));
+        ASSERT_TRUE(selection.Add(row).ok());
+        ASSERT_TRUE(quicksort.Add(row).ok());
+        ASSERT_LE(selection.held_bytes(), selection.buffered_bytes())
+            << "replacement selection after row " << id;
+        ASSERT_LE(quicksort.held_bytes(), quicksort.buffered_bytes())
+            << "quicksort after row " << id;
+      }
+    }
+  }
+  EXPECT_GT(selection.buffered_bytes(), options.memory_limit_bytes / 2);
+  EXPECT_GT(quicksort.buffered_bytes(), 0u);
+  ASSERT_TRUE(selection.Flush().ok());
+  ASSERT_TRUE(quicksort.Flush().ok());
+  EXPECT_EQ(selection.held_bytes(), 0u);
+  EXPECT_EQ(quicksort.held_bytes(), 0u);
+  EXPECT_EQ(selection.stats().rows_spilled, id);
+  EXPECT_EQ(quicksort.stats().rows_spilled, id);
 }
 
 TEST(MemoryConformanceTest, FirstGrantDenialFailsTheQueryCleanly) {

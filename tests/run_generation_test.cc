@@ -8,6 +8,7 @@
 #include <ostream>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -555,8 +556,12 @@ class LoggingObserver : public SpillObserver {
   uint64_t probes_ = 0;
 };
 
-/// (key bits, id) of one row as it sits in a run.
-using RunRow = std::pair<uint64_t, uint64_t>;
+/// (key bits, id, payload) of one row as it sits in a run.
+using RunRow = std::tuple<uint64_t, uint64_t, std::string>;
+
+RunRow AsRunRow(const Row& row) {
+  return {std::bit_cast<uint64_t>(row.key), row.id, row.payload};
+}
 
 /// Replacement selection as a binary min-heap over (run_seq, normalized
 /// key): push the row, then pop the minimum while over budget and more than
@@ -642,8 +647,7 @@ class HeapModel {
       runs.emplace_back();
       run_open_ = true;
     }
-    runs.back().emplace_back(std::bit_cast<uint64_t>(entry.row.key),
-                             entry.row.id);
+    runs.back().push_back(AsRunRow(entry.row));
     if (options_.observer != nullptr) {
       options_.observer->OnRowSpilled(entry.row);
     }
@@ -664,6 +668,106 @@ class HeapModel {
   uint64_t current_seq_ = 0;
   bool has_last_ = false;
   NormalizedKey last_norm_;
+  bool run_open_ = false;
+};
+
+/// Load-sort-store as the plain algorithm over whole rows: buffer rows
+/// until the next one would pass the budget, then sort them and write them
+/// out in order. A cancellation stops the spill between two rows, the
+/// incoming row is buffered behind it, and the next Add or Flush finishes
+/// it. The generator's serialized buffer must spill exactly these rows,
+/// with the same run cuts, observer calls and stats.
+class QuicksortModel {
+ public:
+  QuicksortModel(const RunGeneratorOptions& options, SortDirection direction)
+      : options_(options), direction_(direction) {}
+
+  Status Add(Row row) {
+    const size_t cost = row.MemoryFootprint() + kPerRowOverheadBytes;
+    size_t limit = options_.memory_limit_bytes;
+    if (options_.arbiter != nullptr &&
+        options_.arbiter->pressure() >= MemoryPressure::kSoft) {
+      limit = std::max<size_t>(1, limit / 2);
+    }
+    Status spilled = order_.empty() ? Status::OK() : Spill();
+    if (spilled.ok() && buffered_bytes_ + cost > limit && !buffer_.empty()) {
+      spilled = Spill();
+    }
+    if (!spilled.ok() && spilled.code() != StatusCode::kCancelled) {
+      return spilled;
+    }
+    buffered_bytes_ += cost;
+    buffer_.push_back(std::move(row));
+    ++stats.rows_added;
+    stats.rows_in_memory = buffer_.size();
+    stats.peak_memory_bytes =
+        std::max(stats.peak_memory_bytes, buffered_bytes_);
+    return spilled;
+  }
+
+  Status Flush() {
+    while (!buffer_.empty()) TOPK_RETURN_NOT_OK(Spill());
+    return Status::OK();
+  }
+
+  void SetCancel(const CancellationToken* cancel) { options_.cancel = cancel; }
+
+  RunGeneratorStats stats;
+  std::vector<std::vector<RunRow>> runs;
+
+ private:
+  Status Spill() {
+    if (order_.empty()) {
+      for (size_t i = 0; i < buffer_.size(); ++i) order_.push_back(i);
+      std::sort(order_.begin(), order_.end(), [&](size_t a, size_t b) {
+        return buffer_[a].normalized_key(direction_) <
+               buffer_[b].normalized_key(direction_);
+      });
+      next_ = 0;
+    }
+    for (; next_ < order_.size(); ++next_) {
+      TOPK_RETURN_IF_CANCELLED(options_.cancel);
+      const Row& row = buffer_[order_[next_]];
+      if (options_.observer != nullptr &&
+          options_.observer->EliminateAtSpill(row)) {
+        ++stats.rows_eliminated_at_spill;
+        continue;
+      }
+      if (run_open_ && runs.back().size() >= options_.run_row_limit) {
+        CloseRun();
+      }
+      if (!run_open_) {
+        runs.emplace_back();
+        run_open_ = true;
+      }
+      runs.back().push_back(AsRunRow(row));
+      if (options_.observer != nullptr) options_.observer->OnRowSpilled(row);
+      ++stats.rows_spilled;
+    }
+    // Closes the last run, or tells the observer that a fully eliminated
+    // load ended.
+    CloseRun();
+    buffer_.erase(buffer_.begin(), buffer_.begin() + order_.size());
+    order_.clear();
+    buffered_bytes_ = 0;
+    for (const Row& row : buffer_) {
+      buffered_bytes_ += row.MemoryFootprint() + kPerRowOverheadBytes;
+    }
+    stats.rows_in_memory = buffer_.size();
+    return Status::OK();
+  }
+
+  void CloseRun() {
+    if (options_.observer != nullptr) options_.observer->OnRunFinished();
+    run_open_ = false;
+  }
+
+  RunGeneratorOptions options_;
+  SortDirection direction_;
+  std::vector<Row> buffer_;
+  size_t buffered_bytes_ = 0;
+  std::vector<size_t> order_;
+  size_t next_ = 0;
   bool run_open_ = false;
 };
 
@@ -696,14 +800,26 @@ double ShapedKey(KeyShape shape, size_t i, Random* rng) {
   return 0.0;
 }
 
-/// Payload lengths from 0 to 4 KiB, mostly small: against a 64 KiB budget a
-/// large row forces several spills in one Add, and the small rows after it
-/// often spill none.
+/// Payload lengths from 0 to 4 KiB, mostly small, with the string's
+/// inline-buffer edge (15 and 16 bytes) among them: against a 64 KiB budget
+/// a large row forces several spills in one Add, and the small rows after
+/// it often spill none.
 size_t PayloadBytes(Random* rng) {
   const uint64_t pick = rng->NextUint64(10);
+  if (pick < 1) return 15 + rng->NextUint64(2);
   if (pick < 5) return rng->NextUint64(65);
   if (pick < 9) return 64 + rng->NextUint64(449);
   return 1024 + rng->NextUint64(3073);
+}
+
+/// Bytes that differ from row to row and along the row, so a run that
+/// carries any stale or misplaced byte fails the comparison.
+std::string PayloadOf(uint64_t id, size_t bytes) {
+  std::string payload(bytes, '\0');
+  for (size_t i = 0; i < bytes; ++i) {
+    payload[i] = static_cast<char>(id * 131 + i * 7);
+  }
+  return payload;
 }
 
 struct DifferentialCase {
@@ -716,6 +832,9 @@ struct DifferentialCase {
   size_t soft_pressure_at = 0;
   /// Observer probe at which the query is cancelled (0 = never).
   uint64_t cancel_at_probe = 0;
+  /// Payloads alternate 4 KiB and 0-16 bytes instead of PayloadBytes, so
+  /// small rows keep taking over slots that held large ones.
+  bool large_then_small = false;
 };
 
 void PrintTo(const DifferentialCase& c, std::ostream* os) { *os << c.name; }
@@ -730,8 +849,10 @@ void ExpectSameStats(const RunGeneratorStats& tree,
   EXPECT_EQ(tree.rows_in_memory, model.rows_in_memory) << "row " << row;
 }
 
-class ReplacementSelectionDifferentialTest
-    : public ::testing::TestWithParam<DifferentialCase> {
+/// Feeds one input to a run generator and to its model, and compares the
+/// two row by row: status, stats, observer calls, and the runs read back
+/// byte for byte.
+class DifferentialTest : public ::testing::TestWithParam<DifferentialCase> {
  protected:
   void SetUp() override {
     dir_ = std::filesystem::temp_directory_path() /
@@ -760,18 +881,22 @@ class ReplacementSelectionDifferentialTest
       for (;;) {
         EXPECT_TRUE((*reader)->Next(&row, &eof).ok());
         if (eof) break;
-        runs.back().emplace_back(std::bit_cast<uint64_t>(row.key), row.id);
+        runs.back().push_back(AsRunRow(row));
       }
     }
     return runs;
   }
+
+  template <typename Model, typename Generator>
+  void ExpectSameAsModel();
 
   std::filesystem::path dir_;
   StorageEnv env_;
   std::unique_ptr<SpillManager> spill_;
 };
 
-TEST_P(ReplacementSelectionDifferentialTest, SpillsLikePushThenPopMinimum) {
+template <typename Model, typename Generator>
+void DifferentialTest::ExpectSameAsModel() {
   const DifferentialCase& c = GetParam();
   // Both sides share one arbiter. Its budget dwarfs their leases, so the
   // pressure level is set by the hog lease alone and both see it flip at
@@ -792,11 +917,10 @@ TEST_P(ReplacementSelectionDifferentialTest, SpillsLikePushThenPopMinimum) {
   options.arbiter = &arbiter;
   options.observer = &model_observer;
   options.cancel = &model_cancel;
-  HeapModel model(options, c.direction);
+  Model model(options, c.direction);
   options.observer = &tree_observer;
   options.cancel = &tree_cancel;
-  ReplacementSelectionRunGenerator tree(spill_.get(),
-                                        RowComparator(c.direction), options);
+  Generator tree(spill_.get(), RowComparator(c.direction), options);
 
   Random rng(1000 + static_cast<uint64_t>(c.shape));
   MemoryLease hog;
@@ -812,7 +936,11 @@ TEST_P(ReplacementSelectionDifferentialTest, SpillsLikePushThenPopMinimum) {
       ASSERT_EQ(arbiter.pressure(), MemoryPressure::kSoft);
     }
     const double key = ShapedKey(c.shape, added, &rng);
-    const Row row(key, added, std::string(PayloadBytes(&rng), 'p'));
+    const size_t payload_bytes =
+        !c.large_then_small ? PayloadBytes(&rng)
+        : added % 2 == 0    ? 4096
+                            : rng.NextUint64(17);
+    const Row row(key, added, PayloadOf(added, payload_bytes));
     const uint64_t probes_before = tree_observer.probes();
     const Status model_status = model.Add(row);
     const Status tree_status = tree.Add(row);
@@ -825,7 +953,8 @@ TEST_P(ReplacementSelectionDifferentialTest, SpillsLikePushThenPopMinimum) {
       break;
     }
   }
-  if (c.shape == KeyShape::kRandom && c.cancel_at_probe == 0) {
+  if (std::is_same_v<Generator, ReplacementSelectionRunGenerator> &&
+      c.shape == KeyShape::kRandom && c.cancel_at_probe == 0) {
     EXPECT_GT(adds_by_spills[0], 0u);
     EXPECT_GT(adds_by_spills[1], 0u);
     EXPECT_GT(adds_by_spills[2], 0u);
@@ -847,6 +976,17 @@ TEST_P(ReplacementSelectionDifferentialTest, SpillsLikePushThenPopMinimum) {
             added);
   EXPECT_EQ(tree_observer.log, model_observer.log);
   EXPECT_EQ(ReadRuns(), model.runs);
+}
+
+class ReplacementSelectionDifferentialTest : public DifferentialTest {};
+class QuicksortDifferentialTest : public DifferentialTest {};
+
+TEST_P(ReplacementSelectionDifferentialTest, SpillsLikePushThenPopMinimum) {
+  ExpectSameAsModel<HeapModel, ReplacementSelectionRunGenerator>();
+}
+
+TEST_P(QuicksortDifferentialTest, SpillsLikeSortingEachLoad) {
+  ExpectSameAsModel<QuicksortModel, QuicksortRunGenerator>();
 }
 
 DifferentialCase Case(std::string name, KeyShape shape) {
@@ -883,6 +1023,12 @@ std::vector<DifferentialCase> DifferentialCases() {
   c = Case("SoftPressureDescending", KeyShape::kDescending);
   c.soft_pressure_at = 2500;
   cases.push_back(c);
+  c = Case("LargeThenSmall", KeyShape::kRandom);
+  c.large_then_small = true;
+  cases.push_back(c);
+  c = Case("LargeThenSmallDescending", KeyShape::kDescending);
+  c.large_then_small = true;
+  cases.push_back(c);
   for (const uint64_t probe : {1, 700, 701, 702, 2001}) {
     c = Case("CancelAtProbe" + std::to_string(probe), KeyShape::kRandom);
     c.eliminate_every_third = true;
@@ -892,12 +1038,14 @@ std::vector<DifferentialCase> DifferentialCases() {
   return cases;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Inputs, ReplacementSelectionDifferentialTest,
-    ::testing::ValuesIn(DifferentialCases()),
-    [](const ::testing::TestParamInfo<DifferentialCase>& info) {
-      return info.param.name;
-    });
+std::string CaseName(const ::testing::TestParamInfo<DifferentialCase>& info) {
+  return info.param.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Inputs, ReplacementSelectionDifferentialTest,
+                         ::testing::ValuesIn(DifferentialCases()), CaseName);
+INSTANTIATE_TEST_SUITE_P(Inputs, QuicksortDifferentialTest,
+                         ::testing::ValuesIn(DifferentialCases()), CaseName);
 
 }  // namespace
 }  // namespace topk

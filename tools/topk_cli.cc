@@ -462,13 +462,19 @@ int main(int argc, char** argv) {
   if (!op.ok()) return Fail(op.status());
 
   if (resume_from.empty()) {
-    std::printf("running %s: top-%lld%s of %lld %s rows, %.1f MiB memory\n",
+    // The limit the operator runs with, not the flag: the heap operator
+    // ignores --memory-mb.
+    char memory[32] = "unbounded";
+    if (options.memory_limit_bytes != std::numeric_limits<size_t>::max()) {
+      std::snprintf(memory, sizeof(memory), "%.1f MiB", memory_mb);
+    }
+    std::printf("running %s: top-%lld%s of %lld %s rows, %s memory\n",
                 TopKAlgorithmName(algorithm).c_str(),
                 static_cast<long long>(k),
                 offset > 0 ? (" offset " + std::to_string(offset)).c_str()
                            : "",
                 static_cast<long long>(n),
-                trace_keys.empty() ? dist_name.c_str() : "trace", memory_mb);
+                trace_keys.empty() ? dist_name.c_str() : "trace", memory);
   } else {
     std::printf(
         "resuming %s: top-%lld%s from %s/%s (%zu runs restored, %zu "
