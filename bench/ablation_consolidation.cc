@@ -43,7 +43,8 @@ int main() {
       options.histogram_consolidation = policy;
       StorageEnv env;
       options.env = &env;
-      options.spill_dir = dir.Sub("b" + std::to_string(run_id++));
+      options.spill_dir =
+          dir.Sub(std::string("b").append(std::to_string(run_id++)));
 
       RunResult result =
           MeasureTopK(TopKAlgorithm::kHistogram, options, spec);

@@ -38,7 +38,8 @@ int main() {
     options.memory_limit_bytes = memory_rows * row_bytes;
     StorageEnv env;
     options.env = &env;
-    options.spill_dir = dir.Sub("t" + std::to_string(run_id++));
+    options.spill_dir =
+        dir.Sub(std::string("t").append(std::to_string(run_id++)));
 
     auto op = ApproxTopK::Make(options, tolerance);
     TOPK_CHECK(op.ok()) << op.status().ToString();

@@ -107,11 +107,13 @@ int main() {
   }
 
   // ---- Phase 2: a fresh process restores the checkpoint and finishes.
-  auto restored = SpillManager::Restore(&env, dir, kManifest,
-                                        /*verify_runs=*/true);
-  if (!restored.ok()) {
+  RestoreReport report;
+  auto restored = SpillManager::OpenExisting(&env, dir, kManifest,
+                                             RowComparator(), {}, &report);
+  if (!restored.ok() || !report.quarantined.empty()) {
     std::fprintf(stderr, "restore failed: %s\n",
-                 restored.status().ToString().c_str());
+                 restored.ok() ? "a run failed verification"
+                               : restored.status().ToString().c_str());
     return 1;
   }
   std::printf("phase 2: restored %zu runs (checksums verified)\n",

@@ -59,7 +59,8 @@ bool CancellationToken::ShouldStop() const {
   if (shield_depth_.load(std::memory_order_relaxed) > 0) return false;
   if (stop_.load(std::memory_order_relaxed)) return true;
   const uint64_t deadline = deadline_nanos_.load(std::memory_order_relaxed);
-  if (deadline != 0 && watch_.ElapsedNanos() >= deadline) {
+  if (deadline != 0 &&
+      static_cast<uint64_t>(watch_.ElapsedNanos()) >= deadline) {
     LatchDeadline();
     return true;
   }

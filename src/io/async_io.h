@@ -79,10 +79,6 @@ struct IoPipelineOptions {
   /// pipeline is active, so backoff never stalls the producer. Default:
   /// up to 4 attempts with 1 ms initial backoff.
   RetryPolicy retry;
-  /// Verify each fully-drained run against its recorded CRC-32C and row
-  /// count inline on the merge read path (checksum mismatch = permanent
-  /// Corruption, never retried).
-  bool verify_read_checksums = true;
   /// Total bytes of prefetched-but-unconsumed block memory all readers of
   /// one SpillManager may hold *beyond* their first lookahead block. The
   /// merge planner apportions it across the live runs of a merge step

@@ -84,42 +84,6 @@ Result<std::unique_ptr<SpillManager>> SpillManager::Create(
       new SpillManager(env, std::move(dir), io));
 }
 
-Result<std::unique_ptr<SpillManager>> SpillManager::Restore(
-    StorageEnv* env, std::string dir, const std::string& manifest_filename,
-    bool verify_runs, const RowComparator& comparator,
-    const IoPipelineOptions& io) {
-  auto manager = std::unique_ptr<SpillManager>(
-      new SpillManager(env, std::move(dir), io));
-  // A failed restore must leave the directory intact for another attempt.
-  manager->owns_dir_ = false;
-  std::vector<RunMeta> runs;
-  ManifestCheckpoint ckpt;
-  bool has_ckpt = false;
-  TOPK_ASSIGN_OR_RETURN(
-      runs, ReadManifest(env, manager->dir_ + "/" + manifest_filename,
-                         io.retry, &ckpt, &has_ckpt));
-  if (has_ckpt) manager->SetManifestCheckpoint(ckpt);
-  uint64_t max_id = 0;
-  for (RunMeta& run : runs) {
-    if (verify_runs) {
-      TOPK_RETURN_NOT_OK(manager->VerifyRun(run, comparator));
-    }
-    max_id = std::max(max_id, run.id);
-    manager->AddRun(std::move(run));
-  }
-  {
-    std::lock_guard<std::mutex> lock(manager->mu_);
-    // Also advance past the checkpoint's run-id frontier: runs above it
-    // may have been deleted by a resume, and replay output must not reuse
-    // their ids (a second crash would mistake it for covered state).
-    manager->next_run_id_ =
-        std::max(runs.empty() ? 0 : max_id + 1,
-                 has_ckpt ? ckpt.run_id_bound : 0);
-  }
-  manager->owns_dir_ = true;  // restored successfully: normal lifecycle
-  return manager;
-}
-
 Result<std::unique_ptr<SpillManager>> SpillManager::OpenExisting(
     StorageEnv* env, std::string dir, const std::string& manifest_filename,
     const RowComparator& comparator, const IoPipelineOptions& io,
@@ -366,12 +330,10 @@ Result<std::unique_ptr<RunReader>> SpillManager::OpenRun(
   ThreadPool* prefetch_pool =
       io_options_.enable_prefetch ? io_pool_.get() : nullptr;
   RunReadVerification verify;
-  if (io_options_.verify_read_checksums) {
-    verify.enabled = true;
-    verify.expected_crc32c = meta.crc32c;
-    verify.expected_rows = meta.rows;
-    verify.run_id = meta.id;
-  }
+  verify.enabled = true;
+  verify.expected_crc32c = meta.crc32c;
+  verify.expected_rows = meta.rows;
+  verify.run_id = meta.id;
   PrefetchTuning tuning;
   tuning.hedge_reads = io_options_.hedge_reads;
   tuning.hedge_latency_multiplier = io_options_.hedge_latency_multiplier;

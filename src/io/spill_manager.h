@@ -51,19 +51,11 @@ class SpillManager {
       StorageEnv* env, std::string dir, const IoPipelineOptions& io = {});
 
   /// Re-opens an existing spill directory from a manifest previously
-  /// written by SaveManifest: the listed runs are registered (optionally
-  /// re-verified against their checksums) and run-id allocation continues
-  /// past them. Enables resuming the merge phase of a crashed or paused
-  /// operator without regenerating runs.
-  static Result<std::unique_ptr<SpillManager>> Restore(
-      StorageEnv* env, std::string dir, const std::string& manifest_filename,
-      bool verify_runs, const RowComparator& comparator = RowComparator(),
-      const IoPipelineOptions& io = {});
-
-  /// The crash-recovery variant of Restore: every manifest run is verified
-  /// end-to-end, and a run that fails verification (missing file, torn
-  /// tail, checksum mismatch) is *quarantined* — recorded in `report` and
-  /// left on disk, but not registered — instead of failing the whole
+  /// written by SaveManifest, so the merge phase of a crashed or paused
+  /// operator resumes without regenerating runs. Every manifest run is
+  /// verified end-to-end, and a run that fails verification (missing file,
+  /// torn tail, checksum mismatch) is *quarantined* — recorded in `report`
+  /// and left on disk, but not registered — instead of failing the whole
   /// restore. Only an unreadable manifest is fatal. Run-id allocation
   /// continues past every id the manifest mentions, including quarantined
   /// ones, so recovered merge output never collides with leftover files.
@@ -150,8 +142,8 @@ class SpillManager {
   /// every run it covers has been registered via AddRun.
   void SetManifestCheckpoint(const ManifestCheckpoint& checkpoint);
 
-  /// The checkpoint read back by Restore/OpenExisting (empty if the
-  /// manifest had none), updated by SetManifestCheckpoint.
+  /// The checkpoint read back by OpenExisting (empty if the manifest had
+  /// none), updated by SetManifestCheckpoint.
   std::optional<ManifestCheckpoint> manifest_checkpoint() const;
 
   /// Drops the input checkpoint: subsequent manifest writes revert to the
@@ -236,9 +228,9 @@ class SpillManager {
   /// io_options_.arbiter (0 = none): soft pressure flips the prefetch
   /// budget's shrink flag so readers halve their lookahead windows.
   MemoryArbiter::ResponderId pressure_responder_ = 0;
-  /// Whether the destructor removes the directory. Cleared while Restore
-  /// is still loading so a failed restore never destroys the on-disk state
-  /// it was asked to recover.
+  /// Whether the destructor removes the directory. Cleared while
+  /// OpenExisting is still loading so a failed restore never destroys the
+  /// on-disk state it was asked to recover.
   bool owns_dir_ = true;
 
   mutable std::mutex mu_;

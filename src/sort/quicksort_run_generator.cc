@@ -4,28 +4,11 @@
 
 #include "common/query_control.h"
 #include "common/stopwatch.h"
-#include "obs/obs_context.h"
 #include "obs/trace.h"
 #include "row/serialization.h"
-#include "sort/fan_out_run_generator.h"
-#include "sort/replacement_selection.h"
 #include "sort/run_generation.h"
 
 namespace topk {
-
-std::unique_ptr<RunGenerator> MakeRunGenerator(
-    RunGenerationKind kind, SpillManager* spill,
-    const RowComparator& comparator, const RunGeneratorOptions& options) {
-  if (options.workers > 1) {
-    return std::make_unique<FanOutRunGenerator>(kind, spill, comparator,
-                                                options);
-  }
-  if (kind == RunGenerationKind::kReplacementSelection) {
-    return std::make_unique<ReplacementSelectionRunGenerator>(
-        spill, comparator, options);
-  }
-  return std::make_unique<QuicksortRunGenerator>(spill, comparator, options);
-}
 
 namespace {
 
@@ -45,17 +28,20 @@ void GrowInto(std::vector<T>* v, size_t need, size_t* spare_bytes) {
 QuicksortRunGenerator::QuicksortRunGenerator(
     SpillManager* spill, const RowComparator& comparator,
     const RunGeneratorOptions& options)
-    : spill_(spill), comparator_(comparator), options_(options) {}
+    : comparator_(comparator),
+      options_(options),
+      sink_(spill, comparator, options) {}
 
 Status QuicksortRunGenerator::Add(Row row) {
-  TOPK_RETURN_NOT_OK(ValidateRowPayload(row));
-  const size_t cost = row.MemoryFootprint() + kPerRowOverheadBytes;
+  size_t cost;
+  TOPK_ASSIGN_OR_RETURN(cost, RunSink::RowCharge(row));
   // A spill that a cancellation stopped is finished before more is
   // buffered.
   Status spilled = sorted_ == 0 ? Status::OK() : SortAndSpill();
-  if (spilled.ok() && buffered_bytes_ + cost > SpillThreshold(options_) &&
+  const size_t charged = sink_.buffered_bytes() + cost;
+  if (spilled.ok() && charged > SpillThreshold(options_) &&
       !entries_.empty()) {
-    if (buffered_bytes_ + cost <= options_.memory_limit_bytes) {
+    if (charged <= options_.memory_limit_bytes) {
       CountEarlySpill();
     }
     spilled = SortAndSpill();
@@ -64,17 +50,9 @@ Status QuicksortRunGenerator::Add(Row row) {
   // A cancelled spill is held where it stopped, for the next Add or Flush
   // to finish, and the incoming row is buffered behind it: a query kept
   // for resume loses no row.
-  buffered_bytes_ += cost;
-  if (options_.arbiter != nullptr && !lease_.attached()) {
-    TOPK_ASSIGN_OR_RETURN(lease_,
-                          options_.arbiter->Acquire("run-generation", 0));
-  }
-  TOPK_RETURN_NOT_OK(lease_.EnsureAtLeast(buffered_bytes_));
+  TOPK_RETURN_NOT_OK(sink_.Charge(cost));
   Buffer(row);
-  ++stats_.rows_added;
-  stats_.rows_in_memory = entries_.size();
-  stats_.peak_memory_bytes =
-      std::max(stats_.peak_memory_bytes, buffered_bytes_);
+  sink_.set_rows_in_memory(entries_.size());
   return spilled;
 }
 
@@ -85,8 +63,9 @@ void QuicksortRunGenerator::Buffer(const Row& row) {
   // A row is charged more than its bytes and its entry, so the buffers
   // always fit in the bytes charged; what the charges leave over is the
   // room they may double into.
-  size_t spare = buffered_bytes_ - std::max(wire_need, wire_.capacity()) -
-                 std::max(entries_need, entries_.capacity()) * sizeof(Entry);
+  size_t spare =
+      sink_.buffered_bytes() - std::max(wire_need, wire_.capacity()) -
+      std::max(entries_need, entries_.capacity()) * sizeof(Entry);
   GrowInto(&wire_, wire_need, &spare);
   GrowInto(&entries_, entries_need, &spare);
   wire_.resize(wire_need);
@@ -108,7 +87,7 @@ Status QuicksortRunGenerator::SortAndSpill() {
     // two-word integer compare, and the variable-size wire bytes are never
     // moved during the sort — only the 24-byte entries are.
     sorted_ = entries_.size();
-    sorted_charge_ = buffered_bytes_;
+    sorted_charge_ = sink_.buffered_bytes();
     next_ = 0;
     TraceSpan sort_span("rungen.quicksort", "sort");
     std::sort(entries_.begin(), entries_.end(),
@@ -116,42 +95,20 @@ Status QuicksortRunGenerator::SortAndSpill() {
   }
 
   // A cancellation stops the spill between two rows and keeps its place
-  // (next_, the open writer_): finishing it later writes every row once
+  // (next_, the sink's open run): finishing it later writes every row once
   // and reports each to the observer once.
   for (; next_ < sorted_; ++next_) {
     TOPK_RETURN_IF_CANCELLED(options_.cancel);
     const Entry& entry = entries_[next_];
     const char* bytes = wire_.data() + entry.offset;
     const RowHeader header = ReadRowHeader(bytes);
-    observed_.key = header.key;
-    observed_.id = header.id;
-    if (options_.observer != nullptr &&
-        options_.observer->EliminateAtSpill(observed_)) {
-      ++stats_.rows_eliminated_at_spill;
-      continue;
-    }
-    if (writer_ != nullptr && rows_in_run_ >= options_.run_row_limit) {
-      TOPK_RETURN_NOT_OK(FinishRun());
-    }
-    if (writer_ == nullptr) {
-      TOPK_ASSIGN_OR_RETURN(
-          writer_, spill_->NewRun(comparator_, options_.run_index_stride));
-    }
-    TOPK_RETURN_NOT_OK(writer_->AppendSerialized(
-        header.key, entry.norm,
+    TOPK_RETURN_NOT_OK(sink_.Spill(
+        header.key, header.id, entry.norm,
         std::string_view(bytes, kRowHeaderBytes + header.payload_len)));
-    if (options_.observer != nullptr) {
-      options_.observer->OnRowSpilled(observed_);
-    }
-    ++stats_.rows_spilled;
-    ++rows_in_run_;
   }
-  if (writer_ != nullptr) {
-    TOPK_RETURN_NOT_OK(FinishRun());
-  } else if (options_.observer != nullptr) {
-    // Everything was eliminated; still reset the observer's per-run state.
-    options_.observer->OnRunFinished();
-  }
+  // A load the observer eliminated whole opened no run, but still ends
+  // one for the observer.
+  TOPK_RETURN_NOT_OK(sink_.CloseRun());
   // Rows buffered behind a cancelled spill were not in its order; their
   // bytes follow all of the spilled rows' bytes. They stay for the next
   // spill, in buffers of exactly their size, so the bytes held stay within
@@ -163,22 +120,11 @@ Status QuicksortRunGenerator::SortAndSpill() {
   for (Entry& entry : entries) entry.offset -= spilled_bytes;
   wire_.swap(wire);
   entries_.swap(entries);
-  buffered_bytes_ -= sorted_charge_;
+  sink_.Refund(sorted_charge_);
   sorted_ = 0;
-  lease_.ShrinkTo(buffered_bytes_);
-  stats_.rows_in_memory = entries_.size();
+  sink_.ShrinkLease();
+  sink_.set_rows_in_memory(entries_.size());
   return Status::OK();
-}
-
-Status QuicksortRunGenerator::FinishRun() {
-  RunMeta meta;
-  TOPK_ASSIGN_OR_RETURN(meta, writer_->Finish());
-  if (options_.observer != nullptr) {
-    meta.histogram = options_.observer->OnRunFinished();
-  }
-  writer_.reset();
-  rows_in_run_ = 0;
-  return spill_->AddRun(std::move(meta));
 }
 
 Status QuicksortRunGenerator::Flush() {

@@ -4,9 +4,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "common/stopwatch.h"
-#include "obs/obs_context.h"
-#include "obs/trace.h"
 #include "row/serialization.h"
 
 namespace topk {
@@ -14,42 +11,34 @@ namespace topk {
 ReplacementSelectionRunGenerator::ReplacementSelectionRunGenerator(
     SpillManager* spill, const RowComparator& comparator,
     const RunGeneratorOptions& options)
-    : spill_(spill),
-      comparator_(comparator),
-      options_(options) {}
+    : comparator_(comparator),
+      options_(options),
+      sink_(spill, comparator, options) {}
 
 Status ReplacementSelectionRunGenerator::Add(Row row) {
-  TOPK_RETURN_NOT_OK(ValidateRowPayload(row));
+  size_t cost;
+  TOPK_ASSIGN_OR_RETURN(cost, RunSink::RowCharge(row));
   const NormalizedKey norm = row.normalized_key(comparator_.direction());
   uint64_t seq = current_seq_;
   if (has_last_spilled_ && norm < last_spilled_norm_) {
     // Too small to extend the current run in sorted order: defer.
     seq = current_seq_ + 1;
   }
-  const size_t cost = row.MemoryFootprint() + kPerRowOverheadBytes;
-  buffered_bytes_ += cost;
-  if (options_.arbiter != nullptr && !lease_.attached()) {
-    TOPK_ASSIGN_OR_RETURN(lease_,
-                          options_.arbiter->Acquire("run-generation", 0));
-  }
-  TOPK_RETURN_NOT_OK(lease_.EnsureAtLeast(buffered_bytes_));
-  ++stats_.rows_added;
-  stats_.rows_in_memory = rows_buffered_ + 1;
-  stats_.peak_memory_bytes =
-      std::max(stats_.peak_memory_bytes, buffered_bytes_);
+  TOPK_RETURN_NOT_OK(sink_.Charge(cost));
+  sink_.set_rows_in_memory(rows_buffered_ + 1);
   const size_t effective_limit = SpillThreshold(options_);
   // The incoming row is charged from here on, but it enters the tree only
   // if the first spill does not take it.
   const Node key{seq, norm, 0};
   bool pending = true;
   bool early = false;
-  while (buffered_bytes_ > effective_limit &&
+  while (sink_.buffered_bytes() > effective_limit &&
          rows_buffered_ + (pending ? 1 : 0) > 1) {
     if (options_.cancel != nullptr && options_.cancel->ShouldStop()) {
       if (pending) Place(key, row, cost);
       return options_.cancel->status();
     }
-    if (!early && buffered_bytes_ <= options_.memory_limit_bytes) {
+    if (!early && sink_.buffered_bytes() <= options_.memory_limit_bytes) {
       early = true;
       CountEarlySpill();
     }
@@ -61,8 +50,8 @@ Status ReplacementSelectionRunGenerator::Add(Row row) {
     }
   }
   if (pending) Place(key, row, cost);
-  lease_.ShrinkTo(buffered_bytes_);
-  stats_.rows_in_memory = rows_buffered_;
+  sink_.ShrinkLease();
+  sink_.set_rows_in_memory(rows_buffered_);
   return Status::OK();
 }
 
@@ -151,10 +140,10 @@ Status ReplacementSelectionRunGenerator::SpillFused(const Node& key,
     return spilled;
   }
   if (incoming_first) {
-    buffered_bytes_ -= charge;
+    sink_.Refund(charge);
     return Status::OK();
   }
-  buffered_bytes_ -= slot.charge;
+  sink_.Refund(slot.charge);
   Store(row, charge, &slot);
   tree_[slots_.size() + winner.slot] = Node{key.run_seq, key.norm, winner.slot};
   Replay(winner.slot);
@@ -167,7 +156,7 @@ Status ReplacementSelectionRunGenerator::SpillWinner() {
   TOPK_RETURN_NOT_OK(SpillRow(winner, slot.key, slot.id,
                               std::string_view(slot.wire.get(), slot.size)));
   // An empty slot is charged nothing, so it holds nothing.
-  buffered_bytes_ -= slot.charge;
+  sink_.Refund(slot.charge);
   slot = Slot();
   tree_[slots_.size() + winner.slot].run_seq = kEmptyRunSeq;
   free_slots_.push_back(winner.slot);
@@ -181,61 +170,16 @@ Status ReplacementSelectionRunGenerator::SpillRow(const Node& node, double key,
                                                   std::string_view wire) {
   if (node.run_seq != current_seq_) {
     // The current logical run is exhausted; start the next one.
-    TOPK_RETURN_NOT_OK(CloseRun());
+    TOPK_RETURN_NOT_OK(sink_.CloseRun());
     current_seq_ = node.run_seq;
     has_last_spilled_ = false;
   }
-
-  observed_.key = key;
-  observed_.id = id;
-  if (options_.observer != nullptr &&
-      options_.observer->EliminateAtSpill(observed_)) {
-    ++stats_.rows_eliminated_at_spill;
-    return Status::OK();
+  bool written = false;
+  TOPK_RETURN_NOT_OK(sink_.Spill(key, id, node.norm, wire, &written));
+  if (written) {
+    last_spilled_norm_ = node.norm;
+    has_last_spilled_ = true;
   }
-
-  if (writer_ != nullptr && rows_in_physical_run_ >= options_.run_row_limit) {
-    TOPK_RETURN_NOT_OK(CloseRun());
-  }
-  TOPK_RETURN_NOT_OK(EnsureWriter());
-  TOPK_RETURN_NOT_OK(writer_->AppendSerialized(key, node.norm, wire));
-  if (options_.observer != nullptr) {
-    options_.observer->OnRowSpilled(observed_);
-  }
-  ++stats_.rows_spilled;
-  ++rows_in_physical_run_;
-  last_spilled_norm_ = node.norm;
-  has_last_spilled_ = true;
-  return Status::OK();
-}
-
-Status ReplacementSelectionRunGenerator::EnsureWriter() {
-  if (writer_ == nullptr) {
-    // Opening and closing a run file costs far more than spilling a row;
-    // a sampled consume timer must not scale it up.
-    SampledScopeTimer::InFull in_full;
-    TOPK_ASSIGN_OR_RETURN(
-        writer_, spill_->NewRun(comparator_, options_.run_index_stride));
-    rows_in_physical_run_ = 0;
-  }
-  return Status::OK();
-}
-
-Status ReplacementSelectionRunGenerator::CloseRun() {
-  std::vector<HistogramBucket> histogram;
-  if (options_.observer != nullptr) {
-    histogram = options_.observer->OnRunFinished();
-  }
-  if (writer_ == nullptr) return Status::OK();
-  SampledScopeTimer::InFull in_full;
-  TraceSpan span("rungen.close_run", "sort",
-                 {TraceArg("rows", rows_in_physical_run_)});
-  RunMeta meta;
-  TOPK_ASSIGN_OR_RETURN(meta, writer_->Finish());
-  meta.histogram = std::move(histogram);
-  TOPK_RETURN_NOT_OK(spill_->AddRun(std::move(meta)));
-  writer_.reset();
-  rows_in_physical_run_ = 0;
   return Status::OK();
 }
 
@@ -244,10 +188,9 @@ Status ReplacementSelectionRunGenerator::Flush() {
     TOPK_RETURN_IF_CANCELLED(options_.cancel);
     TOPK_RETURN_NOT_OK(SpillWinner());
   }
-  TOPK_RETURN_NOT_OK(CloseRun());
-  buffered_bytes_ = 0;
-  lease_.Release();
-  stats_.rows_in_memory = 0;
+  TOPK_RETURN_NOT_OK(sink_.CloseRun());
+  sink_.ReleaseCharges();
+  sink_.set_rows_in_memory(0);
   return Status::OK();
 }
 

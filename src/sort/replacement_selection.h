@@ -56,12 +56,12 @@ class ReplacementSelectionRunGenerator : public RunGenerator {
   void SetCancel(const CancellationToken* cancel) override {
     options_.cancel = cancel;
   }
-  const RunGeneratorStats& stats() const override { return stats_; }
+  const RunGeneratorStats& stats() const override { return sink_.stats(); }
 
   /// Logical run sequence currently being written (for tests).
   uint64_t current_run_seq() const { return current_seq_; }
   /// Bytes charged for the buffered rows (for tests).
-  size_t buffered_bytes() const { return buffered_bytes_; }
+  size_t buffered_bytes() const { return sink_.buffered_bytes(); }
   /// Bytes the buffered rows occupy: slot records and wire buffers (for
   /// tests). Never above buffered_bytes().
   size_t held_bytes() const;
@@ -115,17 +115,14 @@ class ReplacementSelectionRunGenerator : public RunGenerator {
   /// when it sorts before the winner, otherwise spills the winner and puts
   /// the incoming row in its slot.
   Status SpillFused(const Node& key, const Row& row, size_t charge);
-  /// Writes one row that is leaving the buffer to the current run,
-  /// honoring elimination, run boundaries, and the physical row limit.
+  /// Hands one row that is leaving the buffer to the sink, first closing
+  /// the run when the row starts the next logical one.
   Status SpillRow(const Node& node, double key, uint64_t id,
                   std::string_view wire);
-  Status CloseRun();
-  Status EnsureWriter();
 
-  SpillManager* spill_;
   RowComparator comparator_;
   RunGeneratorOptions options_;
-  RunGeneratorStats stats_;
+  RunSink sink_;
 
   /// Tournament tree of winners: the leaf of slot s is
   /// tree_[slots_.size() + s], the children of node i are 2i and 2i + 1
@@ -136,9 +133,6 @@ class ReplacementSelectionRunGenerator : public RunGenerator {
   std::vector<Slot> slots_;
   std::vector<size_t> free_slots_;
   size_t rows_buffered_ = 0;
-  size_t buffered_bytes_ = 0;
-  /// Lease covering buffered_bytes_ (detached without an arbiter).
-  MemoryLease lease_;
 
   uint64_t current_seq_ = 0;
   bool has_last_spilled_ = false;
@@ -146,12 +140,8 @@ class ReplacementSelectionRunGenerator : public RunGenerator {
   /// the can-this-row-extend-the-run test is one integer compare.
   NormalizedKey last_spilled_norm_;
 
-  std::unique_ptr<RunWriter> writer_;
-  uint64_t rows_in_physical_run_ = 0;
   /// Wire bytes of an incoming row spilled without entering the tree.
   std::string incoming_wire_;
-  /// The row shown to the observer: key and id, no payload.
-  Row observed_;
 };
 
 }  // namespace topk

@@ -5,11 +5,13 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/memory_accounting.h"
 #include "common/resource_arbiter.h"
+#include "common/result.h"
 #include "common/status.h"
 #include "histogram/bucket.h"
 #include "io/spill_manager.h"
@@ -108,6 +110,91 @@ inline void CountEarlySpill() {
   counter.Add(1);
 }
 
+/// The one spill path of run generation: every run generator turns a row
+/// leaving its buffer into run-file bytes here, so the cutoff filter logic
+/// of Algorithm 1 attaches to each of them the same way (Sec 3.1.2). A row
+/// is first shown to the observer, which may drop it (line 11); a kept row
+/// is appended to the current physical run, which is opened on demand and
+/// cut at run_row_limit rows, and then reported to the observer (line 13).
+///
+/// The sink also keeps the row charges a generator's Add takes and its
+/// spills return (the bytes charged for buffered rows and the arbiter lease
+/// over them) and the generator's stats. Generators hold it by value, so a
+/// spilled row costs no virtual call beyond the observer's.
+class RunSink {
+ public:
+  RunSink(SpillManager* spill, const RowComparator& comparator,
+          const RunGeneratorOptions& options);
+
+  /// What `row` is charged from Add until it spills: its footprint as it
+  /// arrived plus the per-row bookkeeping. Fails on an invalid payload.
+  static Result<size_t> RowCharge(const Row& row);
+
+  /// Charges one added row's `cost`, holds the `run-generation` lease
+  /// (acquired on first use) over every buffered byte, and counts the row
+  /// and the peak.
+  Status Charge(size_t cost);
+  /// Returns the charge of rows that left the buffer.
+  void Refund(size_t cost) { buffered_bytes_ -= cost; }
+  /// Shrinks the lease to the bytes still charged.
+  void ShrinkLease() { lease_.ShrinkTo(buffered_bytes_); }
+  /// Drops every charge and the lease: the input ended.
+  void ReleaseCharges() {
+    buffered_bytes_ = 0;
+    lease_.Release();
+  }
+  size_t buffered_bytes() const { return buffered_bytes_; }
+
+  /// Writes one row leaving the buffer, given as its key, id, normalized
+  /// key and wire-format bytes, to the current physical run. Sets
+  /// `*written` unless the observer eliminated the row.
+  Status Spill(double key, uint64_t id, const NormalizedKey& norm,
+               std::string_view wire, bool* written = nullptr) {
+    observed_.key = key;
+    observed_.id = id;
+    if (observer_ != nullptr && observer_->EliminateAtSpill(observed_)) {
+      ++stats_.rows_eliminated_at_spill;
+      return Status::OK();
+    }
+    if (writer_ == nullptr || rows_in_run_ >= run_row_limit_) {
+      TOPK_RETURN_NOT_OK(StartRun());
+    }
+    TOPK_RETURN_NOT_OK(writer_->AppendSerialized(key, norm, wire));
+    if (observer_ != nullptr) observer_->OnRowSpilled(observed_);
+    ++stats_.rows_spilled;
+    ++rows_in_run_;
+    if (written != nullptr) *written = true;
+    return Status::OK();
+  }
+
+  /// Ends the current run: the observer's per-run state is always reset,
+  /// and an open run is finished, given the observer's histogram and
+  /// registered with the SpillManager.
+  Status CloseRun();
+
+  const RunGeneratorStats& stats() const { return stats_; }
+  void set_rows_in_memory(uint64_t rows) { stats_.rows_in_memory = rows; }
+
+ private:
+  /// Closes the open run, if any, and opens the next one.
+  Status StartRun();
+
+  SpillManager* spill_;
+  RowComparator comparator_;
+  SpillObserver* observer_;
+  uint64_t run_row_limit_;
+  uint64_t run_index_stride_;
+  MemoryArbiter* arbiter_;
+  RunGeneratorStats stats_;
+  std::unique_ptr<RunWriter> writer_;
+  uint64_t rows_in_run_ = 0;
+  /// The row shown to the observer: key and id, no payload.
+  Row observed_;
+  size_t buffered_bytes_ = 0;
+  /// Lease covering buffered_bytes_ (detached without an arbiter).
+  MemoryLease lease_;
+};
+
 /// Produces sorted runs in a SpillManager from an unsorted row stream.
 class RunGenerator {
  public:
@@ -150,10 +237,10 @@ class QuicksortRunGenerator : public RunGenerator {
   void SetCancel(const CancellationToken* cancel) override {
     options_.cancel = cancel;
   }
-  const RunGeneratorStats& stats() const override { return stats_; }
+  const RunGeneratorStats& stats() const override { return sink_.stats(); }
 
   /// Bytes charged for the buffered rows (for tests).
-  size_t buffered_bytes() const { return buffered_bytes_; }
+  size_t buffered_bytes() const { return sink_.buffered_bytes(); }
   /// Bytes the buffered rows occupy: the wire buffer and the sort entries
   /// (for tests). Never above buffered_bytes().
   size_t held_bytes() const {
@@ -172,30 +259,20 @@ class QuicksortRunGenerator : public RunGenerator {
   /// Sorts the buffer and spills it, or finishes the spill a cancellation
   /// stopped.
   Status SortAndSpill();
-  /// Finishes writer_'s run and registers it.
-  Status FinishRun();
 
-  SpillManager* spill_;
   RowComparator comparator_;
   RunGeneratorOptions options_;
-  RunGeneratorStats stats_;
+  RunSink sink_;
   /// Wire bytes of the buffered rows, back to back in arrival order.
   std::vector<char> wire_;
   std::vector<Entry> entries_;
-  size_t buffered_bytes_ = 0;
   /// The spill in progress: entries_'s first `sorted_` rows are in sort
-  /// order, next_ is the next of them to write, `sorted_charge_` is what
-  /// they were charged, and writer_ is the open run. sorted_ is 0 between
-  /// spills.
+  /// order, next_ is the next of them to write, and `sorted_charge_` is
+  /// what they were charged; the sink holds the open run. sorted_ is 0
+  /// between spills.
   size_t sorted_ = 0;
   size_t next_ = 0;
   size_t sorted_charge_ = 0;
-  std::unique_ptr<RunWriter> writer_;
-  uint64_t rows_in_run_ = 0;
-  /// The row shown to the observer: key and id, no payload.
-  Row observed_;
-  /// Lease covering buffered_bytes_ (detached without an arbiter).
-  MemoryLease lease_;
 };
 
 /// Builds the run generator of `kind` (replacement selection or quicksort)

@@ -178,12 +178,10 @@ Status HistogramFilterPolicy::StartRunGeneration(
   // target number of histogram buckets collected from each run",
   // Sec 5.1.2). The heap size at the moment memory overflowed is our
   // estimate of rows-per-memory-load; parallel run generators split it.
-  uint64_t expected_run_rows =
-      2 * std::max<uint64_t>(memory().rows.size() / opts.workers, 1);
-  if (opts.limit_run_size_to_output) {
-    expected_run_rows = std::min(expected_run_rows, opts.output_rows());
-    gen_options->run_row_limit = opts.output_rows();
-  }
+  const uint64_t expected_run_rows = std::min<uint64_t>(
+      2 * std::max<uint64_t>(memory().rows.size() / opts.workers, 1),
+      opts.output_rows());
+  gen_options->run_row_limit = opts.output_rows();
   filter_ = std::make_unique<CutoffFilter>(MakeFilterOptions(expected_run_rows));
   observers_.clear();
   for (size_t i = 0; i < opts.workers; ++i) {

@@ -18,9 +18,7 @@ class RunKthKeyPolicy final : public CutoffPolicy, private SpillObserver {
     return Status::InvalidArgument("early merge fan-in must be at least 2");
   }
   Status StartRunGeneration(RunGeneratorOptions* gen_options) override {
-    if (options().limit_run_size_to_output) {
-      gen_options->run_row_limit = options().output_rows();
-    }
+    gen_options->run_row_limit = options().output_rows();
     gen_options->observer = this;
     return Status::OK();
   }

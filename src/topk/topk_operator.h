@@ -88,10 +88,6 @@ struct TopKOptions {
   /// 5.2), so figure benches disable this to match it.
   bool enable_early_merge = true;
 
-  /// Limit run sizes to k + offset (Sec 2.4 optimization). On by default
-  /// for the external top-k operators.
-  bool limit_run_size_to_output = true;
-
   RunGenerationKind run_generation = RunGenerationKind::kReplacementSelection;
 
   /// Run-generation threads (Sec 4.4), at most kMaxWorkers. Above 1, the
@@ -137,9 +133,6 @@ struct TopKOptions {
   /// prefetched block, and its retry_budget caps retries across the whole
   /// pipeline.
   RetryPolicy io_retry;
-  /// Verify each run's CRC-32C inline while the merge reads it (a mismatch
-  /// is permanent Corruption, never retried).
-  bool verify_spill_checksums = true;
 
   /// Hedge straggling prefetch reads (see PrefetchTuning::hedge_reads): a
   /// block overdue against the reader's observed round-trip EWMA is
@@ -189,7 +182,6 @@ struct TopKOptions {
     // attempts and during backoff, SpillManager::OpenRun copies it into
     // each reader's PrefetchTuning for the consumer wait.
     if (io.retry.cancel == nullptr) io.retry.cancel = cancel.get();
-    io.verify_read_checksums = verify_spill_checksums;
     io.prefetch_memory_budget = prefetch_memory_budget;
     io.hedge_reads = io_hedge_reads;
     io.hedge_latency_multiplier = io_hedge_latency_multiplier;

@@ -207,7 +207,8 @@ TEST_F(IoTest, RunWriterReaderRoundTrip) {
   auto writer = RunWriter::Create(&env_, Path("run"), 1, cmp);
   ASSERT_TRUE(writer.ok());
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE((*writer)->Append(Row(i, i, "p" + std::to_string(i))).ok());
+    const Row row(i, i, std::string("p").append(std::to_string(i)));
+    ASSERT_TRUE((*writer)->Append(row).ok());
   }
   auto meta = (*writer)->Finish();
   ASSERT_TRUE(meta.ok());
@@ -224,7 +225,7 @@ TEST_F(IoTest, RunWriterReaderRoundTrip) {
     ASSERT_TRUE((*reader)->Next(&row, &eof).ok());
     ASSERT_FALSE(eof);
     EXPECT_EQ(row.key, i);
-    EXPECT_EQ(row.payload, "p" + std::to_string(i));
+    EXPECT_EQ(row.payload, std::string("p").append(std::to_string(i)));
   }
   ASSERT_TRUE((*reader)->Next(&row, &eof).ok());
   EXPECT_TRUE(eof);

@@ -44,18 +44,18 @@ TEST(LoggingDeathTest, CheckAbortsOnFalse) {
 TEST(StopwatchTest, MeasuresElapsedTime) {
   Stopwatch watch;
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i * 0.5;
+  for (int i = 0; i < 100000; ++i) sink = sink + i * 0.5;
   EXPECT_GT(watch.ElapsedNanos(), 0);
   EXPECT_GE(watch.ElapsedSeconds(), 0.0);
   const int64_t first = watch.ElapsedNanos();
-  for (int i = 0; i < 100000; ++i) sink += i * 0.5;
+  for (int i = 0; i < 100000; ++i) sink = sink + i * 0.5;
   EXPECT_GE(watch.ElapsedNanos(), first);
 }
 
 TEST(StopwatchTest, RestartResets) {
   Stopwatch watch;
   volatile double sink = 0;
-  for (int i = 0; i < 1000000; ++i) sink += i;
+  for (int i = 0; i < 1000000; ++i) sink = sink + i;
   const int64_t before = watch.ElapsedNanos();
   watch.Restart();
   EXPECT_LT(watch.ElapsedNanos(), before);
@@ -66,12 +66,12 @@ TEST(PhaseTimerTest, AccumulatesAcrossIntervals) {
   EXPECT_EQ(timer.TotalNanos(), 0);
   timer.Start();
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   timer.Stop();
   const int64_t first = timer.TotalNanos();
   EXPECT_GT(first, 0);
   timer.Start();
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   timer.Stop();
   EXPECT_GT(timer.TotalNanos(), first);
   // Stop while stopped is a no-op.
@@ -84,7 +84,7 @@ TEST(PhaseTimerTest, RunningTimerReportsLiveTotal) {
   PhaseTimer timer;
   timer.Start();
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GT(timer.TotalNanos(), 0);  // still running
   timer.Stop();
 }

@@ -250,8 +250,7 @@ TEST_F(ManifestTest, RestoreResumesMergePhase) {
 
   // Phase 2: a fresh process restores the spill state and finishes the
   // merge.
-  auto restored = SpillManager::Restore(&env_, dir, "state.manifest",
-                                        /*verify_runs=*/true);
+  auto restored = SpillManager::OpenExisting(&env_, dir, "state.manifest");
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ((*restored)->run_count(), 5u);
 
@@ -299,13 +298,12 @@ TEST_F(ManifestTest, AsyncSaveManifestRoundTripsThroughIoPool) {
       EXPECT_EQ((*loaded)[i].rows, runs[i].rows);
       EXPECT_EQ((*loaded)[i].crc32c, runs[i].crc32c);
     }
-    spill.value()->DisownDir();  // keep the directory for Restore below
+    spill.value()->DisownDir();  // keep the directory for OpenExisting
   }
 
   // A restored manager (itself pooled) sees exactly the saved registry.
-  auto restored = SpillManager::Restore(&env_, dir, "state.manifest",
-                                        /*verify_runs=*/true,
-                                        RowComparator(), io);
+  auto restored = SpillManager::OpenExisting(&env_, dir, "state.manifest",
+                                             RowComparator(), io);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ((*restored)->run_count(), runs.size());
 }
@@ -331,11 +329,13 @@ TEST_F(ManifestTest, AsyncSaveManifestSurfacesLatchedWriteError) {
 
 TEST_F(ManifestTest, RestoreVerifyCatchesTamperedRun) {
   const std::string dir = scratch_.str() + "/tampered";
+  uint64_t tampered_id = 0;
   {
     auto spill = SpillManager::Create(&env_, dir);
     ASSERT_TRUE(spill.ok());
     auto runs = BuildRuns(spill->get(), 2, 100, 3);
     ASSERT_TRUE(spill.value()->SaveManifest("state.manifest").ok());
+    tampered_id = runs[0].id;
     // Corrupt one run file before the "crash".
     std::FILE* f = std::fopen(runs[0].path.c_str(), "r+b");
     ASSERT_NE(f, nullptr);
@@ -344,14 +344,16 @@ TEST_F(ManifestTest, RestoreVerifyCatchesTamperedRun) {
     std::fclose(f);
     spill.value()->DisownDir();
   }
-  auto restored = SpillManager::Restore(&env_, dir, "state.manifest",
-                                        /*verify_runs=*/true);
-  EXPECT_EQ(restored.status().code(), StatusCode::kCorruption);
-  // Without verification the registry loads; corruption would surface at
-  // merge time instead.
-  auto lax = SpillManager::Restore(&env_, dir, "state.manifest",
-                                   /*verify_runs=*/false);
-  EXPECT_TRUE(lax.ok());
+  // The tampered run is quarantined; the intact one is restored.
+  RestoreReport report;
+  auto restored = SpillManager::OpenExisting(&env_, dir, "state.manifest",
+                                             RowComparator(), {}, &report);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(report.runs_restored, 1u);
+  EXPECT_EQ((*restored)->run_count(), 1u);
+  ASSERT_EQ(report.quarantined.size(), 1u);
+  EXPECT_EQ(report.quarantined[0].meta.id, tampered_id);
+  EXPECT_EQ(report.quarantined[0].reason.code(), StatusCode::kCorruption);
 }
 
 TEST_F(ManifestTest, CheckpointRoundTripsWithCutoff) {

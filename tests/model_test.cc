@@ -96,7 +96,7 @@ INSTANTIATE_TEST_SUITE_P(
                       Table2Row{100, 35, 29780},
                       Table2Row{1000, 35, 29258}),
     [](const ::testing::TestParamInfo<Table2Row>& info) {
-      return "B" + std::to_string(info.param.buckets);
+      return std::string("B").append(std::to_string(info.param.buckets));
     });
 
 TEST(AnalyticModelTest, Table2ZeroBucketsSpillsEverything) {
@@ -143,7 +143,8 @@ INSTANTIATE_TEST_SUITE_P(PaperRows, Table3Test,
                                            Table3Row{10000, 67, 62072},
                                            Table3Row{20000, 113, 109016}),
                          [](const ::testing::TestParamInfo<Table3Row>& info) {
-                           return "k" + std::to_string(info.param.k);
+                           return std::string("k").append(
+                               std::to_string(info.param.k));
                          });
 
 // --- Table 4 / Table 5: varying input size ---

@@ -36,7 +36,7 @@ struct QueryRun {
 QueryRun RunScopedQuery(const std::string& spill_dir, uint64_t rows,
                         uint64_t seed) {
   QueryRun run;
-  run.obs = ObsContext::Create("q" + std::to_string(seed));
+  run.obs = ObsContext::Create(std::string("q").append(std::to_string(seed)));
   StorageEnv env;
   TopKOptions options;
   options.k = 2000;

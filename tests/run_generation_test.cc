@@ -519,21 +519,23 @@ struct ObserverEvent {
   bool operator==(const ObserverEvent&) const = default;
 };
 
-/// Logs every observer call; optionally eliminates every third probed row
-/// and trips a cancellation token at the n-th probe, i.e. in the middle of
-/// whatever spill loop is running then.
+/// Logs every observer call; optionally eliminates every
+/// `eliminate_every`-th probed row (1: every row) and trips a cancellation
+/// token at probe `cancel_at_probe`, i.e. in the middle of whatever spill
+/// loop is running then.
 class LoggingObserver : public SpillObserver {
  public:
-  LoggingObserver(bool eliminate_every_third, uint64_t cancel_at_probe,
+  LoggingObserver(uint64_t eliminate_every, uint64_t cancel_at_probe,
                   CancellationToken* cancel)
-      : eliminate_every_third_(eliminate_every_third),
+      : eliminate_every_(eliminate_every),
         cancel_at_probe_(cancel_at_probe),
         cancel_(cancel) {}
 
   bool EliminateAtSpill(const Row& row) override {
     ++probes_;
     if (probes_ == cancel_at_probe_) cancel_->RequestCancel("differential");
-    const bool eliminate = eliminate_every_third_ && probes_ % 3 == 0;
+    const bool eliminate =
+        eliminate_every_ != 0 && probes_ % eliminate_every_ == 0;
     log.push_back({'e', std::bit_cast<uint64_t>(row.key), row.id, eliminate});
     return eliminate;
   }
@@ -550,7 +552,7 @@ class LoggingObserver : public SpillObserver {
   std::vector<ObserverEvent> log;
 
  private:
-  const bool eliminate_every_third_;
+  const uint64_t eliminate_every_;
   const uint64_t cancel_at_probe_;
   CancellationToken* const cancel_;
   uint64_t probes_ = 0;
@@ -827,7 +829,8 @@ struct DifferentialCase {
   KeyShape shape = KeyShape::kRandom;
   SortDirection direction = SortDirection::kAscending;
   uint64_t run_row_limit = std::numeric_limits<uint64_t>::max();
-  bool eliminate_every_third = false;
+  /// The observer eliminates every n-th probed row (0 = none, 1 = all).
+  uint64_t eliminate_every = 0;
   /// Row index at which soft memory pressure turns on (0 = never).
   size_t soft_pressure_at = 0;
   /// Observer probe at which the query is cancelled (0 = never).
@@ -906,9 +909,9 @@ void DifferentialTest::ExpectSameAsModel() {
   MemoryArbiter arbiter(arbiter_options);
   CancellationToken model_cancel;
   CancellationToken tree_cancel;
-  LoggingObserver model_observer(c.eliminate_every_third, c.cancel_at_probe,
+  LoggingObserver model_observer(c.eliminate_every, c.cancel_at_probe,
                                  &model_cancel);
-  LoggingObserver tree_observer(c.eliminate_every_third, c.cancel_at_probe,
+  LoggingObserver tree_observer(c.eliminate_every, c.cancel_at_probe,
                                 &tree_cancel);
 
   RunGeneratorOptions options;
@@ -1014,8 +1017,12 @@ std::vector<DifferentialCase> DifferentialCases() {
   c.run_row_limit = 37;
   cases.push_back(c);
   c = Case("EliminateEveryThird", KeyShape::kRandom);
-  c.eliminate_every_third = true;
+  c.eliminate_every = 3;
   c.run_row_limit = 100;
+  cases.push_back(c);
+  // No run is ever opened: every run closes with no writer.
+  c = Case("EliminateAll", KeyShape::kRandom);
+  c.eliminate_every = 1;
   cases.push_back(c);
   c = Case("SoftPressureMidStream", KeyShape::kRandom);
   c.soft_pressure_at = 2500;
@@ -1031,7 +1038,7 @@ std::vector<DifferentialCase> DifferentialCases() {
   cases.push_back(c);
   for (const uint64_t probe : {1, 700, 701, 702, 2001}) {
     c = Case("CancelAtProbe" + std::to_string(probe), KeyShape::kRandom);
-    c.eliminate_every_third = true;
+    c.eliminate_every = 3;
     c.cancel_at_probe = probe;
     cases.push_back(c);
   }

@@ -2,7 +2,7 @@
 /// synthetic workload and report the full execution statistics. Handy for
 /// exploring the paper's parameter space without writing code.
 ///
-///   topk_cli --algorithm=histogram --n=2e6 --k=5e4 --memory-mb=2 \
+///   topk_cli --algorithm=histogram --n=2e6 --k=5e4 --memory-mb=2
 ///            --dist=fal --shape=1.25 --buckets=50 --payload=56
 ///
 /// Supported flags (defaults in parentheses):
