@@ -8,6 +8,7 @@
 /// (2 threads) at several per-call latencies.
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,12 +22,11 @@ namespace {
 using namespace topk;
 using namespace topk::bench;
 
-/// Timed MergeRuns drain of every registered run with a given per-reader
-/// window cap (1 = legacy fixed lookahead, 0 = adaptive/apportioned).
-RunResult MeasureMergeDrain(SpillManager* spill, size_t depth_cap) {
+/// Timed MergeRuns drain of every registered run; the manager's prefetch
+/// budget sets each reader's window cap.
+RunResult MeasureMergeDrain(SpillManager* spill) {
   const RowComparator cmp;
-  MergeOptions options;
-  options.prefetch_depth_cap = depth_cap;
+  const MergeOptions options;
   RunResult out;
   Stopwatch watch;
   auto stats = MergeRuns(spill, spill->runs(), cmp, options, [&out](Row&& row) {
@@ -40,8 +40,9 @@ RunResult MeasureMergeDrain(SpillManager* spill, size_t depth_cap) {
 }
 
 /// Prefetch-depth sweep over the merge read path: the same spilled runs
-/// are drained with a fixed one-block window, a capped two-block window,
-/// and the adaptive window (budget-apportioned). Runs carry near-disjoint
+/// are drained under three prefetch memory budgets, each on its own spill
+/// manager: 0 (a fixed one-block window), 6 blocks (a two-block window
+/// over 6 runs) and the 8 MiB default (adaptive). Runs carry near-disjoint
 /// key ranges, so the loser tree drains them one after another — the
 /// latency-bound case where a deep window's concurrent in-flight reads
 /// pay off.
@@ -54,8 +55,9 @@ void RunPrefetchDepthSweep(const BenchDir& dir) {
   const int reps = 3;
 
   std::printf("6 runs x %llu rows, near-disjoint key ranges, 4 io threads. "
-              "depth1 = fixed one-block lookahead, depth2 = capped window, "
-              "adaptive = 8 MiB budget apportioned (depth 6 here).\n\n",
+              "depth1 = budget 0 (fixed one-block lookahead), depth2 = "
+              "budget of 6 blocks, adaptive = 8 MiB budget apportioned "
+              "(depth 6 here).\n\n",
               static_cast<unsigned long long>(rows_per_run));
   std::printf("%-12s | %-9s %-9s %-9s %-18s\n", "latency_us", "depth1_s",
               "depth2_s", "adaptive_s", "adaptive_speedup");
@@ -65,40 +67,54 @@ void RunPrefetchDepthSweep(const BenchDir& dir) {
     env_options.read_latency_nanos = latency_us * 1000;
     StorageEnv env(env_options);  // writes are free: only reads are swept
 
-    IoPipelineOptions io;
-    io.background_threads = 4;
-    auto spill = SpillManager::Create(
-        &env, dir.Sub("depth" + std::to_string(latency_us)), io);
-    TOPK_CHECK(spill.ok()) << spill.status().ToString();
-    const RowComparator cmp;
-    // Wide rows keep the per-block merge time well under the round trip,
-    // so the EWMA ratio asks for a deep window — the regime the adaptive
-    // depth exists for.
-    const std::string payload(120, 'x');
-    for (size_t r = 0; r < num_runs; ++r) {
-      auto writer = (*spill)->NewRun(cmp);
-      TOPK_CHECK(writer.ok()) << writer.status().ToString();
-      const double base = static_cast<double>(r) * rows_per_run;
-      for (uint64_t i = 0; i < rows_per_run; ++i) {
-        Status status =
-            (*writer)->Append(Row(base + static_cast<double>(i), i, payload));
-        TOPK_CHECK(status.ok()) << status.ToString();
+    // Each column drains its own copy of the runs, through a spill manager
+    // whose prefetch budget gives the column's depth cap.
+    const size_t budgets[] = {0, num_runs * kDefaultBlockBytes, 8 << 20};
+    std::unique_ptr<SpillManager> spills[3];
+    for (size_t column = 0; column < 3; ++column) {
+      IoPipelineOptions io;
+      io.background_threads = 4;
+      io.prefetch_memory_budget = budgets[column];
+      auto spill = SpillManager::Create(
+          &env,
+          dir.Sub("depth" + std::to_string(latency_us) + "_" +
+                  std::to_string(column)),
+          io);
+      TOPK_CHECK(spill.ok()) << spill.status().ToString();
+      spills[column] = std::move(*spill);
+      const RowComparator cmp;
+      // Wide rows keep the per-block merge time well under the round trip,
+      // so the EWMA ratio asks for a deep window — the regime the adaptive
+      // depth exists for.
+      const std::string payload(120, 'x');
+      for (size_t r = 0; r < num_runs; ++r) {
+        auto writer = spills[column]->NewRun(cmp);
+        TOPK_CHECK(writer.ok()) << writer.status().ToString();
+        const double base = static_cast<double>(r) * rows_per_run;
+        for (uint64_t i = 0; i < rows_per_run; ++i) {
+          Status status = (*writer)->Append(
+              Row(base + static_cast<double>(i), i, payload));
+          TOPK_CHECK(status.ok()) << status.ToString();
+        }
+        auto meta = (*writer)->Finish();
+        TOPK_CHECK(meta.ok()) << meta.status().ToString();
+        Status added = spills[column]->AddRun(*meta);
+        TOPK_CHECK(added.ok()) << added.ToString();
       }
-      auto meta = (*writer)->Finish();
-      TOPK_CHECK(meta.ok()) << meta.status().ToString();
-      Status added = (*spill)->AddRun(*meta);
-      TOPK_CHECK(added.ok()) << added.ToString();
     }
 
-    RunResult fixed, capped, adaptive;
+    RunResult results[3];
     for (int rep = 0; rep < reps; ++rep) {
-      RunResult f = MeasureMergeDrain(spill->get(), 1);
-      if (rep == 0 || f.seconds < fixed.seconds) fixed = f;
-      RunResult c = MeasureMergeDrain(spill->get(), 2);
-      if (rep == 0 || c.seconds < capped.seconds) capped = c;
-      RunResult a = MeasureMergeDrain(spill->get(), 0);
-      if (rep == 0 || a.seconds < adaptive.seconds) adaptive = a;
+      for (size_t column = 0; column < 3; ++column) {
+        RunResult r = MeasureMergeDrain(spills[column].get());
+        if (rep == 0 || r.seconds < results[column].seconds) {
+          results[column] = r;
+        }
+      }
     }
+    const RunResult& fixed = results[0];
+    const RunResult& capped = results[1];
+    const RunResult& adaptive = results[2];
 
     // Depth must never change the merged stream.
     TOPK_CHECK(fixed.result_rows == num_runs * rows_per_run);
@@ -189,7 +205,7 @@ void RunHedgeSweep(const BenchDir& dir) {
       const uint64_t wasted_before = wasted->value();
       RunResult best;
       for (int rep = 0; rep < reps; ++rep) {
-        RunResult r = MeasureMergeDrain(spill->get(), 0);
+        RunResult r = MeasureMergeDrain(spill->get());
         if (rep == 0 || r.seconds < best.seconds) best = r;
       }
       if (hedge) {
@@ -279,7 +295,6 @@ int main() {
         options.env = &async_env;
         options.spill_dir = dir.Sub("async" + std::to_string(run_id));
         options.io_background_threads = 2;
-        options.enable_io_prefetch = true;
         RunResult a = MeasureTopK(algorithm, options, spec);
         if (rep == 0 || a.seconds < async.seconds) async = a;
         ++run_id;

@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "common/status.h"
+#include "row/row.h"
 
 namespace topk {
 
@@ -18,6 +19,12 @@ namespace topk {
 /// duplicated in four translation units; it lives here so accounting cannot
 /// drift again.
 inline constexpr size_t kPerRowOverheadBytes = 32;
+
+/// Bytes a row is charged while a store holds it: the footprint of the
+/// `Row` as it arrived plus the fixed per-row overhead.
+inline size_t HeldRowBytes(const Row& row) {
+  return row.MemoryFootprint() + kPerRowOverheadBytes;
+}
 
 /// Runs an operator entry-point (or worker-thread) body and contains
 /// std::bad_alloc — real or injected (MemFaultProfile mode=throw) — as

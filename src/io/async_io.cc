@@ -131,26 +131,6 @@ size_t PrefetchBudget::acquired() const {
   return acquired_;
 }
 
-void PrefetchBudget::AddReader() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++live_readers_;
-}
-
-void PrefetchBudget::RemoveReader() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (live_readers_ > 0) --live_readers_;
-}
-
-size_t PrefetchBudget::live_readers() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return live_readers_;
-}
-
-size_t PrefetchBudget::available() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_ - acquired_;
-}
-
 size_t ApportionPrefetchDepth(size_t budget_bytes, size_t live_runs,
                               size_t block_bytes) {
   if (block_bytes == 0) return 1;
@@ -279,6 +259,9 @@ PrefetchingBlockReader::PrefetchingBlockReader(
       reopen_(std::move(reopen)),
       tuning_(tuning) {
   TOPK_CHECK(pool_ != nullptr) << "PrefetchingBlockReader needs a thread pool";
+  TOPK_CHECK(budget_ != nullptr) << "PrefetchingBlockReader needs a budget";
+  TOPK_CHECK(reopen_ != nullptr)
+      << "PrefetchingBlockReader needs a reopen factory";
   TOPK_CHECK(block_bytes_ > 0) << "block size must be positive";
   auto handle = std::make_shared<Handle>();
   handle->file = std::move(base);
@@ -286,10 +269,6 @@ PrefetchingBlockReader::PrefetchingBlockReader(
   // first blocks ride the storage round trip concurrently instead of one
   // after another.
   std::lock_guard<std::mutex> lock(mu_);
-  if (budget_ != nullptr) {
-    budget_->AddReader();
-    budget_registered_ = true;
-  }
   idle_handles_.push_back(std::move(handle));
   handles_total_ = 1;
   IssueOneLocked();
@@ -309,11 +288,10 @@ PrefetchingBlockReader::~PrefetchingBlockReader() {
     (cancelled_ ? PrefetchCancelledCounter() : PrefetchUnconsumedCounter())
         .Add(leftover);
   }
-  if (budget_ != nullptr && reserved_slots_ > 0) {
+  if (reserved_slots_ > 0) {
     budget_->Release(reserved_slots_ * block_bytes_);
     reserved_slots_ = 0;
   }
-  DeregisterLocked();
 }
 
 void PrefetchingBlockReader::CancelPrefetch() {
@@ -321,40 +299,20 @@ void PrefetchingBlockReader::CancelPrefetch() {
   cancelled_ = true;
   stopping_ = true;  // in-flight fetches finish, but no new readahead
   // An abandoned run will never grow its window again: hand the budget
-  // share back right now so surviving readers can re-apportion mid-step
-  // instead of waiting for this reader's destruction.
+  // share back right now instead of waiting for this reader's destruction.
   target_depth_ = 1;
   ReleaseExcessLocked();
-  DeregisterLocked();
-}
-
-void PrefetchingBlockReader::DeregisterLocked() {
-  if (budget_registered_) {
-    budget_->RemoveReader();
-    budget_registered_ = false;
-  }
 }
 
 size_t PrefetchingBlockReader::DynamicDepthCapLocked() const {
-  size_t cap = depth_cap_;
-  if (budget_ != nullptr && tuning_.reapportion_depth) {
-    // The cap was apportioned over the merge step's live runs at open time;
-    // re-apportion over whoever is still alive so freed budget is inherited
-    // immediately. Never below the opening cap — shrinking mid-run would
-    // strand already-reserved slots.
-    const size_t apportioned = ApportionPrefetchDepth(
-        budget_->total(), budget_->live_readers(), block_bytes_);
-    cap = std::clamp<size_t>(std::max(depth_cap_, apportioned), 1,
-                             kMaxPrefetchDepth);
-  }
-  if (budget_ != nullptr && budget_->pressure_shrink() && cap > 1) {
+  if (depth_cap_ > 1 && budget_->pressure_shrink()) {
     // Memory-arbiter soft pressure: halve the lookahead this reader may
-    // target, reusing the same re-apportioning machinery. Excess slots
-    // drain back to the budget (and its lease) via ReleaseExcessLocked.
-    cap = std::max<size_t>(1, cap / 2);
+    // target. Excess slots drain back to the budget (and its lease) via
+    // ReleaseExcessLocked.
     PrefetchShrunkCounter().Add(1);
+    return depth_cap_ / 2;
   }
-  return cap;
+  return depth_cap_;
 }
 
 size_t PrefetchingBlockReader::target_depth() const {
@@ -384,14 +342,14 @@ bool PrefetchingBlockReader::IssueOneLocked() {
   if (best < idle_handles_.size()) {
     handle = std::move(idle_handles_[best]);
     idle_handles_.erase(idle_handles_.begin() + best);
-  } else if (reopen_ != nullptr && handles_total_ < DynamicDepthCapLocked()) {
+  } else if (handles_total_ < DynamicDepthCapLocked()) {
     auto opened = reopen_();
     if (!opened.ok()) return false;  // fewer slots, not a stream error
     handle = std::make_shared<Handle>();
     handle->file = std::move(*opened);
     ++handles_total_;
   } else {
-    return false;  // the single handle is busy; its completion re-issues
+    return false;  // every handle is busy; a completion re-issues
   }
   const uint64_t offset = fetch_offset_;
   const uint64_t skip = offset - handle->pos;
@@ -420,8 +378,7 @@ bool PrefetchingBlockReader::IssueHedgeLocked() {
   if (best < idle_handles_.size()) {
     handle = std::move(idle_handles_[best]);
     idle_handles_.erase(idle_handles_.begin() + best);
-  } else if (reopen_ != nullptr &&
-             handles_total_ < DynamicDepthCapLocked() + 1) {
+  } else if (handles_total_ < DynamicDepthCapLocked() + 1) {
     // One handle beyond the window cap is reserved for the hedge: the
     // whole window may legitimately be in flight when the straggler hits.
     auto opened = reopen_();
@@ -463,10 +420,7 @@ void PrefetchingBlockReader::TopUpLocked() {
   // counter measures.
   if (blocks_promoted_ < 2) return;
   AcquireForTargetLocked();
-  size_t usable = target_depth_;
-  if (budget_ != nullptr) {
-    usable = std::min(usable, 1 + reserved_slots_);
-  }
+  const size_t usable = std::min(target_depth_, 1 + reserved_slots_);
   while (ring_.size() + inflight_ < usable) {
     if (!IssueOneLocked()) break;
   }
@@ -540,7 +494,6 @@ void PrefetchingBlockReader::FetchStep(std::shared_ptr<Handle> handle,
       // do not need so sibling runs can deepen.
       target_depth_ = 1;
       ReleaseExcessLocked();
-      DeregisterLocked();
     }
   } else if (!stopping_) {
     TopUpLocked();
@@ -549,7 +502,6 @@ void PrefetchingBlockReader::FetchStep(std::shared_ptr<Handle> handle,
 }
 
 void PrefetchingBlockReader::AcquireForTargetLocked() {
-  if (budget_ == nullptr) return;
   while (reserved_slots_ + 1 < target_depth_ &&
          budget_->TryAcquire(block_bytes_)) {
     ++reserved_slots_;
@@ -557,7 +509,6 @@ void PrefetchingBlockReader::AcquireForTargetLocked() {
 }
 
 void PrefetchingBlockReader::ReleaseExcessLocked() {
-  if (budget_ == nullptr) return;
   // Reservations must keep covering blocks physically held in memory (the
   // ring plus every in-flight fetch buffer), minus the free first slot.
   const size_t held = ring_.size() + inflight_;
@@ -629,7 +580,6 @@ Status PrefetchingBlockReader::Read(size_t n, char* scratch,
       if (consume_offset_ >= eof_offset_) {
         ready_size_ = 0;
         ready_pos_ = 0;
-        DeregisterLocked();  // fully drained: never grows again
         ObsRecordIoWait(wait_watch.ElapsedNanos());
         return Status::OK();  // clean EOF
       }
@@ -665,8 +615,7 @@ Status PrefetchingBlockReader::Read(size_t n, char* scratch,
       // deadline (a hung storage call must surface as Unavailable, not
       // park the merge forever).
       const bool hedge_eligible =
-          tuning_.hedge_reads && reopen_ != nullptr &&
-          hedged_.count(consume_offset_) == 0 &&
+          tuning_.hedge_reads && hedged_.count(consume_offset_) == 0 &&
           inflight_by_offset_.count(consume_offset_) > 0;
       int64_t hedge_wait_nanos = -1;
       if (hedge_eligible) {

@@ -43,11 +43,6 @@ struct PrefetchTuning {
   int64_t hedge_min_nanos = 1'000'000;  // never hedge before 1 ms
   /// 0 = wait forever (legacy behaviour).
   int64_t read_deadline_nanos = 0;
-  /// True when the depth cap was apportioned from the shared budget (not
-  /// pinned by the caller): the reader may then re-apportion mid-step as
-  /// sibling readers finish and live_readers() shrinks, inheriting freed
-  /// budget without waiting for the next merge step.
-  bool reapportion_depth = false;
   /// Optional query cancellation token (query_control.h). When set, the
   /// consumer wait in Read() polls it (bounded wait slices instead of an
   /// indefinite block) and returns the token's status promptly even with
@@ -68,29 +63,25 @@ struct PrefetchTuning {
 /// stream of one SpillManager: the retry policy for transient failures and
 /// the inline read-side checksum verification switch.
 struct IoPipelineOptions {
-  /// Workers shared by all streams of one SpillManager. 0 disables the
-  /// pipeline entirely.
+  /// Workers shared by all streams of one SpillManager: they flush spill
+  /// blocks and read merge blocks ahead. 0 disables the pipeline entirely.
   size_t background_threads = 0;
-  /// Read one block ahead of the merge cursor (only meaningful when
-  /// background_threads > 0).
-  bool enable_prefetch = true;
   /// Retry policy applied to every block read/write/flush/close and to
   /// manifest I/O. Retries run on the background pool threads when the
   /// pipeline is active, so backoff never stalls the producer. Default:
   /// up to 4 attempts with 1 ms initial backoff.
   RetryPolicy retry;
   /// Total bytes of prefetched-but-unconsumed block memory all readers of
-  /// one SpillManager may hold *beyond* their first lookahead block. The
-  /// merge planner apportions it across the live runs of a merge step
-  /// (ApportionPrefetchDepth); each reader then grows its window only as
-  /// far as it can reserve slots from the shared PrefetchBudget, and runs
+  /// one SpillManager may hold *beyond* their first lookahead block. Each
+  /// merge apportions it over its own runs (SpillManager::
+  /// PrefetchDepthCap); each reader then grows its window only as far as
+  /// it can reserve slots from the shared PrefetchBudget, and runs
   /// abandoned by the cutoff hand their slots back. 0 = fixed one-block
-  /// lookahead (the pre-adaptive behaviour).
+  /// lookahead.
   size_t prefetch_memory_budget = 8 << 20;
   /// Hedge straggling block reads on the merge path (see PrefetchTuning).
   bool hedge_reads = false;
   double hedge_latency_multiplier = 3.0;
-  int64_t hedge_min_nanos = 1'000'000;
   /// Disk-space quota for one SpillManager's directory: total bytes its
   /// run files may occupy (0 = unlimited). Breaches surface as
   /// ResourceExhausted naming spill_quota_bytes.
@@ -104,8 +95,11 @@ struct IoPipelineOptions {
 /// Thread-safe byte pool bounding the total prefetch lookahead of one
 /// SpillManager. The first lookahead block of every reader is free (that
 /// is the baseline double-buffer the pipeline always had); every deeper
-/// slot must be reserved here first, so a merge can never queue more than
-/// `total` bytes of speculative reads no matter how many runs it opens.
+/// slot must be reserved here first, so concurrent merges can never queue
+/// more than `total` bytes of speculative reads no matter how many runs
+/// they open or what depth caps their readers got. A slot a reader no
+/// longer needs (window shrank, EOF, run abandoned) returns here at once
+/// and is free for any other reader still below its cap.
 class PrefetchBudget {
  public:
   explicit PrefetchBudget(size_t total_bytes) : total_(total_bytes) {}
@@ -120,8 +114,8 @@ class PrefetchBudget {
   /// pressure responder). Call before readers share the budget.
   void AttachArbiter(MemoryArbiter* arbiter);
 
-  /// Degradation-ladder flag: while set, DynamicDepthCapLocked-style
-  /// apportionments over this budget are halved. Lock-free.
+  /// Degradation-ladder flag: while set, the depth cap of every reader
+  /// sharing this budget is halved. Lock-free.
   void SetPressureShrink(bool shrink) {
     pressure_shrink_.store(shrink, std::memory_order_relaxed);
   }
@@ -135,25 +129,14 @@ class PrefetchBudget {
   /// Returns a previous reservation to the pool.
   void Release(size_t bytes);
 
-  /// Live-reader registry: every PrefetchingBlockReader sharing this
-  /// budget registers at construction and deregisters when it can no
-  /// longer grow (cancelled, clean EOF, or destroyed). Survivors use the
-  /// count to re-apportion the budget mid-merge-step, inheriting the
-  /// slots a finished sibling freed.
-  void AddReader();
-  void RemoveReader();
-  size_t live_readers() const;
-
   size_t total() const { return total_; }
   size_t acquired() const;
-  size_t available() const;
 
  private:
   const size_t total_;
   std::atomic<bool> pressure_shrink_{false};
   mutable std::mutex mu_;
   size_t acquired_ = 0;
-  size_t live_readers_ = 0;
   /// Optional arbiter backing: reservations grow lease_ and a refused
   /// grant fails the TryAcquire (the window simply stops growing).
   MemoryArbiter* arbiter_ = nullptr;
@@ -163,9 +146,9 @@ class PrefetchBudget {
 /// How many blocks of lookahead one reader may use when `budget_bytes` of
 /// prefetch memory is split evenly across `live_runs` concurrently merged
 /// runs: 1 free slot + this run's share of the budget, clamped to
-/// kMaxPrefetchDepth. The merge planner calls this at plan time; abandoned
-/// runs return their share through the PrefetchBudget, so late-surviving
-/// runs can still deepen up to the same cap.
+/// kMaxPrefetchDepth. SpillManager::PrefetchDepthCap is its one caller:
+/// every merge derives its readers' cap from its own width when it opens
+/// them, and the cap stays fixed for the reader's life.
 size_t ApportionPrefetchDepth(size_t budget_bytes, size_t live_runs,
                               size_t block_bytes);
 
@@ -245,19 +228,17 @@ using SequentialFileFactory =
 /// on the same file through the `reopen` factory (run files are immutable
 /// once finished) and stripe themselves across block offsets with cheap
 /// relative seeks — up to depth round trips genuinely overlap, and a
-/// latency-bound merge drains a hot run depth times faster. Without a
-/// factory the reader degrades to the single-handle pump (at most one
-/// call in flight; depth then only buys burst absorption).
+/// latency-bound merge drains a hot run depth times faster.
 ///
 /// The window scales itself: the reader tracks an EWMA of the block
 /// round-trip time (measured around each storage Read) and of the
 /// consumer's per-block merge time (measured from one promotion to the
 /// next refill *request*, so stall time is excluded), and targets
-/// ceil(rtt / consume) blocks, clamped to [1, depth_cap]. Slots beyond
-/// the first are reserved from the shared PrefetchBudget and returned as
-/// the window shrinks, at EOF, and on destruction — a run abandoned by
-/// the cutoff hands its share back to the surviving runs. With the
-/// default depth_cap of 1 the reader behaves exactly like the fixed
+/// ceil(rtt / consume) blocks, clamped to [1, depth_cap] (halved while
+/// the budget reports memory pressure). Slots beyond the first are
+/// reserved from the shared PrefetchBudget and returned as the window
+/// shrinks, at EOF, and on destruction — a run abandoned by the cutoff
+/// hands its share back to the pool. A depth_cap of 1 is the fixed
 /// one-block pipeline.
 ///
 /// Errors from background reads are latched and surfaced on the Read/Skip
@@ -272,18 +253,15 @@ using SequentialFileFactory =
 class PrefetchingBlockReader : public SequentialFile {
  public:
   /// `depth_cap` bounds the adaptive window (1 = fixed single-block
-  /// lookahead, the legacy behaviour). A non-null `budget` gates every
-  /// slot beyond the first; without one the cap alone bounds the window.
-  /// A non-null `reopen` lets slots open extra handles for genuinely
-  /// concurrent reads (see the class comment); it is also what hedged
-  /// reads duplicate straggling fetches onto. `tuning` carries the
-  /// degraded-storage knobs (hedging, consumer deadline, mid-step
-  /// re-apportioning).
+  /// lookahead). `budget` gates every slot beyond the first. `reopen`
+  /// lets slots open extra handles for genuinely concurrent reads (see the
+  /// class comment); it is also what hedged reads duplicate straggling
+  /// fetches onto. `budget` and `reopen` are required. `tuning` carries
+  /// the degraded-storage knobs (hedging, consumer deadline, cancel).
   PrefetchingBlockReader(std::unique_ptr<SequentialFile> base,
                          ThreadPool* pool, size_t block_bytes,
-                         size_t depth_cap = 1,
-                         PrefetchBudget* budget = nullptr,
-                         SequentialFileFactory reopen = nullptr,
+                         size_t depth_cap, PrefetchBudget* budget,
+                         SequentialFileFactory reopen,
                          const PrefetchTuning& tuning = PrefetchTuning());
 
   ~PrefetchingBlockReader() override;
@@ -341,14 +319,9 @@ class PrefetchingBlockReader : public SequentialFile {
   /// opened handle (one handle beyond the depth cap is allowed for the
   /// hedge). Caller holds mu_.
   bool IssueHedgeLocked();
-  /// The effective depth cap right now: the construction-time cap, or —
-  /// when the cap was apportioned (tuning.reapportion_depth) — the
-  /// apportionment over the budget's *current* live readers, so survivors
-  /// inherit freed budget mid-step. Caller holds mu_.
+  /// The effective depth cap right now: the construction-time cap,
+  /// halved while the budget reports memory pressure. Caller holds mu_.
   size_t DynamicDepthCapLocked() const;
-  /// Removes this reader from the budget's live-reader registry exactly
-  /// once. Caller holds mu_.
-  void DeregisterLocked();
   /// Reserves budget slots up to target_depth_ - 1. Caller holds mu_.
   void AcquireForTargetLocked();
   /// Returns slots not needed by the current target or the blocks still
@@ -392,8 +365,6 @@ class PrefetchingBlockReader : public SequentialFile {
   /// Offsets a hedge was issued for (never hedge the same block twice);
   /// pruned as the consumer moves past them.
   std::set<uint64_t> hedged_;
-  /// This reader is counted in budget_->live_readers().
-  bool budget_registered_ = false;
   /// Handles not checked out by a fetch task, each tagged with its file
   /// position. handles_total_ counts idle + checked-out, capped at
   /// depth_cap_.

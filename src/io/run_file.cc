@@ -117,15 +117,12 @@ Result<std::unique_ptr<RunReader>> RunReader::Open(
     // slots can read concurrently; the factory opens extra handles on the
     // (immutable, fully written) run file, each retry-wrapped like the
     // first.
-    SequentialFileFactory reopen;
-    if (prefetch_depth_cap > 1 || prefetch_budget != nullptr ||
-        tuning.hedge_reads) {
-      reopen = [env, path, retry]() -> Result<std::unique_ptr<SequentialFile>> {
-        std::unique_ptr<SequentialFile> extra;
-        TOPK_ASSIGN_OR_RETURN(extra, env->NewSequentialFile(path));
-        return MaybeWrapWithRetries(std::move(extra), path, retry);
-      };
-    }
+    SequentialFileFactory reopen =
+        [env, path, retry]() -> Result<std::unique_ptr<SequentialFile>> {
+      std::unique_ptr<SequentialFile> extra;
+      TOPK_ASSIGN_OR_RETURN(extra, env->NewSequentialFile(path));
+      return MaybeWrapWithRetries(std::move(extra), path, retry);
+    };
     auto prefetching = std::make_unique<PrefetchingBlockReader>(
         std::move(file), prefetch_pool, block_bytes, prefetch_depth_cap,
         prefetch_budget, std::move(reopen), tuning);

@@ -137,14 +137,15 @@ struct RunReadVerification {
 class RunReader {
  public:
   /// A non-null `prefetch_pool` inserts a PrefetchingBlockReader under the
-  /// block reader so the next block is fetched while the current one is
+  /// block reader so the next blocks are fetched while the current one is
   /// merged; the reader must not outlive the pool. `retry` governs
   /// transient-failure retries of every block read (under the prefetcher,
   /// so backoff rides the pool thread); `verify` enables inline CRC/row
-  /// count verification at EOF. `prefetch_depth_cap` bounds the adaptive
-  /// lookahead window (1 = fixed single-block lookahead) and
-  /// `prefetch_budget` gates every window slot beyond the first. `tuning`
-  /// carries the degraded-storage knobs (hedged reads, consumer deadline).
+  /// count verification at EOF. With a pool, `prefetch_budget` is required
+  /// and gates every window slot beyond the first; `prefetch_depth_cap`
+  /// bounds the adaptive lookahead window and `tuning` carries the
+  /// degraded-storage knobs (hedged reads, consumer deadline). Without a
+  /// pool the reads are synchronous and those three are unused.
   static Result<std::unique_ptr<RunReader>> Open(
       StorageEnv* env, const std::string& path,
       size_t block_bytes = kDefaultBlockBytes,

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <filesystem>
 
-#include "common/crc32.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "io/manifest.h"
 #include "obs/metrics.h"
 #include "obs/obs_context.h"
 #include "obs/trace.h"
-#include "row/serialization.h"
 
 namespace topk {
 
@@ -23,6 +21,17 @@ ObsCounter& RunsRestoredCounter() {
 ObsCounter& RunsQuarantinedCounter() {
   static ObsCounter counter("resume.runs_quarantined");
   return counter;
+}
+
+/// Checks a whole-run read against the row count and CRC-32C recorded
+/// when `meta`'s run was written.
+RunReadVerification VerificationFor(const RunMeta& meta) {
+  RunReadVerification verify;
+  verify.enabled = true;
+  verify.expected_crc32c = meta.crc32c;
+  verify.expected_rows = meta.rows;
+  verify.run_id = meta.id;
+  return verify;
 }
 
 }  // namespace
@@ -325,73 +334,45 @@ void SpillManager::DisownDir() {
   owns_dir_ = false;
 }
 
-Result<std::unique_ptr<RunReader>> SpillManager::OpenRun(
-    const RunMeta& meta, size_t prefetch_depth_cap) const {
-  ThreadPool* prefetch_pool =
-      io_options_.enable_prefetch ? io_pool_.get() : nullptr;
-  RunReadVerification verify;
-  verify.enabled = true;
-  verify.expected_crc32c = meta.crc32c;
-  verify.expected_rows = meta.rows;
-  verify.run_id = meta.id;
+size_t SpillManager::PrefetchDepthCap(size_t ways) const {
+  return ApportionPrefetchDepth(io_options_.prefetch_memory_budget,
+                                ways == 0 ? run_count() : ways,
+                                kDefaultBlockBytes);
+}
+
+Result<std::unique_ptr<RunReader>> SpillManager::OpenRun(const RunMeta& meta,
+                                                         size_t ways) const {
   PrefetchTuning tuning;
   tuning.hedge_reads = io_options_.hedge_reads;
   tuning.hedge_latency_multiplier = io_options_.hedge_latency_multiplier;
-  tuning.hedge_min_nanos = io_options_.hedge_min_nanos;
   tuning.read_deadline_nanos = io_options_.retry.deadline_nanos;
   tuning.cancel = io_options_.retry.cancel;
-  if (prefetch_depth_cap == 0) {
-    // No plan-time cap from the caller: assume every registered run may be
-    // read concurrently and split the budget evenly. Such apportioned caps
-    // may be re-derived mid-merge as sibling readers finish and leave the
-    // shared budget (explicit caps from the planner stay pinned).
-    tuning.reapportion_depth = true;
-    prefetch_depth_cap =
-        ApportionPrefetchDepth(io_options_.prefetch_memory_budget, run_count(),
-                               kDefaultBlockBytes);
-  }
-  return RunReader::Open(env_, meta.path, kDefaultBlockBytes, prefetch_pool,
-                         io_options_.retry, verify, prefetch_depth_cap,
-                         &prefetch_budget_, tuning);
+  return RunReader::Open(env_, meta.path, kDefaultBlockBytes, io_pool_.get(),
+                         io_options_.retry, VerificationFor(meta),
+                         PrefetchDepthCap(ways), &prefetch_budget_, tuning);
 }
 
 Status SpillManager::VerifyRun(const RunMeta& meta,
                                const RowComparator& comparator) const {
+  // The reader checks the row count and the CRC-32C over the raw bytes at
+  // EOF; only the sort order is checked here.
   std::unique_ptr<RunReader> reader;
-  // No inline verification: this path computes row count, order, and CRC
-  // itself and reports richer mismatch messages.
   TOPK_ASSIGN_OR_RETURN(
       reader, RunReader::Open(env_, meta.path, kDefaultBlockBytes,
-                              /*prefetch_pool=*/nullptr, io_options_.retry));
+                              /*prefetch_pool=*/nullptr, io_options_.retry,
+                              VerificationFor(meta)));
   Row row, previous;
-  uint64_t rows = 0;
-  uint32_t crc = 0;
-  std::string scratch;
-  for (;;) {
+  for (uint64_t rows = 0;; ++rows) {
     bool eof = false;
     TOPK_RETURN_NOT_OK(reader->Next(&row, &eof));
-    if (eof) break;
+    if (eof) return Status::OK();
     if (rows > 0 && comparator.Less(row, previous)) {
       return Status::Corruption("run " + std::to_string(meta.id) +
                                 " is not sorted at row " +
                                 std::to_string(rows));
     }
-    scratch.clear();
-    SerializeRow(row, &scratch);
-    crc = Crc32c(crc, scratch.data(), scratch.size());
-    previous = row;
-    ++rows;
+    std::swap(previous, row);
   }
-  if (rows != meta.rows) {
-    return Status::Corruption(
-        "run " + std::to_string(meta.id) + " has " + std::to_string(rows) +
-        " rows, expected " + std::to_string(meta.rows));
-  }
-  if (crc != meta.crc32c) {
-    return Status::Corruption("run " + std::to_string(meta.id) +
-                              " CRC mismatch");
-  }
-  return Status::OK();
 }
 
 std::vector<RunMeta> SpillManager::runs() const {

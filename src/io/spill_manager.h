@@ -163,15 +163,18 @@ class SpillManager {
   /// recoverable through the manifest.
   void DisownDir();
 
-  /// Opens a registered run for reading. `prefetch_depth_cap` bounds the
-  /// reader's adaptive lookahead window; 0 (the default) apportions the
-  /// manager's prefetch memory budget across the currently registered runs
-  /// (callers that know the merge width — the planner — pass an explicit
-  /// cap instead). Every slot beyond the first is gated by the manager's
-  /// shared PrefetchBudget, so concurrent merges can never exceed the
-  /// configured budget regardless of the caps they pass.
-  Result<std::unique_ptr<RunReader>> OpenRun(
-      const RunMeta& meta, size_t prefetch_depth_cap = 0) const;
+  /// Opens a registered run for reading by a merge of `ways` runs (0, the
+  /// default, means every registered run). With an I/O pool the reader
+  /// reads ahead, its window capped at PrefetchDepthCap(ways); every slot
+  /// beyond the first is gated by the manager's shared PrefetchBudget, so
+  /// concurrent merges can never exceed the configured budget.
+  Result<std::unique_ptr<RunReader>> OpenRun(const RunMeta& meta,
+                                             size_t ways = 0) const;
+
+  /// The lookahead cap (blocks) of each reader of a `ways`-run merge: the
+  /// prefetch memory budget split evenly over the merge's runs (0 = every
+  /// registered run). The one place the cap is derived.
+  size_t PrefetchDepthCap(size_t ways) const;
 
   /// Re-reads `meta`'s file end-to-end and checks row count, sort order,
   /// and the CRC-32C recorded at write time. Returns Corruption on any

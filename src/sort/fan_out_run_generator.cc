@@ -51,7 +51,7 @@ Status FanOutRunGenerator::Add(Row row) {
   // A batch is still full only when its hand-off failed; retry that first
   // so the open batch stays bounded.
   if (BatchFull()) TOPK_RETURN_NOT_OK(HandOff());
-  open_.bytes += row.MemoryFootprint() + kPerRowOverheadBytes;
+  open_.bytes += HeldRowBytes(row);
   open_.rows.push_back(std::move(row));
   ++stats_.rows_added;
   if (BatchFull()) return HandOff();

@@ -101,25 +101,16 @@ Result<std::vector<RunMeta>> ReduceRunsForFinalMerge(
     const size_t excess = runs.size() - options.fan_in;
     const size_t step = std::min(options.fan_in, excess + 1);
     std::vector<RunMeta> inputs(runs.begin(), runs.begin() + step);
-    // Plan-time prefetch apportioning: the step's readers share the
-    // manager-wide prefetch memory budget evenly. Runs the cutoff abandons
-    // mid-step release their reservations back through the shared
-    // PrefetchBudget, letting the surviving readers deepen up to this cap.
-    const size_t prefetch_depth_cap = ApportionPrefetchDepth(
-        spill->io_options().prefetch_memory_budget, inputs.size(),
-        kDefaultBlockBytes);
     PhaseScope phase("merge.intermediate");
     TraceSpan step_span("merge.intermediate_step", "sort",
                         {TraceArg("fan_in", step),
-                         TraceArg("runs_remaining", runs.size()),
-                         TraceArg("prefetch_depth_cap", prefetch_depth_cap)});
+                         TraceArg("runs_remaining", runs.size())});
 
     MergeOptions merge_options;
     merge_options.limit = options.intermediate_limit;
     merge_options.with_ties = options.with_ties;
     merge_options.stop_filter = options.filter;
     merge_options.refine_filter = options.filter;
-    merge_options.prefetch_depth_cap = prefetch_depth_cap;
     merge_options.use_ovc = options.use_ovc;
     merge_options.cancel = options.cancel;
     MergeStats merge_stats;

@@ -28,9 +28,8 @@ struct MergeWay {
     if (eof) {
       exhausted = true;
       ovc = kOvcExhausted;
-      // Leave the shared prefetch budget immediately: the freed slots are
-      // re-apportioned to the surviving ways, whose lookahead windows may
-      // grow mid-step instead of waiting for the merge to finish.
+      // Hand this reader's budget slots back immediately instead of when
+      // the merge finishes.
       reader->CancelPrefetch();
     } else {
       ++stats->rows_read;
@@ -107,7 +106,10 @@ Result<MergeStats> MergeRuns(SpillManager* spill,
     stats.exhausted_inputs = true;
     return stats;
   }
-  TraceSpan span("merge.run", "sort", {TraceArg("ways", runs.size())});
+  TraceSpan span("merge.run", "sort",
+                 {TraceArg("ways", runs.size()),
+                  TraceArg("prefetch_depth_cap",
+                           spill->PrefetchDepthCap(runs.size()))});
   const SortDirection direction = comparator.direction();
 
   if (!options.seek_bytes.empty() &&
@@ -119,19 +121,12 @@ Result<MergeStats> MergeRuns(SpillManager* spill,
     return Status::InvalidArgument("seek skips more rows than the offset");
   }
 
-  // The planner passes the lookahead cap it apportioned at plan time;
-  // direct callers (final merges, tests) derive it here from this merge's
-  // actual width.
-  const size_t depth_cap =
-      options.prefetch_depth_cap != 0
-          ? options.prefetch_depth_cap
-          : ApportionPrefetchDepth(
-                spill->io_options().prefetch_memory_budget, runs.size(),
-                kDefaultBlockBytes);
   std::vector<MergeWay> ways(runs.size());
   PrefetchCancelGuard cancel_guard{&ways};
   for (size_t i = 0; i < runs.size(); ++i) {
-    TOPK_ASSIGN_OR_RETURN(ways[i].reader, spill->OpenRun(runs[i], depth_cap));
+    // Each reader's lookahead cap is this merge's share of the budget.
+    TOPK_ASSIGN_OR_RETURN(ways[i].reader,
+                          spill->OpenRun(runs[i], runs.size()));
     if (!options.seek_bytes.empty() && options.seek_bytes[i] > 0) {
       TOPK_RETURN_NOT_OK(ways[i].reader->SkipToByte(options.seek_bytes[i]));
     }

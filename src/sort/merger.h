@@ -50,13 +50,6 @@ struct MergeOptions {
   std::vector<uint64_t> seek_bytes;
   uint64_t seek_rows_total = 0;
 
-  /// Per-reader cap on the adaptive prefetch window (blocks of lookahead).
-  /// 0 = apportion the spill manager's prefetch memory budget across this
-  /// merge's runs (ApportionPrefetchDepth); the planner passes the value
-  /// it computed at plan time. 1 pins the legacy fixed one-block
-  /// lookahead.
-  size_t prefetch_depth_cap = 0;
-
   /// Offset-value coding on the loser tree (Do & Graefe): each way carries
   /// its row's normalized key plus an offset-value code, so most tournament
   /// repairs are a single integer compare and only equal codes fall back to

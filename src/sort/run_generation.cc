@@ -36,7 +36,7 @@ RunSink::RunSink(SpillManager* spill, const RowComparator& comparator,
 
 Result<size_t> RunSink::RowCharge(const Row& row) {
   TOPK_RETURN_NOT_OK(ValidateRowPayload(row));
-  return row.MemoryFootprint() + kPerRowOverheadBytes;
+  return HeldRowBytes(row);
 }
 
 Status RunSink::Charge(size_t cost) {

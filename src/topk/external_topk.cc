@@ -11,7 +11,7 @@ namespace topk {
 
 Result<bool> CutoffPolicy::Buffer(Row& row, std::vector<Row>* into) {
   InMemoryRows& mem = memory();
-  const size_t cost = row.MemoryFootprint() + kPerRowOverheadBytes;
+  const size_t cost = HeldRowBytes(row);
   if (mem.bytes + cost > options().memory_limit_bytes) return false;
   mem.bytes += cost;
   TOPK_RETURN_NOT_OK(mem.lease.EnsureAtLeast(mem.bytes));
@@ -21,11 +21,6 @@ Result<bool> CutoffPolicy::Buffer(Row& row, std::vector<Row>* into) {
 }
 
 namespace {
-
-/// Bytes a row is charged while it is held in memory.
-size_t HeldCost(const Row& row) {
-  return row.MemoryFootprint() + kPerRowOverheadBytes;
-}
 
 /// True when the row behind the heap top shares its key, so evicting the
 /// top leaves the boundary key unchanged. The candidates for the next top
@@ -66,10 +61,10 @@ Result<bool> BoundedHeapPolicy::KeepInMemory(Row& row) {
   const bool evicted_is_tie = opts.with_ties && BoundaryKeyHeldBehindTop(heap);
   size_t released = 0;
   if (!evicted_is_tie) {
-    released = HeldCost(heap.front());
-    for (const Row& tie : mem.ties) released += HeldCost(tie);
+    released = HeldRowBytes(heap.front());
+    for (const Row& tie : mem.ties) released += HeldRowBytes(tie);
   }
-  const size_t bytes = mem.bytes - released + HeldCost(row);
+  const size_t bytes = mem.bytes - released + HeldRowBytes(row);
   if (bytes > opts.memory_limit_bytes) return false;
   std::pop_heap(heap.begin(), heap.end(), cmp);
   Row evicted = std::move(heap.back());

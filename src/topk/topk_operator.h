@@ -115,16 +115,13 @@ struct TopKOptions {
   /// synchronous I/O (today's deterministic path, byte-identical run
   /// files).
   size_t io_background_threads = 2;
-  /// Read one block ahead of every merge cursor (needs background
-  /// threads).
-  bool enable_io_prefetch = true;
   /// Merge-wide prefetch memory budget (bytes): how much
   /// prefetched-but-unmerged block data all runs of a merge may hold
-  /// beyond their first lookahead block. The merge planner apportions it
-  /// across the live runs; each reader then adapts its lookahead depth to
-  /// the observed round-trip / merge-rate ratio within its share, and runs
-  /// abandoned by the cutoff return their share to the pool. 0 pins the
-  /// fixed one-block lookahead.
+  /// beyond their first lookahead block. Each merge apportions it over its
+  /// own runs; each reader then adapts its lookahead depth to the observed
+  /// round-trip / merge-rate ratio within its share, and runs abandoned by
+  /// the cutoff return their share to the pool. 0 pins the fixed
+  /// one-block lookahead.
   size_t prefetch_memory_budget = 8 << 20;
 
   /// Retry policy applied to every spill read/write/delete and manifest
@@ -176,7 +173,6 @@ struct TopKOptions {
   IoPipelineOptions io_pipeline() const {
     IoPipelineOptions io;
     io.background_threads = io_background_threads;
-    io.enable_prefetch = enable_io_prefetch;
     io.retry = io_retry;
     // The token rides inside the retry policy: RetryOp checks it before
     // attempts and during backoff, SpillManager::OpenRun copies it into

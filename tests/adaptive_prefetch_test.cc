@@ -2,8 +2,10 @@
 /// PrefetchBudget clamp, budget hand-back by abandoned runs, and cancel
 /// semantics when a merge stops early at k rows.
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 namespace topk {
 namespace {
 
+using testing_util::MakePrefetchingReader;
 using testing_util::ScratchDir;
 
 constexpr size_t kBlock = 1024;
@@ -79,25 +82,28 @@ TEST_F(AdaptivePrefetchTest, SlowStorageConvergesToDepthAboveOne) {
 
   ThreadPool pool(4);
   PrefetchBudget budget(16 * kBlock);
-  auto in = env.NewSequentialFile(path);
-  ASSERT_TRUE(in.ok());
-  PrefetchingBlockReader reader(std::move(*in), &pool, kBlock,
-                                /*depth_cap=*/8, &budget);
+  auto reader = MakePrefetchingReader(&env, path, &pool, kBlock, &budget,
+                                      /*depth_cap=*/8);
   std::vector<char> buf(kBlock);
   for (;;) {
     size_t n = 0;
-    ASSERT_TRUE(reader.Read(buf.size(), buf.data(), &n).ok());
+    ASSERT_TRUE(reader->Read(buf.size(), buf.data(), &n).ok());
     if (n == 0) break;
   }
   // The consumer merges a block in microseconds while the fetch costs 2 ms:
   // ceil(rtt / consume) saturates the cap.
-  EXPECT_GT(reader.max_target_depth(), 1u);
-  // EOF handed every reservation back.
+  EXPECT_GT(reader->max_target_depth(), 1u);
+  // EOF hands every reservation back, with the reader still open, once the
+  // claims that extra handles made past EOF have come back empty.
+  for (int i = 0; i < 2000 && budget.acquired() > 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_EQ(budget.acquired(), 0u);
 }
 
-/// With a cap of 1 (the legacy default) the same slow environment must not
-/// read ahead more than one block, however lopsided the EWMAs get.
+/// With a cap of 1 the same slow environment must not read ahead more than
+/// one block, however lopsided the EWMAs get or however much budget is
+/// free.
 TEST_F(AdaptivePrefetchTest, DepthCapOnePinsLegacyBehaviour) {
   StorageEnv::Options env_options;
   env_options.read_latency_nanos = 500'000;
@@ -105,21 +111,21 @@ TEST_F(AdaptivePrefetchTest, DepthCapOnePinsLegacyBehaviour) {
   const std::string path = WriteFile(&env, "pinned", 10 * kBlock);
 
   ThreadPool pool(2);
-  auto in = env.NewSequentialFile(path);
-  ASSERT_TRUE(in.ok());
-  PrefetchingBlockReader reader(std::move(*in), &pool, kBlock);
+  PrefetchBudget budget(16 * kBlock);
+  auto reader = MakePrefetchingReader(&env, path, &pool, kBlock, &budget,
+                                      /*depth_cap=*/1);
   std::vector<char> buf(kBlock);
   for (;;) {
     size_t n = 0;
-    ASSERT_TRUE(reader.Read(buf.size(), buf.data(), &n).ok());
+    ASSERT_TRUE(reader->Read(buf.size(), buf.data(), &n).ok());
     if (n == 0) break;
   }
-  EXPECT_EQ(reader.max_target_depth(), 1u);
+  EXPECT_EQ(reader->max_target_depth(), 1u);
 }
 
-/// Multi-handle mode: with a reopen factory the slots fetch through
-/// several sequential handles striped across block offsets. Out-of-order
-/// completions must still reassemble into the exact byte stream.
+/// Slots beyond the first fetch through extra handles from the reopen
+/// factory, striped across block offsets. Out-of-order completions must
+/// still reassemble into the exact byte stream.
 TEST_F(AdaptivePrefetchTest, ReopenFactoryPreservesByteStream) {
   StorageEnv::Options env_options;
   env_options.read_latency_nanos = 300'000;
@@ -132,19 +138,16 @@ TEST_F(AdaptivePrefetchTest, ReopenFactoryPreservesByteStream) {
   PrefetchBudget budget(16 * kBlock);
   std::string contents;
   {
-    auto in = env.NewSequentialFile(path);
-    ASSERT_TRUE(in.ok());
-    PrefetchingBlockReader reader(
-        std::move(*in), &pool, kBlock, /*depth_cap=*/8, &budget,
-        [&env, path]() { return env.NewSequentialFile(path); });
+    auto reader = MakePrefetchingReader(&env, path, &pool, kBlock, &budget,
+                                        /*depth_cap=*/8);
     std::vector<char> buf(kBlock);
     for (;;) {
       size_t n = 0;
-      ASSERT_TRUE(reader.Read(buf.size(), buf.data(), &n).ok());
+      ASSERT_TRUE(reader->Read(buf.size(), buf.data(), &n).ok());
       if (n == 0) break;
       contents.append(buf.data(), n);
     }
-    EXPECT_GT(reader.max_target_depth(), 1u);
+    EXPECT_GT(reader->max_target_depth(), 1u);
   }  // trailing claims past EOF settle before the budget check
   ASSERT_EQ(contents.size(), kBytes);
   for (size_t i = 0; i < kBytes; ++i) {
@@ -167,10 +170,8 @@ TEST_F(AdaptivePrefetchTest, SharedBudgetClampsManyReaders) {
   PrefetchBudget budget(2 * kBlock);
   std::vector<std::unique_ptr<PrefetchingBlockReader>> readers;
   for (int i = 0; i < 4; ++i) {
-    auto in = env.NewSequentialFile(path);
-    ASSERT_TRUE(in.ok());
-    readers.push_back(std::make_unique<PrefetchingBlockReader>(
-        std::move(*in), &pool, kBlock, /*depth_cap=*/8, &budget));
+    readers.push_back(MakePrefetchingReader(&env, path, &pool, kBlock,
+                                            &budget, /*depth_cap=*/8));
   }
   std::vector<char> buf(kBlock);
   for (int round = 0; round < 20; ++round) {
@@ -195,15 +196,13 @@ TEST_F(AdaptivePrefetchTest, AbandonedReaderReturnsBudget) {
   ThreadPool pool(2);
   PrefetchBudget budget(8 * kBlock);
   {
-    auto in = env.NewSequentialFile(path);
-    ASSERT_TRUE(in.ok());
-    PrefetchingBlockReader reader(std::move(*in), &pool, kBlock,
-                                  /*depth_cap=*/8, &budget);
-    reader.CancelPrefetch();  // the merge dropped this run; stop the pump
+    auto reader = MakePrefetchingReader(&env, path, &pool, kBlock, &budget,
+                                        /*depth_cap=*/8);
+    reader->CancelPrefetch();  // the merge dropped this run; stop the pump
     std::vector<char> buf(kBlock);
     for (int i = 0; i < 6; ++i) {
       size_t n = 0;
-      ASSERT_TRUE(reader.Read(buf.size(), buf.data(), &n).ok());
+      ASSERT_TRUE(reader->Read(buf.size(), buf.data(), &n).ok());
       ASSERT_GT(n, 0u);
     }
   }  // destroyed mid-file, blocks still buffered and slots still reserved
@@ -224,66 +223,13 @@ TEST_F(AdaptivePrefetchTest, CancelReclassifiesLeftoverBlocks) {
   const uint64_t unconsumed_before = unconsumed->value();
   const uint64_t cancelled_before = cancelled->value();
   {
-    auto in = env.NewSequentialFile(path);
-    ASSERT_TRUE(in.ok());
+    PrefetchBudget budget(0);
     // Untouched reader: the constructor's eager first fetch is in flight.
-    PrefetchingBlockReader reader(std::move(*in), &pool, kBlock);
-    reader.CancelPrefetch();
+    auto reader = MakePrefetchingReader(&env, path, &pool, kBlock, &budget);
+    reader->CancelPrefetch();
   }
   EXPECT_EQ(unconsumed->value(), unconsumed_before);
   EXPECT_EQ(cancelled->value(), cancelled_before + 1);
-}
-
-/// Mid-step re-apportioning: when sibling readers leave the budget (their
-/// runs were exhausted or dropped), a survivor opened with
-/// reapportion_depth must inherit the freed slots — its window grows past
-/// the cap that was apportioned while all siblings were alive.
-TEST_F(AdaptivePrefetchTest, SurvivorInheritsFreedBudgetMidStep) {
-  StorageEnv::Options env_options;
-  env_options.read_latency_nanos = 1'000'000;  // depth-hungry storage
-  StorageEnv env(env_options);
-  const std::string path = WriteFile(&env, "survivor", 60 * kBlock);
-
-  ThreadPool pool(4);
-  PrefetchBudget budget(8 * kBlock);
-  // Opened while 4 runs share the step: 8 slots / 4 runs + the free first
-  // slot = depth 3 each.
-  const size_t opening_cap = ApportionPrefetchDepth(8 * kBlock, 4, kBlock);
-  ASSERT_EQ(opening_cap, 3u);
-  PrefetchTuning tuning;
-  tuning.reapportion_depth = true;
-  std::vector<std::unique_ptr<PrefetchingBlockReader>> readers;
-  for (int i = 0; i < 4; ++i) {
-    auto in = env.NewSequentialFile(path);
-    ASSERT_TRUE(in.ok());
-    readers.push_back(std::make_unique<PrefetchingBlockReader>(
-        std::move(*in), &pool, kBlock, opening_cap, &budget, nullptr,
-        tuning));
-  }
-
-  std::vector<char> buf(kBlock);
-  for (auto& reader : readers) {
-    for (int i = 0; i < 4; ++i) {
-      size_t n = 0;
-      ASSERT_TRUE(reader->Read(buf.size(), buf.data(), &n).ok());
-      ASSERT_GT(n, 0u);
-    }
-  }
-  // While all four are alive, nobody may exceed the apportioned cap.
-  EXPECT_LE(readers[0]->max_target_depth(), opening_cap);
-
-  // Three runs leave the step; their slots return to the pool.
-  readers.resize(1);
-  for (;;) {
-    size_t n = 0;
-    ASSERT_TRUE(readers[0]->Read(buf.size(), buf.data(), &n).ok());
-    if (n == 0) break;
-  }
-  // The survivor re-apportioned over 1 live run: 8 slots + the free first
-  // slot, far past its opening cap of 3.
-  EXPECT_GT(readers[0]->max_target_depth(), opening_cap);
-  readers.clear();
-  EXPECT_EQ(budget.acquired(), 0u);
 }
 
 std::vector<Row> SequentialRows(size_t n, double first_key) {
@@ -307,7 +253,6 @@ TEST_F(AdaptivePrefetchTest, EarlyMergeStopLeavesNoUnconsumedBlocks) {
 
   IoPipelineOptions io;
   io.background_threads = 4;
-  io.enable_prefetch = true;
   auto spill = SpillManager::Create(&env, scratch_.str() + "/spill", io);
   ASSERT_TRUE(spill.ok());
   const RowComparator cmp;
@@ -339,6 +284,63 @@ TEST_F(AdaptivePrefetchTest, EarlyMergeStopLeavesNoUnconsumedBlocks) {
   EXPECT_EQ(unconsumed->value(), before);
   // Everything the merge abandoned was reclaimed.
   EXPECT_EQ((*spill)->prefetch_budget()->acquired(), 0u);
+}
+
+/// Samples of the io.prefetch.depth histogram at depth 2 or more.
+uint64_t DeepWindowSamples() {
+  const LatencyHistogram::Snapshot depth =
+      GlobalMetrics().GetHistogram("io.prefetch.depth")->snapshot();
+  uint64_t samples = 0;
+  for (size_t i = LatencyHistogram::BucketIndex(2); i < depth.buckets.size();
+       ++i) {
+    samples += depth.buckets[i];
+  }
+  return samples;
+}
+
+/// The depth cap is derived from the width of the merge that opens a run,
+/// not from how many runs are registered: a 2-way merge among 16
+/// registered runs gets the 2-way share of the budget.
+TEST_F(AdaptivePrefetchTest, MergeWidthSetsDepthCap) {
+  StorageEnv::Options env_options;
+  env_options.read_latency_nanos = 10'000'000;  // depth-hungry storage
+  StorageEnv env(env_options);
+
+  IoPipelineOptions io;
+  io.background_threads = 4;
+  io.prefetch_memory_budget = 8 * kDefaultBlockBytes;
+  auto spill = SpillManager::Create(&env, scratch_.str() + "/spill", io);
+  ASSERT_TRUE(spill.ok());
+  const RowComparator cmp;
+  // Two runs of several blocks with disjoint keys, so the merge drains one
+  // after the other, plus 14 one-row runs that only make the registry
+  // wide. Wide rows keep merging a block far cheaper than reading it,
+  // sanitizer builds included.
+  const std::string payload(8000, 'w');
+  for (int r = 0; r < 16; ++r) {
+    const int rows = r < 2 ? 200 : 1;
+    auto writer = (*spill)->NewRun(cmp);
+    ASSERT_TRUE(writer.ok());
+    for (int i = 0; i < rows; ++i) {
+      ASSERT_TRUE(
+          (*writer)->Append(Row(r * 10000.0 + i, i, payload)).ok());
+    }
+    auto meta = (*writer)->Finish();
+    ASSERT_TRUE(meta.ok());
+    ASSERT_TRUE((*spill)->AddRun(*meta).ok());
+  }
+  // Apportioned over the registry, 8 slots over 16 runs leave depth 1.
+  ASSERT_EQ((*spill)->PrefetchDepthCap(0), 1u);
+
+  const std::vector<RunMeta> runs = (*spill)->runs();
+  const std::vector<RunMeta> drained(runs.begin(), runs.begin() + 2);
+  const uint64_t deep_before = DeepWindowSamples();
+  auto stats = MergeRuns(spill->get(), drained, cmp, MergeOptions(),
+                         [](Row&&) { return Status::OK(); });
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->rows_emitted, 400u);
+  EXPECT_TRUE(stats->exhausted_inputs);
+  EXPECT_GT(DeepWindowSamples(), deep_before);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 namespace topk {
 namespace {
 
+using testing_util::MakePrefetchingReader;
 using testing_util::ScratchDir;
 
 std::string ReadWholeFile(const std::string& path) {
@@ -58,6 +59,7 @@ class AsyncIoTest : public ::testing::Test {
   ScratchDir scratch_;
   StorageEnv env_;
   ThreadPool pool_{2};
+  PrefetchBudget budget_{0};
 };
 
 TEST_F(AsyncIoTest, DoubleBufferedWriterWritesAllBlocksInOrder) {
@@ -113,15 +115,14 @@ TEST_F(AsyncIoTest, PrefetchingReaderStreamsWholeFile) {
     ASSERT_TRUE((*file)->Append(expected).ok());
     ASSERT_TRUE((*file)->Close().ok());
   }
-  auto in = env_.NewSequentialFile(Path("f"));
-  ASSERT_TRUE(in.ok());
   // Block size deliberately misaligned with the file size.
-  PrefetchingBlockReader reader(std::move(*in), &pool_, /*block_bytes=*/64);
+  auto reader = MakePrefetchingReader(&env_, Path("f"), &pool_,
+                                      /*block_bytes=*/64, &budget_);
   std::string got;
   char buf[64];
   for (;;) {
     size_t n = 0;
-    ASSERT_TRUE(reader.Read(sizeof(buf), buf, &n).ok());
+    ASSERT_TRUE(reader->Read(sizeof(buf), buf, &n).ok());
     if (n == 0) break;
     got.append(buf, n);
   }
@@ -139,18 +140,17 @@ TEST_F(AsyncIoTest, PrefetchingReaderSkipCrossesBlockBoundaries) {
     ASSERT_TRUE((*file)->Append(payload).ok());
     ASSERT_TRUE((*file)->Close().ok());
   }
-  auto in = env_.NewSequentialFile(Path("f"));
-  ASSERT_TRUE(in.ok());
-  PrefetchingBlockReader reader(std::move(*in), &pool_, /*block_bytes=*/100);
+  auto reader = MakePrefetchingReader(&env_, Path("f"), &pool_,
+                                      /*block_bytes=*/100, &budget_);
   char buf[16];
   size_t n = 0;
-  ASSERT_TRUE(reader.Read(10, buf, &n).ok());
+  ASSERT_TRUE(reader->Read(10, buf, &n).ok());
   ASSERT_EQ(n, 10u);
   EXPECT_EQ(std::string(buf, n), payload.substr(0, 10));
   // Skip past the ready remainder, the prefetched block, and into the
   // un-fetched tail of the file.
-  ASSERT_TRUE(reader.Skip(700).ok());
-  ASSERT_TRUE(reader.Read(10, buf, &n).ok());
+  ASSERT_TRUE(reader->Skip(700).ok());
+  ASSERT_TRUE(reader->Read(10, buf, &n).ok());
   ASSERT_EQ(n, 10u);
   EXPECT_EQ(std::string(buf, n), payload.substr(710, 10));
 }
@@ -162,15 +162,14 @@ TEST_F(AsyncIoTest, PrefetchingReaderSurfacesBackgroundReadError) {
     ASSERT_TRUE((*file)->Append(std::string(400, 'x')).ok());
     ASSERT_TRUE((*file)->Close().ok());
   }
-  auto in = env_.NewSequentialFile(Path("f"));
-  ASSERT_TRUE(in.ok());
   env_.InjectReadFailure(2);  // the prefetch of block 2 fails
-  PrefetchingBlockReader reader(std::move(*in), &pool_, /*block_bytes=*/100);
+  auto reader = MakePrefetchingReader(&env_, Path("f"), &pool_,
+                                      /*block_bytes=*/100, &budget_);
   char buf[100];
   size_t n = 0;
   Status status = Status::OK();
   for (int block = 0; block < 5 && status.ok(); ++block) {
-    status = reader.Read(sizeof(buf), buf, &n);
+    status = reader->Read(sizeof(buf), buf, &n);
     if (status.ok() && n == 0) break;
   }
   EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
@@ -191,10 +190,8 @@ TEST_F(AsyncIoTest, PrefetchUnconsumedCounterTracksAbandonedBlocks) {
   // Abandoned untouched: the constructor's eager prefetch is wasted.
   uint64_t before = unconsumed->value();
   {
-    auto in = env_.NewSequentialFile(Path("f"));
-    ASSERT_TRUE(in.ok());
-    PrefetchingBlockReader reader(std::move(*in), &pool_,
-                                  /*block_bytes=*/100);
+    auto reader = MakePrefetchingReader(&env_, Path("f"), &pool_,
+                                        /*block_bytes=*/100, &budget_);
   }
   EXPECT_EQ(unconsumed->value(), before + 1);
 
@@ -205,13 +202,11 @@ TEST_F(AsyncIoTest, PrefetchUnconsumedCounterTracksAbandonedBlocks) {
   // block two for every one of them.)
   before = unconsumed->value();
   {
-    auto in = env_.NewSequentialFile(Path("f"));
-    ASSERT_TRUE(in.ok());
-    PrefetchingBlockReader reader(std::move(*in), &pool_,
-                                  /*block_bytes=*/100);
+    auto reader = MakePrefetchingReader(&env_, Path("f"), &pool_,
+                                        /*block_bytes=*/100, &budget_);
     char buf[10];
     size_t n = 0;
-    ASSERT_TRUE(reader.Read(sizeof(buf), buf, &n).ok());
+    ASSERT_TRUE(reader->Read(sizeof(buf), buf, &n).ok());
     ASSERT_EQ(n, 10u);
   }
   EXPECT_EQ(unconsumed->value(), before);
@@ -220,15 +215,13 @@ TEST_F(AsyncIoTest, PrefetchUnconsumedCounterTracksAbandonedBlocks) {
   // pipeline is ahead again, and the in-flight third block is wasted.
   before = unconsumed->value();
   {
-    auto in = env_.NewSequentialFile(Path("f"));
-    ASSERT_TRUE(in.ok());
-    PrefetchingBlockReader reader(std::move(*in), &pool_,
-                                  /*block_bytes=*/100);
+    auto reader = MakePrefetchingReader(&env_, Path("f"), &pool_,
+                                        /*block_bytes=*/100, &budget_);
     char buf[100];
     size_t n = 0;
-    ASSERT_TRUE(reader.Read(sizeof(buf), buf, &n).ok());
+    ASSERT_TRUE(reader->Read(sizeof(buf), buf, &n).ok());
     ASSERT_EQ(n, 100u);
-    ASSERT_TRUE(reader.Read(10, buf, &n).ok());
+    ASSERT_TRUE(reader->Read(10, buf, &n).ok());
     ASSERT_EQ(n, 10u);
   }
   EXPECT_EQ(unconsumed->value(), before + 1);
@@ -236,14 +229,12 @@ TEST_F(AsyncIoTest, PrefetchUnconsumedCounterTracksAbandonedBlocks) {
   // Drained to EOF: nothing was wasted.
   before = unconsumed->value();
   {
-    auto in = env_.NewSequentialFile(Path("f"));
-    ASSERT_TRUE(in.ok());
-    PrefetchingBlockReader reader(std::move(*in), &pool_,
-                                  /*block_bytes=*/100);
+    auto reader = MakePrefetchingReader(&env_, Path("f"), &pool_,
+                                        /*block_bytes=*/100, &budget_);
     char buf[100];
     for (;;) {
       size_t n = 0;
-      ASSERT_TRUE(reader.Read(sizeof(buf), buf, &n).ok());
+      ASSERT_TRUE(reader->Read(sizeof(buf), buf, &n).ok());
       if (n == 0) break;
     }
   }
@@ -299,7 +290,6 @@ TEST_F(AsyncIoTest, PipelinedRunFilesAreByteIdenticalToSynchronous) {
 TEST_F(AsyncIoTest, PipelinedSpillRoundTripAndVerify) {
   IoPipelineOptions io;
   io.background_threads = 2;
-  io.enable_prefetch = true;
   auto spill = SpillManager::Create(&env_, Path("spill"), io);
   ASSERT_TRUE(spill.ok());
   const RowComparator cmp;

@@ -25,6 +25,7 @@ namespace topk {
 namespace {
 
 using testing_util::ExpectSameRows;
+using testing_util::MakePrefetchingReader;
 using testing_util::ReferenceTopK;
 using testing_util::ScratchDir;
 
@@ -95,6 +96,7 @@ TEST(HedgedReadTest, HedgeBeatsStragglingPrimaryByteIdentically) {
   const uint64_t wins_before = CounterValue("io.hedge.wins");
 
   ThreadPool pool(2);
+  PrefetchBudget budget(kBlock);
   auto base = env.NewSequentialFile(path);
   ASSERT_TRUE(base.ok());
   // The primary handle stalls 300 ms on the very first block; the hedge
@@ -104,16 +106,15 @@ TEST(HedgedReadTest, HedgeBeatsStragglingPrimaryByteIdentically) {
   PrefetchTuning tuning;
   tuning.hedge_reads = true;
   tuning.hedge_min_nanos = 2'000'000;
-  PrefetchingBlockReader reader(
-      std::move(straggler), &pool, kBlock, /*depth_cap=*/2,
-      /*budget=*/nullptr,
-      [&]() { return env.NewSequentialFile(path); }, tuning);
+  auto reader = MakePrefetchingReader(&env, path, &pool, kBlock, &budget,
+                                      /*depth_cap=*/2, tuning,
+                                      std::move(straggler));
 
   std::string got(expected.size(), '\0');
   size_t off = 0;
   while (off < got.size()) {
     size_t bytes_read = 0;
-    ASSERT_TRUE(reader.Read(kBlock, got.data() + off, &bytes_read).ok());
+    ASSERT_TRUE(reader->Read(kBlock, got.data() + off, &bytes_read).ok());
     ASSERT_GT(bytes_read, 0u);
     off += bytes_read;
   }
@@ -133,19 +134,17 @@ TEST(HedgedReadTest, NoHedgesOnHealthyStorage) {
 
   const uint64_t issued_before = CounterValue("io.hedge.issued");
   ThreadPool pool(2);
-  auto base = env.NewSequentialFile(path);
-  ASSERT_TRUE(base.ok());
+  PrefetchBudget budget(kBlock);
   PrefetchTuning tuning;
   tuning.hedge_reads = true;
   tuning.hedge_min_nanos = 500'000'000;  // far beyond any local read
-  PrefetchingBlockReader reader(
-      std::move(*base), &pool, kBlock, /*depth_cap=*/2, /*budget=*/nullptr,
-      [&]() { return env.NewSequentialFile(path); }, tuning);
+  auto reader = MakePrefetchingReader(&env, path, &pool, kBlock, &budget,
+                                      /*depth_cap=*/2, tuning);
   std::string got(expected.size(), '\0');
   size_t off = 0;
   while (off < got.size()) {
     size_t bytes_read = 0;
-    ASSERT_TRUE(reader.Read(kBlock, got.data() + off, &bytes_read).ok());
+    ASSERT_TRUE(reader->Read(kBlock, got.data() + off, &bytes_read).ok());
     off += bytes_read;
   }
   EXPECT_EQ(got, expected);
@@ -161,6 +160,7 @@ TEST(ReadDeadlineTest, HungFetchSurfacesUnavailable) {
   const uint64_t deadline_before =
       CounterValue("io.prefetch.deadline_exceeded");
   ThreadPool pool(1);
+  PrefetchBudget budget(0);
   auto base = env.NewSequentialFile(path);
   ASSERT_TRUE(base.ok());
   // 400 ms stall against a 50 ms deadline: the consumer must give up with
@@ -170,11 +170,12 @@ TEST(ReadDeadlineTest, HungFetchSurfacesUnavailable) {
   PrefetchTuning tuning;
   tuning.read_deadline_nanos = 50'000'000;
   {
-    PrefetchingBlockReader reader(std::move(straggler), &pool, kBlock,
-                                  /*depth_cap=*/1, nullptr, nullptr, tuning);
+    auto reader = MakePrefetchingReader(&env, path, &pool, kBlock, &budget,
+                                        /*depth_cap=*/1, tuning,
+                                        std::move(straggler));
     char buf[kBlock];
     size_t bytes_read = 0;
-    Status status = reader.Read(kBlock, buf, &bytes_read);
+    Status status = reader->Read(kBlock, buf, &bytes_read);
     ASSERT_FALSE(status.ok());
     EXPECT_EQ(status.code(), StatusCode::kUnavailable);
     EXPECT_NE(status.message().find("deadline exceeded"), std::string::npos)

@@ -113,20 +113,35 @@ TEST(SampledScopeTimerTest, EstimatesWorkThatRecursEveryMeanGapCalls) {
   // One call in kMeanGap is expensive, the rest are free. A timer that
   // sampled every kMeanGap-th call would time only the expensive ones (or
   // none) and be off by that factor; random gaps keep the estimate near the
-  // measured total.
+  // measured total. The check is on the weights the expensive calls were
+  // scaled by: each one's estimate delta over its own measured time. A
+  // preemption inside a sampled call inflates both alike, so a loaded
+  // machine cannot push the sum out of the band.
   SampledScopeTimer::Schedule schedule;
   int64_t estimate = 0;
   const int calls = 4000 * SampledScopeTimer::kMeanGap;
-  Stopwatch watch;
+  int expensive_calls = 0;
+  double weights = 0.0;
   for (int i = 0; i < calls; ++i) {
-    SampledScopeTimer timer(&schedule, &estimate);
-    if (i % SampledScopeTimer::kMeanGap == 0) BusyWait(10000);
+    const int64_t before = estimate;
+    int64_t own_nanos = 0;
+    {
+      SampledScopeTimer timer(&schedule, &estimate);
+      if (i % SampledScopeTimer::kMeanGap == 0) {
+        Stopwatch call;
+        BusyWait(10000);
+        own_nanos = call.ElapsedNanos();
+      }
+    }
+    if (own_nanos > 0) {
+      ++expensive_calls;
+      weights += static_cast<double>(estimate - before) /
+                 static_cast<double>(own_nanos);
+    }
   }
-  // A fixed stride reads ~64× the measured total here (or ~0); the wide
-  // band leaves room for a preempted sample on a loaded machine.
-  const double measured = static_cast<double>(watch.ElapsedNanos());
-  EXPECT_GT(static_cast<double>(estimate), 0.3 * measured);
-  EXPECT_LT(static_cast<double>(estimate), 3.0 * measured);
+  // A fixed stride sums to ~64× the expensive-call count here (or ~0).
+  EXPECT_GT(weights, 0.3 * expensive_calls);
+  EXPECT_LT(weights, 3.0 * expensive_calls);
 }
 
 TEST(SampledScopeTimerTest, InFullChargesRareHeavyWorkOnce) {

@@ -340,7 +340,6 @@ TEST(OperatorCancelTest, CancelRacingBackgroundPoolWork) {
     StorageEnv env;
     TopKOptions options = SmallOptions(&env, scratch.str());
     options.io_background_threads = 2;
-    options.enable_io_prefetch = true;
     options.merge_fan_in = 4;  // force intermediate merges with prefetch
     options.cancel = std::make_shared<CancellationToken>();
     auto op = MakeTopKOperator(TopKAlgorithm::kTraditionalExternal, options);

@@ -7,12 +7,15 @@
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "gen/generator.h"
+#include "io/async_io.h"
 #include "io/storage_env.h"
 #include "row/row.h"
 #include "topk/topk_operator.h"
@@ -121,6 +124,26 @@ inline void ExpectSameRowsBitwise(const std::vector<Row>& expected,
     ASSERT_EQ(expected[i].id, actual[i].id) << "row " << i;
     ASSERT_EQ(expected[i].payload, actual[i].payload) << "row " << i;
   }
+}
+
+/// Reads `path` through a PrefetchingBlockReader wired the way
+/// RunReader::Open wires it: `budget` gates the window, and a factory
+/// reopens `path` for the extra slots and hedges. `base` replaces the
+/// first handle when given (tests wrap it to stall or fail reads).
+inline std::unique_ptr<PrefetchingBlockReader> MakePrefetchingReader(
+    StorageEnv* env, const std::string& path, ThreadPool* pool,
+    size_t block_bytes, PrefetchBudget* budget, size_t depth_cap = 1,
+    const PrefetchTuning& tuning = PrefetchTuning(),
+    std::unique_ptr<SequentialFile> base = nullptr) {
+  if (base == nullptr) {
+    auto opened = env->NewSequentialFile(path);
+    EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+    if (!opened.ok()) return nullptr;
+    base = std::move(*opened);
+  }
+  return std::make_unique<PrefetchingBlockReader>(
+      std::move(base), pool, block_bytes, depth_cap, budget,
+      [env, path] { return env->NewSequentialFile(path); }, tuning);
 }
 
 }  // namespace testing_util

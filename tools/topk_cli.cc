@@ -25,7 +25,6 @@
 ///                 cutoff filter (Sec 4.4); every other algorithm rejects a
 ///                 value other than 1 (1)
 ///   --io-threads  background I/O pipeline threads, 0 = synchronous (2)
-///   --prefetch    read ahead of the merge cursor (true)
 ///   --prefetch-budget-mb  merge-wide adaptive prefetch memory budget in
 ///                 MiB; 0 pins the fixed one-block lookahead (8)
 ///   --io-latency-us  injected storage latency per I/O call, emulating
@@ -185,7 +184,7 @@ int main(int argc, char** argv) {
   int64_t checkpoint_every_rows = 0;
   double memory_mb = 0, shape = 0, prefetch_budget_mb = 8.0;
   double hedge_multiplier = 3.0, spill_quota_mb = 0, mem_budget_mb = 0;
-  bool early_merge = true, verify = false, prefetch = true, progress = false;
+  bool early_merge = true, verify = false, progress = false;
   bool suspend_before_merge = false, hedge = false, storage_breaker = false;
   bool profile = false;
   bool use_ovc = DefaultOvcEnabled();
@@ -217,7 +216,6 @@ int main(int argc, char** argv) {
       if (io_latency_us < 0) {
         return Status::InvalidArgument("--io-latency-us must be >= 0");
       }
-      TOPK_ASSIGN_OR_RETURN(prefetch, flags.GetBool("prefetch", true));
       TOPK_ASSIGN_OR_RETURN(prefetch_budget_mb,
                             flags.GetDouble("prefetch-budget-mb", 8.0));
       if (prefetch_budget_mb < 0 || prefetch_budget_mb > 4096) {
@@ -383,7 +381,6 @@ int main(int argc, char** argv) {
   options.use_ovc = use_ovc;
   options.workers = static_cast<size_t>(workers);
   options.io_background_threads = static_cast<size_t>(io_threads);
-  options.enable_io_prefetch = prefetch;
   options.prefetch_memory_budget =
       static_cast<size_t>(prefetch_budget_mb * 1024.0 * 1024.0);
   options.io_retry.max_attempts = static_cast<int>(io_retry_attempts);
