@@ -160,6 +160,7 @@ const std::vector<std::string>& KnownCrashPoints() {
       "post-run-flush",
       "pre-merge-step",
       "post-merge-step",
+      "post-drop-checkpoint",
       "post-manifest-checkpoint",
       "optimized.mid-input",
   };

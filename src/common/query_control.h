@@ -150,6 +150,8 @@ inline constexpr int kCrashExitCode = 42;
 ///   post-run-flush           after run generation flushed + manifest durable
 ///   pre-merge-step           before an intermediate merge step starts
 ///   post-merge-step          after an intermediate merge step committed
+///   post-drop-checkpoint     merge phase: runs beyond the cutoff released,
+///                            manifest flushed, files not yet deleted
 ///   post-manifest-checkpoint end of Suspend, manifest flushed, dir kept
 ///   optimized.mid-input      after OptimizedExternalTopK checkpointed input
 const std::vector<std::string>& KnownCrashPoints();

@@ -268,6 +268,23 @@ Result<std::string> SpillManager::ReleaseRun(uint64_t run_id) {
   return path;
 }
 
+std::vector<RunMeta> SpillManager::ReleaseRunsIf(
+    const std::function<bool(const RunMeta&)>& select) {
+  std::vector<RunMeta> released;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto kept = runs_.begin();
+  for (auto it = runs_.begin(); it != runs_.end(); ++it) {
+    if (select(*it)) {
+      released.push_back(std::move(*it));
+    } else {
+      if (kept != it) *kept = std::move(*it);
+      ++kept;
+    }
+  }
+  runs_.erase(kept, runs_.end());
+  return released;
+}
+
 Status SpillManager::DeleteSpillFile(const std::string& path) {
   // Deterministic per-path jitter seed; a local RNG keeps concurrent
   // deletes race-free without another manager-wide lock.

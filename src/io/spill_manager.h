@@ -3,6 +3,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -118,6 +119,12 @@ class SpillManager {
   /// once that checkpoint is durable are the released files deleted — so a
   /// crash at any point leaves a manifest whose runs all exist on disk.
   Result<std::string> ReleaseRun(uint64_t run_id);
+
+  /// ReleaseRun for every registered run `select` picks, in one pass under
+  /// the registry lock; returns the released runs. `select` runs under
+  /// that lock and must not call back into the manager.
+  std::vector<RunMeta> ReleaseRunsIf(
+      const std::function<bool(const RunMeta&)>& select);
 
   /// Deletes a spill file that is no longer registered (a released merge
   /// input, or an empty merge output). Transient delete faults are retried

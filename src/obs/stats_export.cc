@@ -20,6 +20,8 @@ void WriteOperatorStats(const OperatorStats& stats, JsonWriter* writer) {
   writer->Number(stats.rows_spilled);
   writer->Key("runs_created");
   writer->Number(stats.runs_created);
+  writer->Key("runs_dropped");
+  writer->Number(stats.runs_dropped);
   writer->Key("bytes_spilled");
   writer->Number(stats.bytes_spilled);
   writer->Key("merge_rows_written");

@@ -80,12 +80,51 @@ Result<MergeStats> MergeIntoCommittedRun(SpillManager* spill,
   return merge_stats;
 }
 
+Result<uint64_t> DropRunsBeyondCutoff(SpillManager* spill,
+                                      const CutoffFilter& filter,
+                                      uint64_t output_rows,
+                                      bool input_complete) {
+  if (filter.k() < output_rows) return 0;
+  const std::vector<RunMeta> dead = spill->ReleaseRunsIf(
+      [&](const RunMeta& run) { return filter.EliminateKey(run.first_key); });
+  if (dead.empty()) return 0;
+  uint64_t bytes = 0;
+  for (const RunMeta& run : dead) bytes += run.bytes;
+  TraceInstant("merge.drop_runs", "sort",
+               {TraceArg("runs", dead.size()), TraceArg("bytes", bytes)});
+  // Crash-safe ordering, as in MergeIntoCommittedRun: the runs leave the
+  // registry, the manifest without them is made durable, and only then
+  // are their files deleted.
+  TOPK_RETURN_NOT_OK(spill->CheckpointManifest());
+  if (spill->auto_manifest_enabled()) {
+    TOPK_RETURN_NOT_OK(spill->FlushManifest());
+  }
+  // Crash point: the manifest no longer names the dropped runs, whose files
+  // are still on disk.
+  if (input_complete) HitCrashPoint("post-drop-checkpoint");
+  for (const RunMeta& run : dead) {
+    TOPK_RETURN_NOT_OK(spill->DeleteSpillFile(run.path));
+  }
+  return dead.size();
+}
+
 Result<std::vector<RunMeta>> ReduceRunsForFinalMerge(
     SpillManager* spill, const RowComparator& comparator,
     const MergePlannerOptions& options, MergePlanStats* stats) {
   if (options.fan_in < 2) {
     return Status::InvalidArgument("merge fan-in must be at least 2");
   }
+  const auto drop_dead_runs = [&]() -> Status {
+    if (options.filter == nullptr) return Status::OK();
+    uint64_t dropped = 0;
+    TOPK_ASSIGN_OR_RETURN(
+        dropped, DropRunsBeyondCutoff(spill, *options.filter,
+                                      options.intermediate_limit,
+                                      /*input_complete=*/true));
+    if (stats != nullptr) stats->runs_dropped += dropped;
+    return Status::OK();
+  };
+  TOPK_RETURN_NOT_OK(drop_dead_runs());
   std::vector<RunMeta> runs = spill->runs();
   while (runs.size() > options.fan_in) {
     // Between steps is the cheapest place to stop: the previous step is
@@ -125,6 +164,7 @@ Result<std::vector<RunMeta>> ReduceRunsForFinalMerge(
       stats->intermediate_rows_written += merge_stats.rows_emitted;
       stats->intermediate_rows_read += merge_stats.rows_read;
     }
+    TOPK_RETURN_NOT_OK(drop_dead_runs());
     runs = spill->runs();
   }
   return runs;

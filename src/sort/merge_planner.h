@@ -52,11 +52,16 @@ struct MergePlanStats {
   uint64_t intermediate_steps = 0;
   uint64_t intermediate_rows_written = 0;
   uint64_t intermediate_rows_read = 0;
+  /// Runs deleted unmerged by DropRunsBeyondCutoff.
+  uint64_t runs_dropped = 0;
 };
 
 /// Reduces the SpillManager's registered runs to at most `fan_in` by
 /// executing intermediate merge steps (consumed runs are deleted, each step
-/// registers its output run). Returns the surviving runs, ready for a final
+/// registers its output run). With a filter whose k covers
+/// `intermediate_limit`, runs wholly beyond its cutoff are deleted unmerged
+/// before every step and before the final run set is returned
+/// (DropRunsBeyondCutoff). Returns the surviving runs, ready for a final
 /// merge. Statistics about performed steps are added to `*stats` when
 /// non-null.
 Result<std::vector<RunMeta>> ReduceRunsForFinalMerge(
@@ -73,6 +78,24 @@ Result<MergeStats> MergeIntoCommittedRun(SpillManager* spill,
                                          const RowComparator& comparator,
                                          const MergeOptions& options,
                                          bool quota_exempt = false);
+
+/// Deletes, without opening them, the registered runs that lie wholly
+/// beyond `filter`'s cutoff: runs whose first key the filter eliminates,
+/// by the same probe a merge stops on (so a run whose first key equals
+/// the cutoff is kept). The cutoff proves at least k rows at or before it,
+/// so no row of such a run can reach the output. The commit order is
+/// MergeIntoCommittedRun's: release the runs, checkpoint and flush the
+/// manifest, then delete the files. A no-op when the filter is
+/// approximate (its k below `output_rows`, the k + offset the query
+/// returns): its cutoff does not bound the exact output.
+///
+/// `input_complete` says the registered runs hold the whole input, so a
+/// crash after the manifest flush is resumable; only then does the
+/// `post-drop-checkpoint` crash point fire. Returns the runs deleted.
+Result<uint64_t> DropRunsBeyondCutoff(SpillManager* spill,
+                                      const CutoffFilter& filter,
+                                      uint64_t output_rows,
+                                      bool input_complete);
 
 /// Orders runs by the chosen policy; exposed for tests.
 void OrderRunsForMerge(std::vector<RunMeta>* runs,

@@ -333,6 +333,7 @@ Status ExternalTopK::MergeRunsInto(std::vector<Row>* result) {
                                             planner_options, &plan_stats));
   }
   stats_.merge_rows_written += plan_stats.intermediate_rows_written;
+  stats_.runs_dropped += plan_stats.runs_dropped;
 
   MergeOptions merge_options;
   merge_options.limit = options_.k;

@@ -1,6 +1,7 @@
 #include "topk/histogram_topk.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "extensions/offset_skip.h"
 #include "obs/metrics.h"
@@ -47,9 +48,10 @@ class FilterSpillObserver final : public SpillObserver {
 /// There the cutoff filter probes every input row (Algorithm 1 line 4),
 /// re-checks rows leaving for a run (line 11) and learns from every
 /// spilled row (line 13), through each run generator's spill observer —
-/// one per generator when TopKOptions::workers > 1 (Sec 4.4). Merges stop
-/// at the cutoff and refine it; the final merge seeks past the offset
-/// prefix (Sec 4.1).
+/// one per generator when TopKOptions::workers > 1 (Sec 4.4). Each time the
+/// cutoff moves, the next surviving row first deletes the runs it has
+/// passed. Merges stop at the cutoff and refine it; the final merge seeks
+/// past the offset prefix (Sec 4.1).
 class HistogramFilterPolicy final : public BoundedHeapPolicy {
  public:
   bool parallel_run_generation() const override { return true; }
@@ -61,7 +63,12 @@ class HistogramFilterPolicy final : public BoundedHeapPolicy {
       return Status::OK();
     }
     // Reclaim disk headroom *before* handing over the row: Add takes it by
-    // value, so a quota breach inside run generation would lose it.
+    // value, so a quota breach inside run generation would lose it. Runs
+    // the cutoff has passed go first, so consolidation sees their bytes
+    // freed.
+    if (cutoff_moved_.load(std::memory_order_relaxed)) {
+      TOPK_RETURN_NOT_OK(DropDeadRuns());
+    }
     TOPK_RETURN_NOT_OK(MaybeConsolidateForQuota());
     return generator()->Add(std::move(row));
   }
@@ -94,6 +101,11 @@ class HistogramFilterPolicy final : public BoundedHeapPolicy {
   /// no longer help does a write surface ResourceExhausted.
   Status MaybeConsolidateForQuota();
 
+  /// Deletes the registered runs the cutoff has passed since the last call
+  /// (DropRunsBeyondCutoff), freeing their disk and spill quota while input
+  /// still arrives.
+  Status DropDeadRuns();
+
   /// Arbiter lease covering the cutoff filter's bucket-queue budget,
   /// acquired at the external switch.
   MemoryLease filter_lease_;
@@ -104,6 +116,9 @@ class HistogramFilterPolicy final : public BoundedHeapPolicy {
   /// attempt waits for at least one new run so a consolidation that could
   /// not free enough space is not retried on every row.
   uint64_t runs_created_at_last_quota_merge_ = 0;
+  /// Set by the filter's on_cutoff_change, from whichever thread moved the
+  /// cutoff; read per input row, cleared by DropDeadRuns.
+  std::atomic<bool> cutoff_moved_{false};
 };
 
 CutoffFilter::Options HistogramFilterPolicy::MakeFilterOptions(
@@ -125,6 +140,7 @@ CutoffFilter::Options HistogramFilterPolicy::MakeFilterOptions(
   filter_options.on_cutoff_change =
       [this, on_consumer](const CutoffFilter::CutoffUpdate& update) {
         CutoffUpdatesCounter().Add(1);
+        cutoff_moved_.store(true, std::memory_order_relaxed);
         const std::shared_ptr<ObsContext>& obs = options().obs;
         const uint64_t consumed = on_consumer ? stats().rows_consumed : 0;
         const uint64_t eliminated =
@@ -238,6 +254,16 @@ Status HistogramFilterPolicy::MaybeConsolidateForQuota() {
   TOPK_RETURN_NOT_OK(
       MergeDuringInput(inputs, filter_.get(), /*quota_exempt=*/true).status());
   runs_created_at_last_quota_merge_ = spill()->total_runs_created();
+  return Status::OK();
+}
+
+Status HistogramFilterPolicy::DropDeadRuns() {
+  cutoff_moved_.store(false, std::memory_order_relaxed);
+  uint64_t dropped = 0;
+  TOPK_ASSIGN_OR_RETURN(
+      dropped, DropRunsBeyondCutoff(spill(), *filter_, options().output_rows(),
+                                    /*input_complete=*/false));
+  stats().runs_dropped += dropped;
   return Status::OK();
 }
 

@@ -22,11 +22,14 @@ namespace topk {
 ///    run are tested again (line 11) because the cutoff may have sharpened
 ///    since they were admitted;
 ///  * each spilled row feeds the cutoff filter's histogram (line 13),
-///    which continuously sharpens the cutoff — even mid-run.
+///    which continuously sharpens the cutoff — even mid-run;
+///  * a run whose first key falls beyond a sharpened cutoff is deleted
+///    unopened (DropRunsBeyondCutoff), freeing its disk and spill quota.
 ///
 /// The final result is produced by merging the surviving runs until k rows
 /// are emitted, with lowest-keys-first intermediate merges that stop at the
-/// cutoff and refine it (Sec 4.1).
+/// cutoff and refine it (Sec 4.1); runs the cutoff has passed are dropped
+/// before every merge step instead of being merged.
 ///
 /// With TopKOptions::workers > 1, run generation runs on that many worker
 /// threads, each with an equal share of the memory budget and all filtering

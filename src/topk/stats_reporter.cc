@@ -50,6 +50,10 @@ std::string FormatOperatorStats(const OperatorStats& stats) {
              FormatCount(stats.rows_spilled) +
                  Percent(stats.rows_spilled, stats.rows_consumed));
   AppendLine(&out, "runs created", FormatCount(stats.runs_created));
+  if (stats.runs_dropped > 0) {
+    AppendLine(&out, "runs dropped beyond cutoff",
+               FormatCount(stats.runs_dropped));
+  }
   AppendLine(&out, "intermediate merge writes",
              FormatCount(stats.merge_rows_written));
   AppendLine(&out, "merge rows read", FormatCount(stats.merge_rows_read));

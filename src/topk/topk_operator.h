@@ -234,6 +234,9 @@ struct OperatorStats {
   uint64_t rows_spilled = 0;
   /// Physical runs created during run generation (the "Runs" column).
   uint64_t runs_created = 0;
+  /// Runs deleted unmerged because they lay wholly beyond the cutoff
+  /// (DropRunsBeyondCutoff), during input or before a merge step.
+  uint64_t runs_dropped = 0;
   /// Total run-file bytes written to secondary storage, including
   /// intermediate merge output.
   uint64_t bytes_spilled = 0;

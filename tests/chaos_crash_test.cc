@@ -42,9 +42,20 @@ std::vector<Row> Dataset() {
   return MaterializeDataset(spec);
 }
 
+/// Sec 5.5's adversarial input: under an ascending query each run lies
+/// wholly below the one before, so the cutoff leaves whole runs behind it
+/// and the merge phase deletes them unmerged (post-drop-checkpoint).
+std::vector<Row> DescendingDataset() {
+  DatasetSpec spec;
+  spec.WithRows(30000).WithSeed(23).WithPayload(24, 24);
+  spec.WithDistribution(KeyDistribution::kDescending);
+  return MaterializeDataset(spec);
+}
+
 TopKOptions ChaosOptions(StorageEnv* env, const std::string& dir,
-                         TopKAlgorithm algorithm) {
+                         TopKAlgorithm algorithm, size_t workers) {
   TopKOptions options;
+  options.workers = workers;
   options.k = 500;
   options.memory_limit_bytes = 16 * 1024;
   options.merge_fan_in = 4;  // force intermediate merge steps
@@ -66,14 +77,14 @@ TopKOptions ChaosOptions(StorageEnv* env, const std::string& dir,
                            const std::vector<Row>& rows,
                            const std::string& spill_dir,
                            const std::string& crash_point, bool use_env,
-                           bool suspend) {
+                           bool suspend, size_t workers) {
   if (use_env) {
     ::setenv("TOPK_CRASH_AT", crash_point.c_str(), 1);
   } else if (!ArmCrashPoint(crash_point).ok()) {
     ::_exit(3);
   }
   StorageEnv env;
-  TopKOptions options = ChaosOptions(&env, spill_dir, algorithm);
+  TopKOptions options = ChaosOptions(&env, spill_dir, algorithm, workers);
   auto op = MakeTopKOperator(algorithm, options);
   if (!op.ok()) ::_exit(4);
   for (const Row& row : rows) {
@@ -91,11 +102,12 @@ TopKOptions ChaosOptions(StorageEnv* env, const std::string& dir,
 void CrashChildAt(TopKAlgorithm algorithm, const std::vector<Row>& rows,
                   const std::string& spill_dir,
                   const std::string& crash_point, bool use_env,
-                  bool suspend) {
+                  bool suspend, size_t workers) {
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0) << "fork failed";
   if (pid == 0) {
-    RunChild(algorithm, rows, spill_dir, crash_point, use_env, suspend);
+    RunChild(algorithm, rows, spill_dir, crash_point, use_env, suspend,
+             workers);
   }
   int wait_status = 0;
   ASSERT_EQ(::waitpid(pid, &wait_status, 0), pid);
@@ -109,9 +121,10 @@ void CrashChildAt(TopKAlgorithm algorithm, const std::vector<Row>& rows,
 /// when the restored state asks for it (optimized mid-input checkpoints).
 Result<std::vector<Row>> ResumeAndFinish(TopKAlgorithm algorithm,
                                          const std::vector<Row>& rows,
-                                         const std::string& spill_dir) {
+                                         const std::string& spill_dir,
+                                         size_t workers) {
   StorageEnv env;
-  TopKOptions options = ChaosOptions(&env, spill_dir, algorithm);
+  TopKOptions options = ChaosOptions(&env, spill_dir, algorithm, workers);
   RestoreReport report;
   std::unique_ptr<TopKOperator> op;
   TOPK_ASSIGN_OR_RETURN(op, ResumeTopKOperator(algorithm, options, &report));
@@ -131,16 +144,18 @@ Result<std::vector<Row>> ResumeAndFinish(TopKAlgorithm algorithm,
 /// rows the uninterrupted query produces.
 void RunCell(TopKAlgorithm algorithm, const std::vector<Row>& rows,
              const std::vector<Row>& expected, const std::string& crash_point,
-             bool use_env = false) {
-  SCOPED_TRACE(TopKAlgorithmName(algorithm) + " @ " + crash_point);
+             bool use_env = false, size_t workers = 1) {
+  SCOPED_TRACE(TopKAlgorithmName(algorithm) + " @ " + crash_point +
+               " workers=" + std::to_string(workers));
   const bool suspend = crash_point == "post-manifest-checkpoint";
   ScratchDir scratch;
   ASSERT_NO_FATAL_FAILURE(CrashChildAt(algorithm, rows, scratch.str(),
-                                       crash_point, use_env, suspend));
+                                       crash_point, use_env, suspend,
+                                       workers));
   ASSERT_TRUE(
       std::filesystem::exists(scratch.str() + std::string("/") + kManifest))
       << "crashed child left no manifest";
-  auto result = ResumeAndFinish(algorithm, rows, scratch.str());
+  auto result = ResumeAndFinish(algorithm, rows, scratch.str(), workers);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ExpectSameRows(expected, *result);
 }
@@ -168,8 +183,24 @@ TEST(ChaosCrashTest, EveryCrashPointEveryExternalOperator) {
           algorithm != TopKAlgorithm::kOptimizedExternal) {
         continue;  // the only operator with mid-input checkpoints
       }
+      if (point == "post-drop-checkpoint") {
+        continue;  // needs descending input: DropCheckpointResumes
+      }
       ASSERT_NO_FATAL_FAILURE(RunCell(algorithm, rows, expected, point));
     }
+  }
+}
+
+TEST(ChaosCrashTest, DropCheckpointResumes) {
+  // Only the histogram operator deletes runs beyond its cutoff, and only
+  // descending input leaves whole runs behind the cutoff at merge time.
+  const auto rows = DescendingDataset();
+  const auto expected =
+      ReferenceTopK(rows, 500, 0, SortDirection::kAscending);
+  for (const size_t workers : {size_t{1}, size_t{4}}) {
+    ASSERT_NO_FATAL_FAILURE(RunCell(TopKAlgorithm::kHistogram, rows, expected,
+                                    "post-drop-checkpoint",
+                                    /*use_env=*/false, workers));
   }
 }
 

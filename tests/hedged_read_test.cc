@@ -25,6 +25,7 @@ namespace topk {
 namespace {
 
 using testing_util::ExpectSameRows;
+using testing_util::MaterializeDataset;
 using testing_util::MakePrefetchingReader;
 using testing_util::ReferenceTopK;
 using testing_util::ScratchDir;
@@ -370,7 +371,52 @@ std::vector<Row> DescendingRows(uint64_t n) {
   return rows;
 }
 
+/// Uniform keys with a fixed payload: every run starts near the lowest key,
+/// so no run ever lies wholly beyond the cutoff and only consolidation can
+/// shrink the spilled set.
+std::vector<Row> UniformRows(uint64_t n) {
+  DatasetSpec spec;
+  spec.WithRows(n).WithSeed(31).WithPayload(24, 24);
+  return MaterializeDataset(spec);
+}
+
 TEST(SpillQuotaTest, HistogramOperatorConsolidatesBeforeFailing) {
+  const auto rows = UniformRows(60000);
+  const auto expected = ReferenceTopK(rows, 800, 0, SortDirection::kAscending);
+
+  ScratchDir scratch;
+  StorageEnv env;
+  TopKOptions options;
+  options.k = 800;
+  options.memory_limit_bytes = 16 * 1024;
+  options.env = &env;
+  options.spill_dir = scratch.str();
+  // Tight but survivable: the live runs would blow through this, so the
+  // operator must consolidate mid-flight (folding its runs down to the
+  // current top-k) to finish at all.
+  options.spill_quota_bytes = 128 * 1024;
+
+  const uint64_t consolidations_before =
+      CounterValue("spill.quota_consolidations");
+  auto op = HistogramTopK::Make(options);
+  ASSERT_TRUE(op.ok());
+  for (const Row& row : rows) {
+    const Status status = (*op)->Consume(row);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+  }
+  auto result = (*op)->Finish();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectSameRows(expected, *result);
+  EXPECT_GT(CounterValue("spill.quota_consolidations"),
+            consolidations_before);
+  EXPECT_EQ((*op)->stats().runs_dropped, 0u);
+}
+
+TEST(SpillQuotaTest, HistogramOperatorMeetsQuotaByDroppingDeadRuns) {
+  // Descending keys spill every row (~1 MB), far past the quota, but each
+  // run falls wholly beyond the cutoff soon after it is written. Deleting
+  // those runs as input arrives keeps the live set under the quota, with
+  // no consolidation needed.
   const auto rows = DescendingRows(20000);
   const auto expected = ReferenceTopK(rows, 800, 0, SortDirection::kAscending);
 
@@ -381,9 +427,6 @@ TEST(SpillQuotaTest, HistogramOperatorConsolidatesBeforeFailing) {
   options.memory_limit_bytes = 16 * 1024;
   options.env = &env;
   options.spill_dir = scratch.str();
-  // Tight but survivable: the ~1 MB of spilled runs would blow through
-  // this many times over, so the operator must consolidate mid-flight
-  // (folding its runs down to the current top-k) to finish at all.
   options.spill_quota_bytes = 128 * 1024;
 
   const uint64_t consolidations_before =
@@ -396,7 +439,9 @@ TEST(SpillQuotaTest, HistogramOperatorConsolidatesBeforeFailing) {
   auto result = (*op)->Finish();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ExpectSameRows(expected, *result);
-  EXPECT_GT(CounterValue("spill.quota_consolidations"),
+  EXPECT_GT((*op)->stats().bytes_spilled, options.spill_quota_bytes);
+  EXPECT_GT((*op)->stats().runs_dropped, 0u);
+  EXPECT_EQ(CounterValue("spill.quota_consolidations"),
             consolidations_before);
 }
 

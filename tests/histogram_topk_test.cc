@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <filesystem>
+#include <limits>
+
 #include "tests/test_util.h"
+#include "topk/traditional_external_topk.h"
 
 namespace topk {
 namespace {
@@ -10,6 +15,7 @@ namespace {
 using testing_util::ExpectSameRows;
 using testing_util::MaterializeDataset;
 using testing_util::ReferenceTopK;
+using testing_util::ReferenceTopKWithTies;
 using testing_util::RunOperator;
 using testing_util::ScratchDir;
 
@@ -22,6 +28,50 @@ class HistogramTopKTest : public ::testing::Test {
     options.env = &env_;
     options.spill_dir = scratch_.str() + "/" + std::to_string(dir_seq_++);
     return options;
+  }
+
+  /// Sec 5.5's adversarial input for an ascending query: each run lies
+  /// wholly below the one before it, so a tightening cutoff leaves whole
+  /// runs behind it.
+  static std::vector<Row> DescendingRows(uint64_t n) {
+    DatasetSpec spec;
+    spec.WithRows(n).WithDistribution(KeyDistribution::kDescending);
+    spec.WithSeed(12);
+    return MaterializeDataset(spec);
+  }
+
+  /// Run files currently in `dir`.
+  static size_t RunFilesIn(const std::string& dir) {
+    size_t files = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().extension() == ".tkr") ++files;
+    }
+    return files;
+  }
+
+  /// The traditional operator's rows for the same query: it never drops a
+  /// run.
+  std::vector<Row> TraditionalRows(TopKOptions options,
+                                   const std::vector<Row>& rows) {
+    options.spill_dir = scratch_.str() + "/" + std::to_string(dir_seq_++);
+    options.workers = 1;
+    auto op = TraditionalExternalTopK::Make(options);
+    EXPECT_TRUE(op.ok());
+    auto result = RunOperator(op->get(), rows);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? *result : std::vector<Row>();
+  }
+
+  /// Runs the histogram operator over `rows` and checks it deleted runs
+  /// unmerged without changing the traditional operator's answer.
+  void ExpectDropsKeepTraditionalRows(const TopKOptions& options,
+                                      const std::vector<Row>& rows) {
+    auto op = HistogramTopK::Make(options);
+    ASSERT_TRUE(op.ok());
+    auto result = RunOperator(op->get(), rows);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_GT((*op)->stats().runs_dropped, 0u);
+    ExpectSameRows(TraditionalRows(options, rows), *result);
   }
 
   ScratchDir scratch_;
@@ -117,6 +167,113 @@ TEST_F(HistogramTopKTest, AdversarialDescendingInputEliminatesNothing) {
   EXPECT_EQ((*op)->stats().rows_eliminated_input, 0u);
   ExpectSameRows(ReferenceTopK(rows, 2000, 0, SortDirection::kAscending),
                  *result);
+}
+
+TEST_F(HistogramTopKTest, DescendingInputDeletesDeadRunsInsteadOfMerging) {
+  // More runs than the fan-in, but the runs the cutoff has passed are
+  // deleted unmerged, so no intermediate step is needed.
+  TopKOptions options = Options(500, 16 * 1024);
+  options.merge_fan_in = 8;
+  const auto rows = DescendingRows(20000);
+  auto op = HistogramTopK::Make(options);
+  ASSERT_TRUE(op.ok());
+  for (const Row& row : rows) ASSERT_TRUE((*op)->Consume(row).ok());
+  // Before Finish, and so before any merge: dead runs already left the
+  // spill directory while input arrived.
+  const size_t files_before_finish = RunFilesIn(options.spill_dir);
+  auto result = (*op)->Finish();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const OperatorStats& stats = (*op)->stats();
+  EXPECT_GT(stats.runs_created, options.merge_fan_in);
+  EXPECT_LT(files_before_finish, stats.runs_created);
+  EXPECT_GE(stats.runs_dropped, stats.runs_created - options.merge_fan_in);
+  EXPECT_EQ(stats.merge_rows_written, 0u);
+  // The final merge reads the answer and one row past it per live run.
+  EXPECT_LE(stats.merge_rows_read, 500u + options.merge_fan_in);
+  ExpectSameRows(ReferenceTopK(rows, 500, 0, SortDirection::kAscending),
+                 *result);
+  ExpectSameRows(TraditionalRows(options, rows), *result);
+}
+
+TEST_F(HistogramTopKTest, DroppedRunsKeepOffsetResults) {
+  const auto rows = DescendingRows(20000);
+  for (const bool offset_skip : {true, false}) {
+    SCOPED_TRACE(offset_skip ? "offset skip" : "plain offset");
+    TopKOptions options = Options(1500, 16 * 1024);
+    options.offset = 500;
+    options.merge_fan_in = 4;
+    options.histogram_offset_skip = offset_skip;
+    ASSERT_NO_FATAL_FAILURE(ExpectDropsKeepTraditionalRows(options, rows));
+  }
+}
+
+TEST_F(HistogramTopKTest, DroppedRunsKeepEveryTie) {
+  // Each key seven times, descending: a run may start exactly at the
+  // cutoff, and its ties must survive.
+  std::vector<Row> rows;
+  const uint64_t n = 20000;
+  for (uint64_t i = 0; i < n; ++i) {
+    rows.emplace_back(static_cast<double>((n - i) / 7), i,
+                      std::string(16, 't'));
+  }
+  TopKOptions options = Options(2000, 16 * 1024);
+  options.with_ties = true;
+  options.merge_fan_in = 4;
+  ASSERT_NO_FATAL_FAILURE(ExpectDropsKeepTraditionalRows(options, rows));
+  auto op = HistogramTopK::Make(options);
+  ASSERT_TRUE(op.ok());
+  auto result = RunOperator(op->get(), rows);
+  ASSERT_TRUE(result.ok());
+  ExpectSameRows(
+      ReferenceTopKWithTies(rows, 2000, 0, SortDirection::kAscending),
+      *result);
+}
+
+TEST_F(HistogramTopKTest, DroppedRunsKeepNaNAndSignedZeroOrder) {
+  // NaN rows first (they sort last), then descending keys through a long
+  // stretch of +0/-0 that holds the cutoff.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Row> rows;
+  uint64_t id = 0;
+  for (int i = 0; i < 3000; ++i) rows.emplace_back(nan, id++);
+  for (int i = 8000; i > 0; --i) rows.emplace_back(i * 1e-3, id++);
+  for (int i = 0; i < 3000; ++i) {
+    rows.emplace_back(i % 2 == 0 ? 0.0 : -0.0, id++);
+  }
+  for (int i = 1; i <= 1000; ++i) rows.emplace_back(-i * 1e-3, id++);
+  for (const bool with_ties : {false, true}) {
+    SCOPED_TRACE(with_ties ? "with ties" : "plain");
+    TopKOptions options = Options(2000, 16 * 1024);
+    options.merge_fan_in = 4;
+    options.with_ties = with_ties;
+    ASSERT_NO_FATAL_FAILURE(ExpectDropsKeepTraditionalRows(options, rows));
+  }
+}
+
+TEST_F(HistogramTopKTest, ParallelRunGenerationDropsDeadRuns) {
+  TopKOptions options = Options(2000, 64 * 1024);
+  options.merge_fan_in = 4;
+  options.workers = 4;
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectDropsKeepTraditionalRows(options, DescendingRows(40000)));
+}
+
+TEST_F(HistogramTopKTest, ApproximateFilterDropsNoRun) {
+  // An approximate cutoff does not bound the exact output, so no run is
+  // deleted on its word; merges alone apply it, as before.
+  TopKOptions options = Options(2000, 16 * 1024);
+  options.approx_filter_k = 1800;
+  options.merge_fan_in = 4;
+  const auto rows = DescendingRows(20000);
+  auto op = HistogramTopK::Make(options);
+  ASSERT_TRUE(op.ok());
+  auto result = RunOperator(op->get(), rows);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ((*op)->stats().runs_dropped, 0u);
+  ASSERT_GE(result->size(), 1800u);
+  auto reference = ReferenceTopK(rows, 1800, 0, SortDirection::kAscending);
+  ExpectSameRows(reference,
+                 std::vector<Row>(result->begin(), result->begin() + 1800));
 }
 
 TEST_F(HistogramTopKTest, ZeroBucketsDisablesFiltering) {

@@ -147,22 +147,37 @@ TEST(SampledScopeTimerTest, EstimatesWorkThatRecursEveryMeanGapCalls) {
 TEST(SampledScopeTimerTest, InFullChargesRareHeavyWorkOnce) {
   // Ten calls in 6,400 do 2 ms of marked work. Scaling one sampled heavy
   // call by its gap would overshoot many times over, and missing them all
-  // would read near zero; marked, they are charged exactly once.
+  // would read near zero; marked, they are charged exactly once. The check
+  // is on what the heavy calls were charged (their estimate deltas) over
+  // their own measured time, so a preemption inside a sampled cheap call,
+  // scaled by its weight, cannot move it.
   SampledScopeTimer::Schedule schedule;
   int64_t estimate = 0;
   const int calls = 100 * SampledScopeTimer::kMeanGap;
-  Stopwatch watch;
+  double charged = 0.0;
+  double measured = 0.0;
   for (int i = 0; i < calls; ++i) {
-    SampledScopeTimer timer(&schedule, &estimate);
-    if (i % (calls / 10) == 0) {
-      SampledScopeTimer::InFull heavy;
-      SampledScopeTimer::InFull nested;  // charges nothing twice
-      BusyWait(2000000);
+    const int64_t before = estimate;
+    int64_t own_nanos = 0;
+    {
+      SampledScopeTimer timer(&schedule, &estimate);
+      if (i % (calls / 10) == 0) {
+        Stopwatch call;
+        {
+          SampledScopeTimer::InFull heavy;
+          SampledScopeTimer::InFull nested;  // charges nothing twice
+          BusyWait(2000000);
+        }
+        own_nanos = call.ElapsedNanos();
+      }
+    }
+    if (own_nanos > 0) {
+      charged += static_cast<double>(estimate - before);
+      measured += static_cast<double>(own_nanos);
     }
   }
-  const double measured = static_cast<double>(watch.ElapsedNanos());
-  EXPECT_GT(static_cast<double>(estimate), 0.5 * measured);
-  EXPECT_LT(static_cast<double>(estimate), 1.5 * measured);
+  EXPECT_GT(charged, 0.5 * measured);
+  EXPECT_LT(charged, 1.5 * measured);
 
   // Outside any sampled scope it times nothing.
   const int64_t before = estimate;

@@ -20,7 +20,8 @@ const std::vector<std::string>& OperatorStatsKeys() {
   static const std::vector<std::string> keys = {
       "rows_consumed",       "rows_eliminated_input",
       "rows_eliminated_spill", "rows_spilled",
-      "runs_created",        "bytes_spilled",
+      "runs_created",        "runs_dropped",
+      "bytes_spilled",
       "merge_rows_written",  "merge_rows_read",
       "offset_rows_seek_skipped", "peak_memory_bytes",
       "final_cutoff",        "filter_buckets_inserted",
@@ -43,6 +44,7 @@ StatsExport SampleExport() {
   exported.operator_stats.rows_eliminated_input = 250000;
   exported.operator_stats.rows_spilled = 50000;
   exported.operator_stats.runs_created = 8;
+  exported.operator_stats.runs_dropped = 3;
   exported.operator_stats.final_cutoff = 0.0625;
   exported.operator_stats.consume_nanos = 1000000;
   exported.operator_stats.finish_nanos = 500000;
@@ -68,6 +70,7 @@ TEST(StatsExportTest, SchemaRoundTrip) {
     EXPECT_NE(op->Find(key), nullptr) << "missing operator_stats." << key;
   }
   EXPECT_EQ(op->Find("rows_consumed")->number_value(), 300000.0);
+  EXPECT_EQ(op->Find("runs_dropped")->number_value(), 3.0);
   EXPECT_EQ(op->Find("final_cutoff")->number_value(), 0.0625);
   EXPECT_DOUBLE_EQ(op->Find("total_seconds")->number_value(), 0.0015);
 

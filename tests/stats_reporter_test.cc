@@ -52,6 +52,7 @@ TEST(FormatOperatorStatsTest, ZeroRowsHasNoPercentagesOrDivisionByZero) {
   EXPECT_NE(report.find("(none)"), std::string::npos);
   // Optional sections stay hidden when their counters are zero.
   EXPECT_EQ(report.find("offset rows seek-skipped"), std::string::npos);
+  EXPECT_EQ(report.find("runs dropped beyond cutoff"), std::string::npos);
   EXPECT_EQ(report.find("histogram buckets inserted"), std::string::npos);
 }
 
@@ -86,11 +87,13 @@ TEST(FormatOperatorStatsTest, OptionalSectionsAppearWhenPopulated) {
   OperatorStats stats;
   stats.rows_consumed = 100;
   stats.offset_rows_seek_skipped = 42;
+  stats.runs_dropped = 7;
   stats.filter_buckets_inserted = 7;
   stats.filter_consolidations = 2;
   stats.final_cutoff = 0.125;
   const std::string report = FormatOperatorStats(stats);
   EXPECT_NE(report.find("offset rows seek-skipped"), std::string::npos);
+  EXPECT_NE(report.find("runs dropped beyond cutoff"), std::string::npos);
   EXPECT_NE(report.find("histogram buckets inserted"), std::string::npos);
   EXPECT_NE(report.find("filter consolidations"), std::string::npos);
   EXPECT_NE(report.find("0.125"), std::string::npos);
