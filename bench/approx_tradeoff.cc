@@ -5,8 +5,8 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "extensions/approx_topk.h"
 #include "gen/generator.h"
+#include "topk/operator_factory.h"
 
 int main() {
   using namespace topk;
@@ -41,24 +41,17 @@ int main() {
     options.spill_dir =
         dir.Sub(std::string("t").append(std::to_string(run_id++)));
 
-    auto op = ApproxTopK::Make(options, tolerance);
-    TOPK_CHECK(op.ok()) << op.status().ToString();
-    RowGenerator gen(spec);
-    Row row;
-    Stopwatch watch;
-    while (gen.Next(&row)) {
-      Status status = (*op)->Consume(std::move(row));
-      TOPK_CHECK(status.ok()) << status.ToString();
-    }
-    auto result = (*op)->Finish();
-    TOPK_CHECK(result.ok()) << result.status().ToString();
-    const OperatorStats& stats = (*op)->stats();
-    std::printf("%-10.2f | %-10llu %-10zu | %-9.3f %-11llu %-10.6f\n",
+    auto approx = ApproximateTopK(options, tolerance);
+    TOPK_CHECK(approx.ok()) << approx.status().ToString();
+    // k' = approx_filter_k - offset rows are guaranteed.
+    const uint64_t guaranteed = approx->approx_filter_k - approx->offset;
+    const RunResult run = MeasureTopK(TopKAlgorithm::kHistogram, *approx, spec);
+    std::printf("%-10.2f | %-10llu %-10llu | %-9.3f %-11llu %-10.6f\n",
                 tolerance,
-                static_cast<unsigned long long>((*op)->guaranteed_rows()),
-                result->size(), watch.ElapsedSeconds(),
-                static_cast<unsigned long long>(stats.rows_spilled),
-                stats.final_cutoff.value_or(1.0));
+                static_cast<unsigned long long>(guaranteed),
+                static_cast<unsigned long long>(run.result_rows), run.seconds,
+                static_cast<unsigned long long>(run.stats.rows_spilled),
+                run.stats.final_cutoff.value_or(1.0));
   }
   std::printf(
       "\nEvery returned set is an exact prefix of the true order at least "

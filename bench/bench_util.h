@@ -125,7 +125,7 @@ inline RunResult MeasureTopK(TopKAlgorithm algorithm,
   }
   if (StatsJsonlPath() != nullptr) {
     StatsExport exported;
-    exported.operator_name = (*op)->name();
+    exported.operator_name = TopKAlgorithmName(algorithm);
     exported.operator_stats = out.stats;
     if (options.env != nullptr) {
       exported.io = options.env->stats()->snapshot();

@@ -17,7 +17,7 @@
 
 #include "bench/bench_util.h"
 #include "gen/generator.h"
-#include "topk/histogram_topk.h"
+#include "topk/operator_factory.h"
 
 namespace {
 
@@ -39,7 +39,7 @@ TopKOptions Options(uint64_t k, size_t memory_bytes, StorageEnv* env,
   return options;
 }
 
-void Accumulate(const HistogramTopK& op, Measured* out) {
+void Accumulate(const TopKOperator& op, Measured* out) {
   const OperatorStats& stats = op.stats();
   out->spilled += stats.rows_spilled;
   out->eliminated += stats.rows_eliminated_input + stats.rows_eliminated_spill;
@@ -77,7 +77,7 @@ int main() {
       TopKOptions options = Options(k, memory_bytes, &env,
                                     dir.Sub("run" + std::to_string(run_id++)));
       options.workers = workers;
-      auto op = HistogramTopK::Make(options);
+      auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
       TOPK_CHECK(op.ok()) << op.status().ToString();
       RowGenerator gen(spec);
       Row row;
@@ -100,9 +100,10 @@ int main() {
     // `workers` operators over round-robin slices, a filter each.
     {
       StorageEnv env;
-      std::vector<std::unique_ptr<HistogramTopK>> ops;
+      std::vector<std::unique_ptr<TopKOperator>> ops;
       for (size_t i = 0; i < workers; ++i) {
-        auto op = HistogramTopK::Make(
+        auto op = MakeTopKOperator(
+            TopKAlgorithm::kHistogram,
             Options(k, memory_bytes / workers, &env,
                     dir.Sub("run" + std::to_string(run_id++))));
         TOPK_CHECK(op.ok()) << op.status().ToString();

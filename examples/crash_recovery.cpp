@@ -102,8 +102,9 @@ int main() {
         static_cast<unsigned long long>(generator.stats().rows_spilled),
         spill.value()->run_count(),
         static_cast<unsigned long long>(checkpoints));
-    // Simulated crash: leak the manager so no cleanup runs.
-    (void)spill->release();
+    // Simulated crash: the spill directory stays on disk, as a killed
+    // process would leave it.
+    spill.value()->DisownDir();
   }
 
   // ---- Phase 2: a fresh process restores the checkpoint and finishes.

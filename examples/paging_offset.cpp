@@ -9,7 +9,7 @@
 #include <filesystem>
 
 #include "gen/lineitem.h"
-#include "topk/histogram_topk.h"
+#include "topk/operator_factory.h"
 
 int main() {
   using namespace topk;
@@ -31,7 +31,7 @@ int main() {
     options.spill_dir = (std::filesystem::temp_directory_path() /
                          ("topk_paging_" + std::to_string(page)))
                             .string();
-    auto op = HistogramTopK::Make(options);
+    auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
     if (!op.ok()) {
       std::fprintf(stderr, "%s\n", op.status().ToString().c_str());
       return 1;

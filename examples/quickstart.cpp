@@ -8,7 +8,7 @@
 #include <filesystem>
 
 #include "gen/generator.h"
-#include "topk/histogram_topk.h"
+#include "topk/operator_factory.h"
 
 int main() {
   using namespace topk;
@@ -29,7 +29,7 @@ int main() {
   options.env = &env;
   options.spill_dir = spill_dir;
 
-  auto op = HistogramTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
   if (!op.ok()) {
     std::fprintf(stderr, "setup failed: %s\n",
                  op.status().ToString().c_str());

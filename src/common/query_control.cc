@@ -163,6 +163,7 @@ const std::vector<std::string>& KnownCrashPoints() {
       "post-drop-checkpoint",
       "post-manifest-checkpoint",
       "optimized.mid-input",
+      "optimized.resume-drop",
   };
   return *points;
 }

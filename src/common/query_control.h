@@ -153,7 +153,11 @@ inline constexpr int kCrashExitCode = 42;
 ///   post-drop-checkpoint     merge phase: runs beyond the cutoff released,
 ///                            manifest flushed, files not yet deleted
 ///   post-manifest-checkpoint end of Suspend, manifest flushed, dir kept
-///   optimized.mid-input      after OptimizedExternalTopK checkpointed input
+///   optimized.mid-input      after the optimized operator checkpointed
+///                            input
+///   optimized.resume-drop    optimized mid-input resume: replay-duplicated
+///                            runs released, manifest flushed, files not
+///                            yet deleted
 const std::vector<std::string>& KnownCrashPoints();
 
 /// Arms `point` in process mode (`_exit(kCrashExitCode)` when hit).

@@ -1,15 +1,33 @@
 #include "extensions/grouped_topk.h"
 
+#include <filesystem>
+
 #include "topk/operator_factory.h"
 
 namespace topk {
 
-GroupedTopK::GroupedTopK(const Options& options) : options_(options) {}
+GroupedTopK::GroupedTopK(const Options& options)
+    : options_(options),
+      owns_spill_dir_(!std::filesystem::exists(options.per_group.spill_dir)) {}
+
+GroupedTopK::~GroupedTopK() {
+  // Each group's operator removes its own directory; a group that kept its
+  // directory keeps the parent too, as removing a non-empty one fails.
+  groups_.clear();
+  if (owns_spill_dir_) {
+    std::error_code ec;
+    std::filesystem::remove(options_.per_group.spill_dir, ec);
+  }
+}
 
 Result<std::unique_ptr<GroupedTopK>> GroupedTopK::Make(
     const Options& options) {
-  TOPK_RETURN_NOT_OK(
-      ValidateTopKOptions(options.per_group, /*requires_storage=*/true));
+  TOPK_RETURN_NOT_OK(ValidateTopKOptions(
+      options.per_group, /*requires_storage=*/true, /*histogram_filter=*/true));
+  if (options.per_group.workers != 1) {
+    return Status::InvalidArgument(
+        "grouped execution runs one run generator per group");
+  }
   return std::unique_ptr<GroupedTopK>(new GroupedTopK(options));
 }
 

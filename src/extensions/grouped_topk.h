@@ -6,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "topk/histogram_topk.h"
 #include "topk/topk_operator.h"
 
 namespace topk {
@@ -14,7 +13,7 @@ namespace topk {
 /// Top-k within disjoint groups (Sec 4.3), e.g. "the 10 million most active
 /// customers from each country". The principal difficulty is bookkeeping:
 /// every group tracks its own histogram priority queue and cutoff key. Each
-/// group gets its own HistogramTopK instance; sizing decisions (bucket
+/// group gets its own histogram operator; sizing decisions (bucket
 /// width, consolidation) are made independently per group, as the paper
 /// prescribes for groups with few rows per run.
 class GroupedTopK {
@@ -22,7 +21,8 @@ class GroupedTopK {
   struct Options {
     /// Per-group query shape and resources. memory_limit_bytes is the
     /// budget for EACH group's operator; spill directories are derived per
-    /// group from spill_dir.
+    /// group from spill_dir, which is removed with the GroupedTopK when it
+    /// created it and it is left empty.
     TopKOptions per_group;
     /// Smaller histograms for grouped execution (paper: "Smaller histograms
     /// can reduce the size of the created input models"). Overrides
@@ -36,6 +36,7 @@ class GroupedTopK {
   };
 
   static Result<std::unique_ptr<GroupedTopK>> Make(const Options& options);
+  ~GroupedTopK();
 
   /// Routes `row` to its group's operator (created on first sight).
   Status Consume(uint64_t group, Row row);
@@ -52,6 +53,8 @@ class GroupedTopK {
   Result<TopKOperator*> GetOrCreateGroup(uint64_t group);
 
   Options options_;
+  /// per_group.spill_dir did not exist before this object.
+  bool owns_spill_dir_;
   std::map<uint64_t, std::unique_ptr<TopKOperator>> groups_;
   bool finished_ = false;
 };

@@ -1,16 +1,35 @@
 #include "extensions/segmented_topk.h"
 
+#include <algorithm>
+#include <filesystem>
+
 #include "topk/operator_factory.h"
 
 namespace topk {
 
 SegmentedTopK::SegmentedTopK(const Options& options)
-    : options_(options), remaining_(options.base.k) {}
+    : options_(options),
+      owns_spill_dir_(!std::filesystem::exists(options.base.spill_dir)),
+      remaining_(options.base.k) {}
+
+SegmentedTopK::~SegmentedTopK() {
+  // Each segment's operator removes its own directory; one that kept its
+  // directory keeps the parent too, as removing a non-empty one fails.
+  current_op_.reset();
+  if (owns_spill_dir_) {
+    std::error_code ec;
+    std::filesystem::remove(options_.base.spill_dir, ec);
+  }
+}
 
 Result<std::unique_ptr<SegmentedTopK>> SegmentedTopK::Make(
     const Options& options) {
-  TOPK_RETURN_NOT_OK(
-      ValidateTopKOptions(options.base, /*requires_storage=*/true));
+  TOPK_RETURN_NOT_OK(ValidateTopKOptions(
+      options.base, /*requires_storage=*/true, /*histogram_filter=*/true));
+  if (options.base.workers != 1) {
+    return Status::InvalidArgument(
+        "segmented execution runs one run generator per segment");
+  }
   if (options.base.offset != 0) {
     return Status::InvalidArgument(
         "segmented execution with OFFSET is not supported; apply the offset "
@@ -24,6 +43,8 @@ Status SegmentedTopK::OpenSegment(uint64_t segment) {
   // Only `remaining_` rows can still reach the output; the inner operator
   // filters against that bound.
   segment_options.k = remaining_;
+  segment_options.approx_filter_k =
+      std::min(options_.base.approx_filter_k, remaining_);
   segment_options.spill_dir = options_.base.spill_dir + "/segment-" +
                               std::to_string(segment_counter_++);
   std::unique_ptr<TopKOperator> op;

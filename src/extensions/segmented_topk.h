@@ -23,6 +23,9 @@ class SegmentedTopK {
  public:
   struct Options {
     /// Query shape and resources used for each segment's inner operator.
+    /// Segment spill directories are derived from base.spill_dir, which is
+    /// removed with the SegmentedTopK when it created it and it is left
+    /// empty.
     TopKOptions base;
   };
 
@@ -32,6 +35,7 @@ class SegmentedTopK {
   };
 
   static Result<std::unique_ptr<SegmentedTopK>> Make(const Options& options);
+  ~SegmentedTopK();
 
   /// Consumes the next row. Segment ids must be non-decreasing (the input
   /// is sorted by the shared prefix); a smaller id than an earlier one is
@@ -58,6 +62,8 @@ class SegmentedTopK {
   Status OpenSegment(uint64_t segment);
 
   Options options_;
+  /// base.spill_dir did not exist before this object.
+  bool owns_spill_dir_;
   uint64_t remaining_;
   uint64_t rows_ignored_ = 0;
 

@@ -4,6 +4,7 @@
 #include <filesystem>
 
 #include "common/logging.h"
+#include "common/query_control.h"
 #include "common/random.h"
 #include "io/manifest.h"
 #include "obs/metrics.h"
@@ -249,12 +250,6 @@ Status SpillManager::AddRun(RunMeta meta) {
   return CheckpointManifest();
 }
 
-Status SpillManager::RemoveRun(uint64_t run_id) {
-  std::string path;
-  TOPK_ASSIGN_OR_RETURN(path, ReleaseRun(run_id));
-  return DeleteSpillFile(path);
-}
-
 Result<std::string> SpillManager::ReleaseRun(uint64_t run_id) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = std::find_if(runs_.begin(), runs_.end(),
@@ -268,20 +263,30 @@ Result<std::string> SpillManager::ReleaseRun(uint64_t run_id) {
   return path;
 }
 
-std::vector<RunMeta> SpillManager::ReleaseRunsIf(
-    const std::function<bool(const RunMeta&)>& select) {
+Result<std::vector<RunMeta>> SpillManager::DeleteRunsIf(
+    const std::function<bool(const RunMeta&)>& select,
+    const char* crash_point) {
   std::vector<RunMeta> released;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto kept = runs_.begin();
-  for (auto it = runs_.begin(); it != runs_.end(); ++it) {
-    if (select(*it)) {
-      released.push_back(std::move(*it));
-    } else {
-      if (kept != it) *kept = std::move(*it);
-      ++kept;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto kept = runs_.begin();
+    for (auto it = runs_.begin(); it != runs_.end(); ++it) {
+      if (select(*it)) {
+        released.push_back(std::move(*it));
+      } else {
+        if (kept != it) *kept = std::move(*it);
+        ++kept;
+      }
     }
+    runs_.erase(kept, runs_.end());
   }
-  runs_.erase(kept, runs_.end());
+  if (released.empty()) return released;
+  TOPK_RETURN_NOT_OK(CheckpointManifest());
+  if (auto_manifest_enabled()) TOPK_RETURN_NOT_OK(FlushManifest());
+  if (crash_point != nullptr) HitCrashPoint(crash_point);
+  for (const RunMeta& run : released) {
+    TOPK_RETURN_NOT_OK(DeleteSpillFile(run.path));
+  }
   return released;
 }
 

@@ -109,10 +109,6 @@ class SpillManager {
   /// its final byte size and clears any write-time exemption.
   Status AddRun(RunMeta meta);
 
-  /// Removes a run from the registry and deletes its file (used after a
-  /// merge step consumed it).
-  Status RemoveRun(uint64_t run_id);
-
   /// Removes a run from the registry *without* deleting its file, returning
   /// the file path. Crash-safe merge steps use this: inputs are released,
   /// the merged output is registered (checkpointing the manifest), and only
@@ -120,11 +116,17 @@ class SpillManager {
   /// crash at any point leaves a manifest whose runs all exist on disk.
   Result<std::string> ReleaseRun(uint64_t run_id);
 
-  /// ReleaseRun for every registered run `select` picks, in one pass under
-  /// the registry lock; returns the released runs. `select` runs under
-  /// that lock and must not call back into the manager.
-  std::vector<RunMeta> ReleaseRunsIf(
-      const std::function<bool(const RunMeta&)>& select);
+  /// Deletes every registered run `select` picks, in a merge step's
+  /// crash-safe order: the runs leave the registry in one pass under its
+  /// lock, the manifest without them is checkpointed and, in auto-manifest
+  /// mode, made durable, `crash_point` fires (when given), and only then
+  /// are their files deleted. A crash at any point leaves a manifest whose
+  /// runs all exist on disk. Returns the deleted runs; selecting none
+  /// writes nothing. `select` runs under the registry lock and must not
+  /// call back into the manager.
+  Result<std::vector<RunMeta>> DeleteRunsIf(
+      const std::function<bool(const RunMeta&)>& select,
+      const char* crash_point = nullptr);
 
   /// Deletes a spill file that is no longer registered (a released merge
   /// input, or an empty merge output). Transient delete faults are retried

@@ -41,7 +41,7 @@ struct StatsExport {
 /// Single JSON document:
 ///
 ///   {"schema_version": 2,
-///    "operator": "HistogramTopK",
+///    "operator": "histogram",
 ///    "operator_stats": {rows_consumed, rows_eliminated_input, ...},
 ///    "io": {bytes_written, bytes_read, ...},
 ///    "metrics": {"counters": {...}, "gauges": {...}, "histograms": {...}},

@@ -85,26 +85,20 @@ Result<uint64_t> DropRunsBeyondCutoff(SpillManager* spill,
                                       uint64_t output_rows,
                                       bool input_complete) {
   if (filter.k() < output_rows) return 0;
-  const std::vector<RunMeta> dead = spill->ReleaseRunsIf(
-      [&](const RunMeta& run) { return filter.EliminateKey(run.first_key); });
+  // The crash point fires once the manifest no longer names the dropped
+  // runs, whose files are still on disk.
+  std::vector<RunMeta> dead;
+  TOPK_ASSIGN_OR_RETURN(
+      dead, spill->DeleteRunsIf(
+                [&](const RunMeta& run) {
+                  return filter.EliminateKey(run.first_key);
+                },
+                input_complete ? "post-drop-checkpoint" : nullptr));
   if (dead.empty()) return 0;
   uint64_t bytes = 0;
   for (const RunMeta& run : dead) bytes += run.bytes;
   TraceInstant("merge.drop_runs", "sort",
                {TraceArg("runs", dead.size()), TraceArg("bytes", bytes)});
-  // Crash-safe ordering, as in MergeIntoCommittedRun: the runs leave the
-  // registry, the manifest without them is made durable, and only then
-  // are their files deleted.
-  TOPK_RETURN_NOT_OK(spill->CheckpointManifest());
-  if (spill->auto_manifest_enabled()) {
-    TOPK_RETURN_NOT_OK(spill->FlushManifest());
-  }
-  // Crash point: the manifest no longer names the dropped runs, whose files
-  // are still on disk.
-  if (input_complete) HitCrashPoint("post-drop-checkpoint");
-  for (const RunMeta& run : dead) {
-    TOPK_RETURN_NOT_OK(spill->DeleteSpillFile(run.path));
-  }
   return dead.size();
 }
 

@@ -84,10 +84,10 @@ Result<MergeStats> MergeIntoCommittedRun(SpillManager* spill,
 /// by the same probe a merge stops on (so a run whose first key equals
 /// the cutoff is kept). The cutoff proves at least k rows at or before it,
 /// so no row of such a run can reach the output. The commit order is
-/// MergeIntoCommittedRun's: release the runs, checkpoint and flush the
-/// manifest, then delete the files. A no-op when the filter is
-/// approximate (its k below `output_rows`, the k + offset the query
-/// returns): its cutoff does not bound the exact output.
+/// MergeIntoCommittedRun's (SpillManager::DeleteRunsIf): release the runs,
+/// checkpoint and flush the manifest, then delete the files. A no-op when
+/// the filter is approximate (its k below `output_rows`, the k + offset
+/// the query returns): its cutoff does not bound the exact output.
 ///
 /// `input_complete` says the registered runs hold the whole input, so a
 /// crash after the manifest flush is resumable; only then does the

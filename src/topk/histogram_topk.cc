@@ -1,5 +1,3 @@
-#include "topk/histogram_topk.h"
-
 #include <algorithm>
 #include <atomic>
 
@@ -7,6 +5,7 @@
 #include "obs/metrics.h"
 #include "obs/obs_context.h"
 #include "obs/trace.h"
+#include "topk/topk_operator.h"
 
 namespace topk {
 
@@ -42,19 +41,45 @@ class FilterSpillObserver final : public SpillObserver {
   CutoffFilter::Spiller spiller_;
 };
 
-/// The histogram filter (Sec 3). In memory it is the bounded
-/// priority-queue algorithm of Sec 2.3, the same BoundedHeapPolicy the heap
-/// operator runs; a row that does not fit switches it to external mode.
-/// There the cutoff filter probes every input row (Algorithm 1 line 4),
-/// re-checks rows leaving for a run (line 11) and learns from every
-/// spilled row (line 13), through each run generator's spill observer —
-/// one per generator when TopKOptions::workers > 1 (Sec 4.4). Each time the
-/// cutoff moves, the next surviving row first deletes the runs it has
-/// passed. Merges stop at the cutoff and refine it; the final merge seeks
-/// past the offset prefix (Sec 4.1).
+/// The paper's algorithm (Sec 3): top-k by external merge sort with eager
+/// input filtering guided by histograms.
+///
+/// Adaptive behaviour (Sec 3.1.1): while the requested output fits in the
+/// memory budget the operator is exactly the in-memory priority-queue
+/// algorithm of Sec 2.3 — the same BoundedHeapPolicy the heap operator
+/// runs — and never touches storage; the moment memory overflows before
+/// k+offset rows are buffered, it switches to run generation. From then on:
+///
+///  * every arriving row is tested against the cutoff key (Algorithm 1,
+///    line 4) and dropped if it provably cannot reach the output;
+///  * surviving rows enter replacement selection; rows leaving memory for a
+///    run are tested again (line 11) because the cutoff may have sharpened
+///    since they were admitted;
+///  * each spilled row feeds the cutoff filter's histogram (line 13),
+///    which continuously sharpens the cutoff — even mid-run;
+///  * each time the cutoff moves, the next surviving row first deletes the
+///    runs it has passed unopened (DropRunsBeyondCutoff), freeing their
+///    disk and spill quota.
+///
+/// The final result is produced by merging the surviving runs until k rows
+/// are emitted, with lowest-keys-first intermediate merges that stop at the
+/// cutoff and refine it (Sec 4.1); runs the cutoff has passed are dropped
+/// before every merge step instead of being merged, and the final merge
+/// seeks past the offset prefix.
+///
+/// With TopKOptions::workers > 1, run generation runs on that many worker
+/// threads, each with an equal share of the memory budget and all filtering
+/// through the one cutoff filter, through one spill observer per generator
+/// (Sec 4.4: threads sharing one histogram priority queue retain about as
+/// many rows as one thread). The input probe stays on the consuming thread;
+/// everything else above — cancellation, Suspend and resume, WITH TIES, the
+/// merges — is unchanged.
+///
+/// A resume is merge-phase only: the cutoff filter is rebuilt from the
+/// per-run histograms the manifest preserved, and Finish merges the
+/// surviving runs.
 class HistogramFilterPolicy final : public BoundedHeapPolicy {
  public:
-  bool parallel_run_generation() const override { return true; }
   Status StartRunGeneration(RunGeneratorOptions* gen_options) override;
   Status ConsumeExternal(Row row) override {
     // Algorithm 1 line 4.
@@ -314,7 +339,8 @@ Result<std::optional<uint64_t>> HistogramFilterPolicy::Resume() {
 
 }  // namespace
 
-HistogramTopK::HistogramTopK(const TopKOptions& options)
-    : ExternalTopK(options, std::make_unique<HistogramFilterPolicy>()) {}
+std::unique_ptr<CutoffPolicy> MakeHistogramFilterPolicy() {
+  return std::make_unique<HistogramFilterPolicy>();
+}
 
 }  // namespace topk

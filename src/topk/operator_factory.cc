@@ -1,11 +1,27 @@
 #include "topk/operator_factory.h"
 
-#include "topk/heap_topk.h"
-#include "topk/histogram_topk.h"
-#include "topk/optimized_external_topk.h"
-#include "topk/traditional_external_topk.h"
+#include <algorithm>
+#include <cmath>
 
 namespace topk {
+
+namespace {
+
+std::unique_ptr<CutoffPolicy> MakePolicy(TopKAlgorithm algorithm) {
+  switch (algorithm) {
+    case TopKAlgorithm::kHeap:
+      return std::make_unique<BoundedHeapPolicy>();
+    case TopKAlgorithm::kTraditionalExternal:
+      return std::make_unique<CutoffPolicy>();
+    case TopKAlgorithm::kOptimizedExternal:
+      return MakeRunKthKeyPolicy();
+    case TopKAlgorithm::kHistogram:
+      return MakeHistogramFilterPolicy();
+  }
+  return nullptr;
+}
+
+}  // namespace
 
 std::string TopKAlgorithmName(TopKAlgorithm algorithm) {
   switch (algorithm) {
@@ -38,60 +54,39 @@ bool ParseTopKAlgorithm(const std::string& name, TopKAlgorithm* out) {
 
 Result<std::unique_ptr<TopKOperator>> MakeTopKOperator(
     TopKAlgorithm algorithm, const TopKOptions& options) {
-  switch (algorithm) {
-    case TopKAlgorithm::kHeap: {
-      std::unique_ptr<HeapTopK> op;
-      TOPK_ASSIGN_OR_RETURN(op, HeapTopK::Make(options));
-      return std::unique_ptr<TopKOperator>(std::move(op));
-    }
-    case TopKAlgorithm::kTraditionalExternal: {
-      std::unique_ptr<TraditionalExternalTopK> op;
-      TOPK_ASSIGN_OR_RETURN(op, TraditionalExternalTopK::Make(options));
-      return std::unique_ptr<TopKOperator>(std::move(op));
-    }
-    case TopKAlgorithm::kOptimizedExternal: {
-      std::unique_ptr<OptimizedExternalTopK> op;
-      TOPK_ASSIGN_OR_RETURN(op, OptimizedExternalTopK::Make(options));
-      return std::unique_ptr<TopKOperator>(std::move(op));
-    }
-    case TopKAlgorithm::kHistogram: {
-      std::unique_ptr<HistogramTopK> op;
-      TOPK_ASSIGN_OR_RETURN(op, HistogramTopK::Make(options));
-      return std::unique_ptr<TopKOperator>(std::move(op));
-    }
+  std::unique_ptr<CutoffPolicy> policy = MakePolicy(algorithm);
+  if (policy == nullptr) {
+    return Status::InvalidArgument("unknown top-k algorithm");
   }
-  return Status::InvalidArgument("unknown top-k algorithm");
+  return TopKOperator::Open(algorithm, options, std::move(policy),
+                            /*resume=*/false, /*report=*/nullptr);
 }
 
 Result<std::unique_ptr<TopKOperator>> ResumeTopKOperator(
     TopKAlgorithm algorithm, const TopKOptions& options,
     RestoreReport* report) {
-  switch (algorithm) {
-    case TopKAlgorithm::kHistogram: {
-      std::unique_ptr<HistogramTopK> op;
-      TOPK_ASSIGN_OR_RETURN(op,
-                            HistogramTopK::ResumeFromManifest(options, report));
-      return std::unique_ptr<TopKOperator>(std::move(op));
-    }
-    case TopKAlgorithm::kTraditionalExternal: {
-      std::unique_ptr<TraditionalExternalTopK> op;
-      TOPK_ASSIGN_OR_RETURN(
-          op, TraditionalExternalTopK::ResumeFromManifest(options, report));
-      return std::unique_ptr<TopKOperator>(std::move(op));
-    }
-    case TopKAlgorithm::kOptimizedExternal: {
-      std::unique_ptr<OptimizedExternalTopK> op;
-      TOPK_ASSIGN_OR_RETURN(
-          op, OptimizedExternalTopK::ResumeFromManifest(options, report));
-      return std::unique_ptr<TopKOperator>(std::move(op));
-    }
-    case TopKAlgorithm::kHeap:
-      break;
+  std::unique_ptr<CutoffPolicy> policy = MakePolicy(algorithm);
+  if (policy == nullptr || algorithm == TopKAlgorithm::kHeap) {
+    return Status::InvalidArgument(
+        "algorithm " + TopKAlgorithmName(algorithm) +
+        " does not support manifest resume (supported: histogram, "
+        "traditional-external, optimized-external)");
   }
-  return Status::InvalidArgument(
-      "algorithm " + TopKAlgorithmName(algorithm) +
-      " does not support manifest resume (supported: histogram, "
-      "traditional-external, optimized-external)");
+  return TopKOperator::Open(algorithm, options, std::move(policy),
+                            /*resume=*/true, report);
+}
+
+Result<TopKOptions> ApproximateTopK(const TopKOptions& options,
+                                    double tolerance) {
+  if (tolerance < 0.0 || tolerance >= 1.0) {
+    return Status::InvalidArgument("tolerance must be in [0, 1)");
+  }
+  const uint64_t guaranteed_rows = std::max<uint64_t>(
+      1, static_cast<uint64_t>(
+             std::ceil(static_cast<double>(options.k) * (1.0 - tolerance))));
+  TopKOptions approx = options;
+  approx.approx_filter_k = guaranteed_rows + options.offset;
+  return approx;
 }
 
 }  // namespace topk

@@ -1,16 +1,55 @@
-#include "topk/optimized_external_topk.h"
-
 #include "obs/obs_context.h"
 #include "obs/trace.h"
+#include "topk/topk_operator.h"
 
 namespace topk {
 
 namespace {
 
-/// The run-kth-key filter of [14] with early merges (Sec 2.5). The policy
-/// is the run generator's spill observer: it drops rows beyond the cutoff
-/// at spill time and proposes the (k+offset)th key of every physical run
-/// as a new cutoff.
+/// The paper's baseline (Sec 2.5): external merge sort optimized for top
+/// queries per Graefe 2008 ("A general and efficient algorithm for 'top'
+/// queries"). Run generation uses replacement selection with run sizes
+/// limited to k+offset, and the input is filtered by a single cutoff key
+/// obtained two ways:
+///
+///  * k fits in a run: the (k+offset)th key of each run is a valid cutoff
+///    (that run alone proves k rows at or before it) — the "incrementally
+///    sharpening filter" of [14]. With the run-size limit, this is exactly
+///    the key that truncates each run.
+///  * k larger than a run: once `early_merge_fan_in` runs exist, an early
+///    merge step combines them into an intermediate run of at most
+///    k+offset rows; if it reaches k+offset rows, its last key becomes the
+///    cutoff. Early merges repeat as runs accumulate, so the cutoff keeps
+///    sharpening — at the price of sub-optimal merge steps and interrupted
+///    run generation, the drawbacks Sec 2.5 calls out and the histogram
+///    algorithm removes.
+///
+/// This was F1 Query's production operator before the histogram algorithm.
+/// The policy is the run generator's spill observer: it drops rows beyond
+/// the cutoff at spill time and proposes the (k+offset)th key of every
+/// physical run as a new cutoff.
+///
+/// Suspend (and the keep-for-resume cancel) also records an input
+/// checkpoint — rows consumed, run-id frontier, cutoff — so the resumed
+/// operator accepts the input tail this execution never saw; so do the
+/// periodic checkpoints of TopKOptions::checkpoint_input_every_rows. A
+/// resume takes one of two shapes, decided by the manifest:
+///
+///  * It holds an input checkpoint (ckpt record): the crash happened
+///    mid-input. Runs past the checkpoint's run-id frontier are deleted
+///    (the replay re-delivers their rows), the cutoff is restored, and
+///    the resumed operator ACCEPTS INPUT — resume_accepts_input() is
+///    true and the caller must replay the input stream starting at
+///    resume_input_offset(), then call Finish().
+///  * No checkpoint: the input had been fully flushed into runs before
+///    the crash (Finish clears the checkpoint at that boundary). The
+///    resumed operator accepts no input; Finish() merges the runs.
+///
+/// Without checkpoint_input_every_rows, a manifest written mid-input has
+/// no ckpt record and is indistinguishable from the post-input state —
+/// only crashes after run generation completed are then safely
+/// resumable. Enable input checkpointing when optimized executions must
+/// survive mid-input crashes.
 class RunKthKeyPolicy final : public CutoffPolicy, private SpillObserver {
  public:
   Status ValidateOptions() const override {
@@ -172,21 +211,22 @@ Result<std::optional<uint64_t>> RunKthKeyPolicy::Resume() {
   // Mid-input crash. Runs at or past the checkpoint's id frontier were
   // written after it; the replay the caller is about to perform
   // re-delivers exactly the rows they held, so keeping them would count
-  // those rows twice.
-  uint64_t dropped = 0;
-  for (const RunMeta& run : spill()->runs()) {
-    if (run.id >= ckpt->run_id_bound) {
-      TOPK_RETURN_NOT_OK(spill()->RemoveRun(run.id));
-      ++dropped;
-    }
-  }
-  TOPK_RETURN_NOT_OK(spill()->CheckpointManifest());
+  // those rows twice. They leave a durable manifest before their files go:
+  // a crash in between must not resume from a manifest naming missing
+  // files.
+  std::vector<RunMeta> duplicated;
+  TOPK_ASSIGN_OR_RETURN(duplicated,
+                        spill()->DeleteRunsIf(
+                            [&](const RunMeta& run) {
+                              return run.id >= ckpt->run_id_bound;
+                            },
+                            "optimized.resume-drop"));
   if (ckpt->has_cutoff) cutoff_ = ckpt->cutoff;
   pinned_run_id_bound_ = ckpt->run_id_bound;
   if (TracingEnabled()) {
     TraceInstant("resume.input_checkpoint", "topk",
                  {TraceArg("replay_from", ckpt->input_rows_consumed),
-                  TraceArg("runs_dropped", dropped),
+                  TraceArg("runs_dropped", duplicated.size()),
                   TraceArg("cutoff_restored", ckpt->has_cutoff ? 1 : 0)});
   }
   return std::optional<uint64_t>(ckpt->input_rows_consumed);
@@ -194,7 +234,8 @@ Result<std::optional<uint64_t>> RunKthKeyPolicy::Resume() {
 
 }  // namespace
 
-OptimizedExternalTopK::OptimizedExternalTopK(const TopKOptions& options)
-    : ExternalTopK(options, std::make_unique<RunKthKeyPolicy>()) {}
+std::unique_ptr<CutoffPolicy> MakeRunKthKeyPolicy() {
+  return std::make_unique<RunKthKeyPolicy>();
+}
 
 }  // namespace topk

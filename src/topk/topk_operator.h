@@ -13,11 +13,14 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
+#include "histogram/cutoff_filter.h"
 #include "io/async_io.h"
+#include "io/spill_manager.h"
 #include "io/storage_env.h"
 #include "obs/obs_context.h"
 #include "row/row.h"
 #include "sort/merge_planner.h"
+#include "sort/merger.h"
 #include "sort/run_generation.h"
 
 namespace topk {
@@ -28,7 +31,7 @@ enum class OnCancelPolicy {
   /// Release everything: the spill directory is removed as usual when the
   /// operator is destroyed. The default — a cancelled query is garbage.
   kReleaseSpill,
-  /// Keep the runs for a later ResumeFromManifest: before surfacing the
+  /// Keep the runs for a later ResumeTopKOperator: before surfacing the
   /// cancellation the operator flushes in-flight run state, checkpoints
   /// the manifest, and disowns the spill directory — the same durable
   /// handoff Suspend() performs. Requires manifest_filename; preempted
@@ -81,7 +84,7 @@ struct TopKOptions {
   /// 10).
   size_t early_merge_fan_in = 10;
 
-  /// OptimizedExternalTopK: force an early merge step to establish a
+  /// Optimized operator: force an early merge step to establish a
   /// cutoff when k exceeds the run size (the [14] recommendation). The
   /// paper's *measured* baseline lacks an effective cutoff in that regime
   /// ("the baseline algorithm externally sorts the entire input", Sec
@@ -148,7 +151,7 @@ struct TopKOptions {
   /// When non-empty, the operator keeps a manifest of this name inside the
   /// spill directory, checkpointed after every registered run and merge
   /// step, and leaves the spill directory on disk if Finish fails — the
-  /// crash-recovery contract behind ResumeFromManifest.
+  /// crash-recovery contract behind ResumeTopKOperator.
   std::string manifest_filename;
 
   /// Query lifecycle control (query_control.h). When set, every operator
@@ -162,7 +165,7 @@ struct TopKOptions {
   /// What a cancelled external operator does with its spilled runs.
   OnCancelPolicy on_cancel = OnCancelPolicy::kReleaseSpill;
 
-  /// OptimizedExternalTopK: checkpoint input consumption every N consumed
+  /// Optimized operator: checkpoint input consumption every N consumed
   /// rows (0 = off). Each checkpoint flushes the current run, records
   /// (rows consumed, last run id, cutoff) in the manifest as a v3 ckpt
   /// record, and makes it durable — a crash between checkpoints replays
@@ -191,10 +194,11 @@ struct TopKOptions {
   /// that provably belongs to the skipped rows instead of reading it.
   bool histogram_offset_skip = true;
 
-  /// Approximate mode (Sec 4.5, used via ApproxTopK): when non-zero, the
-  /// cutoff filter targets this many rows instead of k + offset, trading a
-  /// possible shortfall of output rows for earlier, sharper cutoffs. Must
-  /// be <= k + offset.
+  /// Approximate mode (Sec 4.5; see ApproximateTopK): when non-zero, the
+  /// histogram operator's cutoff filter targets this many rows instead of
+  /// k + offset, trading a possible shortfall of output rows for earlier,
+  /// sharper cutoffs. Must be <= k + offset, and 0 for every other
+  /// algorithm.
   uint64_t approx_filter_k = 0;
 
   /// Per-query observability context (obs_context.h). When set, the
@@ -271,56 +275,6 @@ struct OperatorStats {
   }
 };
 
-/// A top-k operator: push rows in any order, then Finish() returns the k
-/// top rows (after `offset`) in query order. Single-use.
-class TopKOperator {
- public:
-  virtual ~TopKOperator() = default;
-
-  virtual Status Consume(Row row) = 0;
-
-  /// Consumes a whole batch (convenience; same semantics as repeated
-  /// Consume).
-  Status ConsumeBatch(std::vector<Row> rows) {
-    for (Row& row : rows) {
-      TOPK_RETURN_NOT_OK(Consume(std::move(row)));
-    }
-    return Status::OK();
-  }
-
-  /// Ends the input and produces the result. Must be called exactly once.
-  virtual Result<std::vector<Row>> Finish() = 0;
-
-  /// Makes the operator's state durable on disk and relinquishes it for a
-  /// later manifest-based resume instead of producing a result (mutually
-  /// exclusive with Finish). Only the spilling operators that support
-  /// ResumeFromManifest implement this.
-  virtual Status Suspend() {
-    return Status::FailedPrecondition(
-        name() +
-        " does not support Suspend; suspend/resume is supported by the "
-        "histogram, traditional-external, and optimized-external operators");
-  }
-
-  /// True when a manifest-resumed instance of this operator still accepts
-  /// Consume(): the optimized operator checkpoints mid-input, so its
-  /// resume replays the input tail from resume_input_offset(). The
-  /// merge-phase resumers (histogram, traditional) return false — their
-  /// runs already hold every surviving row.
-  virtual bool resume_accepts_input() const { return false; }
-
-  /// Number of input rows the resumed state already covers; the caller
-  /// replays the input stream starting at this row (0-based). Meaningful
-  /// only when resume_accepts_input() is true.
-  virtual uint64_t resume_input_offset() const { return 0; }
-
-  virtual std::string name() const = 0;
-  const OperatorStats& stats() const { return stats_; }
-
- protected:
-  OperatorStats stats_;
-};
-
 /// The in-memory result: sorts `rows` and the WITH TIES boundary
 /// duplicates kept beside them (`ties`) into query order, then applies
 /// `options`' offset, k and WITH TIES.
@@ -332,10 +286,325 @@ std::vector<Row> SortAndSliceTopKRows(std::vector<Row> rows,
 /// its own share of the memory budget.
 inline constexpr size_t kMaxWorkers = 64;
 
-/// Validates option combinations common to all operators. workers != 1 is
-/// valid only for an operator with `parallel_run_generation`.
+/// Validates option combinations common to all operators. workers != 1 and
+/// a non-zero approx_filter_k are valid only with the `histogram_filter`:
+/// only its cutoff filter serves parallel run generators and takes an
+/// approximate target.
 Status ValidateTopKOptions(const TopKOptions& options, bool requires_storage,
-                           bool parallel_run_generation = false);
+                           bool histogram_filter);
+
+class TopKOperator;
+enum class TopKAlgorithm;
+
+/// The rows a TopKOperator holds before it spills, and what they cost.
+struct InMemoryRows {
+  std::vector<Row> rows;
+  /// WITH TIES: boundary-key duplicates a BoundedHeapPolicy keeps beside
+  /// its heap in `rows`.
+  std::vector<Row> ties;
+  /// Bytes charged for `rows` and `ties` (footprint plus
+  /// kPerRowOverheadBytes each).
+  size_t bytes = 0;
+  /// Arbiter lease covering `bytes`.
+  MemoryLease lease;
+};
+
+/// What distinguishes the paper's four top-k algorithms. The external ones
+/// are increments of one external merge sort: the traditional sort
+/// (Sec 2.4) gains a run-size limit, a kth-key cutoff and an early merge
+/// (Sec 2.5), then the histogram filter (Sec 3), whose in-memory phase is
+/// the bounded priority queue of Sec 2.3; that heap alone, never spilling,
+/// is the in-memory algorithm. TopKOperator owns the operator around the
+/// sort; a policy supplies only the steps where the algorithms differ.
+///
+/// The defaults are the traditional sort (Sec 2.4,
+/// TopKAlgorithm::kTraditionalExternal), as found in e.g. PostgreSQL: buffer
+/// the whole input while it fits and sort it in place; once it exceeds
+/// memory, externally sort *all* of it — no input filtering, no run-size
+/// limit — merging smallest runs first and stopping after k rows. Its cost
+/// is proportional to the input, which is precisely the performance cliff
+/// the paper sets out to remove.
+class CutoffPolicy {
+ public:
+  CutoffPolicy() = default;
+  // The run generator and the cutoff filter's callback hold its address.
+  CutoffPolicy(const CutoffPolicy&) = delete;
+  CutoffPolicy& operator=(const CutoffPolicy&) = delete;
+  virtual ~CutoffPolicy() = default;
+
+  /// Checks the options the policy alone reads.
+  virtual Status ValidateOptions() const { return Status::OK(); }
+
+  /// In-memory phase: keeps `row` in memory, or returns false — leaving
+  /// `row` untouched — when memory is full and the operator must switch to
+  /// run generation. Default: buffer every row.
+  virtual Result<bool> KeepInMemory(Row& row) {
+    return Buffer(row, &memory().rows);
+  }
+  /// Hands the in-memory rows (ties aside) to run generation at the
+  /// external switch.
+  virtual Status SpillInMemoryRows(RunGenerator* generator) {
+    for (Row& row : memory().rows) {
+      TOPK_RETURN_NOT_OK(generator->Add(std::move(row)));
+    }
+    return Status::OK();
+  }
+
+  /// Sets up the cutoff state that runs alongside run generation and
+  /// adjusts the generator's options. Called when the operator switches to
+  /// external mode and when a replay-resume recreates the generator.
+  virtual Status StartRunGeneration(RunGeneratorOptions* /*gen_options*/) {
+    return Status::OK();
+  }
+  /// External phase: routes one input row into run generation.
+  virtual Status ConsumeExternal(Row row) {
+    return generator()->Add(std::move(row));
+  }
+  /// Makes the flushed run set durable in the manifest (Suspend and the
+  /// keep-for-resume cancel).
+  virtual Status MakeInputDurable() {
+    TOPK_RETURN_NOT_OK(spill()->CheckpointManifest());
+    return spill()->FlushManifest();
+  }
+
+  /// Shapes the intermediate merge steps. Default: classic external sort,
+  /// smallest runs first, nothing dropped.
+  virtual void ConfigureMerges(MergePlannerOptions* planner) const {
+    planner->policy = MergePolicy::kSmallestRunsFirst;
+  }
+  /// Runs the final merge of `runs` into `sink`.
+  virtual Result<MergeStats> FinalMerge(const std::vector<RunMeta>& runs,
+                                        const MergeOptions& merge_options,
+                                        const RowSink& sink) {
+    return MergeRuns(spill(), runs, comparator(), merge_options, sink);
+  }
+
+  /// Rebuilds the policy's state from a reopened manifest. Returns the
+  /// input row to replay from when the restored state accepts the input
+  /// tail, nullopt when its runs already hold the whole input.
+  virtual Result<std::optional<uint64_t>> Resume() {
+    return std::optional<uint64_t>();
+  }
+
+  /// Current cutoff key, when one is established.
+  virtual std::optional<double> cutoff() const { return std::nullopt; }
+  /// The histogram cutoff filter, when the policy keeps one.
+  virtual const CutoffFilter* filter() const { return nullptr; }
+
+ protected:
+  /// The operator state a policy works on.
+  const TopKOptions& options() const;
+  const RowComparator& comparator() const;
+  OperatorStats& stats() const;
+  InMemoryRows& memory() const;
+  SpillManager* spill() const;
+  RunGenerator* generator() const;
+
+  /// Charges `row` against the memory budget and moves it into `*into`;
+  /// false, leaving `row` untouched, when it does not fit.
+  Result<bool> Buffer(Row& row, std::vector<Row>* into);
+
+  /// Merges `inputs` into one committed run of at most k+offset rows (plus
+  /// ties) while input is still arriving (MergeIntoCommittedRun), charging
+  /// the merge to the operator's stats. A `filter` stops the merge at its
+  /// cutoff and is refined by it. The output is not a run-generation run,
+  /// so runs_created leaves it out.
+  Result<MergeStats> MergeDuringInput(const std::vector<RunMeta>& inputs,
+                                      CutoffFilter* filter, bool quota_exempt);
+
+ private:
+  friend class TopKOperator;
+  TopKOperator* op_ = nullptr;
+};
+
+/// The bounded priority queue of Sec 2.3 as the in-memory phase: the rows
+/// form a query-order max-heap (top = worst kept row) of at most k+offset
+/// rows, and WITH TIES keeps the boundary key's duplicates beside it. Every
+/// row that grows the footprint is checked against the memory budget
+/// first; one that does not fit is left untouched for the operator to
+/// spill or fail on. Rows leave the heap by move, so the bytes released are
+/// the bytes that were charged.
+class BoundedHeapPolicy : public CutoffPolicy {
+ public:
+  Result<bool> KeepInMemory(Row& row) override;
+  Status SpillInMemoryRows(RunGenerator* generator) override;
+  /// The heap top once the heap holds k+offset rows.
+  std::optional<double> cutoff() const override;
+
+ private:
+  /// The heap holds k+offset rows.
+  bool saturated_ = false;
+};
+
+/// The paper's baseline (Sec 2.5, TopKAlgorithm::kOptimizedExternal):
+/// external merge sort optimized for top queries per Graefe 2008 ("A
+/// general and efficient algorithm for 'top' queries"); RunKthKeyPolicy in
+/// optimized_external_topk.cc.
+std::unique_ptr<CutoffPolicy> MakeRunKthKeyPolicy();
+
+/// The paper's algorithm (Sec 3, TopKAlgorithm::kHistogram): eager input
+/// filtering guided by histograms; HistogramFilterPolicy in
+/// histogram_topk.cc.
+std::unique_ptr<CutoffPolicy> MakeHistogramFilterPolicy();
+
+/// A top-k operator: push rows in any order, then Finish() returns the k
+/// top rows (after `offset`) in query order. Single-use. Built by
+/// MakeTopKOperator or ResumeTopKOperator (operator_factory.h).
+///
+/// It is one external merge sort for top-k queries. It owns the entry
+/// points and their guards (observability scope, allocation containment,
+/// the first-error latch, cancellation with the keep-for-resume handoff),
+/// the in-memory phase and its result slice, the switch to run generation,
+/// the flush → manifest → merge sequence that keeps a failed query
+/// resumable, Suspend, and reopening a manifest. The CutoffPolicy its
+/// algorithm picks decides what is filtered, how runs are cut, and how
+/// they are merged.
+class TopKOperator {
+ public:
+  Status Consume(Row row);
+
+  /// Consumes a whole batch (convenience; same semantics as repeated
+  /// Consume).
+  Status ConsumeBatch(std::vector<Row> rows) {
+    for (Row& row : rows) {
+      TOPK_RETURN_NOT_OK(Consume(std::move(row)));
+    }
+    return Status::OK();
+  }
+
+  /// Ends the input and produces the result. Must be called exactly once.
+  Result<std::vector<Row>> Finish();
+
+  /// Makes the operator's state durable on disk and relinquishes it for a
+  /// later ResumeTopKOperator instead of producing a result (mutually
+  /// exclusive with Finish). Requires options.manifest_filename; spills
+  /// what is still buffered. FailedPrecondition for the heap algorithm,
+  /// which cannot spill.
+  Status Suspend();
+
+  /// True when a manifest-resumed operator still accepts Consume(): the
+  /// optimized operator checkpoints mid-input, so its resume replays the
+  /// input tail from resume_input_offset(). A merge-phase resume (every
+  /// other one) accepts no input — its runs already hold every surviving
+  /// row.
+  bool resume_accepts_input() const {
+    return resumed_ && generator_ != nullptr;
+  }
+  /// Number of input rows the resumed state already covers; the caller
+  /// replays the input stream starting at this row (0-based). Meaningful
+  /// only when resume_accepts_input() is true.
+  uint64_t resume_input_offset() const { return resume_input_offset_; }
+
+  const OperatorStats& stats() const { return stats_; }
+
+  /// Current cutoff key: the policy's, or none.
+  std::optional<double> cutoff() const { return policy_->cutoff(); }
+
+  /// True once the operator switched to external (spilling) mode.
+  bool is_external() const { return generator_ != nullptr || resumed_; }
+
+  /// The cutoff filter (histogram policy in external mode; for
+  /// tests/benchmarks).
+  const CutoffFilter* filter() const { return policy_->filter(); }
+
+ private:
+  friend class CutoffPolicy;
+  friend Result<std::unique_ptr<TopKOperator>> MakeTopKOperator(
+      TopKAlgorithm algorithm, const TopKOptions& options);
+  friend Result<std::unique_ptr<TopKOperator>> ResumeTopKOperator(
+      TopKAlgorithm algorithm, const TopKOptions& options,
+      RestoreReport* report);
+
+  TopKOperator(TopKAlgorithm algorithm, const TopKOptions& options,
+               std::unique_ptr<CutoffPolicy> policy);
+
+  /// The body of the factory: validates `options` for `policy`, builds the
+  /// operator, and for a resume (`resume`) reopens the manifest in
+  /// options.manifest_filename. Runs failing verification are quarantined
+  /// and reported via `report`.
+  static Result<std::unique_ptr<TopKOperator>> Open(
+      TopKAlgorithm algorithm, const TopKOptions& options,
+      std::unique_ptr<CutoffPolicy> policy, bool resume,
+      RestoreReport* report);
+
+  Status Reopen(RestoreReport* report);
+
+  Status ConsumeImpl(Row row);
+  Result<std::vector<Row>> FinishImpl();
+  Status SuspendImpl();
+
+  Status SwitchToExternal();
+  Status CreateGenerator();
+  /// Flushes run generation and makes the complete run set durable.
+  Status FlushRuns();
+  /// Suspend's durable handoff, short of disowning the directory: flush
+  /// run generation with cancellation detached, then checkpoint and flush
+  /// the manifest.
+  Status MakeDurable();
+  void CollectRunStats();
+  /// Intermediate merge steps, then the final merge into `result`.
+  Status MergeRunsInto(std::vector<Row>* result);
+
+  /// Entry-point poll of options_.cancel; a tripped token is routed
+  /// through OnCancelStatus so the on_cancel policy applies.
+  Status CheckCancel();
+  /// Passes `cause` through, but when it is the cancellation token
+  /// tripping and on_cancel is kKeepForResume, first performs Suspend's
+  /// durable handoff (flush, checkpoint, disown) so the spilled runs
+  /// survive for ResumeTopKOperator. A storage error during the handoff
+  /// wins over the cancellation.
+  Status OnCancelStatus(Status cause);
+  /// Latches the first non-cancellation error an entry point surfaced.
+  void NoteError(const Status& status);
+
+  TopKAlgorithm algorithm_;
+  TopKOptions options_;
+  RowComparator comparator_;
+  std::unique_ptr<CutoffPolicy> policy_;
+  OperatorStats stats_;
+
+  /// In-memory phase.
+  InMemoryRows memory_;
+
+  /// External phase (created on the first overflow). The generator is
+  /// declared after the spill manager and the policy so it is destroyed
+  /// before them: it writes into the one and may observe through the
+  /// other.
+  std::unique_ptr<SpillManager> spill_;
+  std::unique_ptr<RunGenerator> generator_;
+
+  /// Runs MergeDuringInput registered; not run-generation runs.
+  uint64_t input_merge_runs_ = 0;
+
+  /// Which Consume calls time themselves into stats_.consume_nanos.
+  SampledScopeTimer::Schedule consume_timing_;
+  bool finished_ = false;
+  /// Built by ResumeTopKOperator. With a generator the operator accepts
+  /// the replayed input tail; without one it is merge-phase only.
+  bool resumed_ = false;
+  /// Input rows the restored state already covers (resume replays from
+  /// here).
+  uint64_t resume_input_offset_ = 0;
+  /// First non-cancellation error any entry point surfaced. Suspend
+  /// returns it instead of a generic precondition failure: the real cause
+  /// of the operator's demise beats "Suspend after Finish".
+  Status first_error_;
+  /// The keep-for-resume cancel handoff ran (it must run at most once).
+  bool cancel_unwound_ = false;
+};
+
+inline const TopKOptions& CutoffPolicy::options() const {
+  return op_->options_;
+}
+inline const RowComparator& CutoffPolicy::comparator() const {
+  return op_->comparator_;
+}
+inline OperatorStats& CutoffPolicy::stats() const { return op_->stats_; }
+inline InMemoryRows& CutoffPolicy::memory() const { return op_->memory_; }
+inline SpillManager* CutoffPolicy::spill() const { return op_->spill_.get(); }
+inline RunGenerator* CutoffPolicy::generator() const {
+  return op_->generator_.get();
+}
 
 }  // namespace topk
 

@@ -186,6 +186,11 @@ TEST(ChaosCrashTest, EveryCrashPointEveryExternalOperator) {
       if (point == "post-drop-checkpoint") {
         continue;  // needs descending input: DropCheckpointResumes
       }
+      if (point == "optimized.resume-drop") {
+        // Fires inside a resume, not a first run: see
+        // OptimizedTopKTest.ResumeCommitsTheManifestBeforeDeletingReplayedRuns.
+        continue;
+      }
       ASSERT_NO_FATAL_FAILURE(RunCell(algorithm, rows, expected, point));
     }
   }

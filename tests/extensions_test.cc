@@ -1,15 +1,14 @@
 #include <algorithm>
+#include <filesystem>
 #include <map>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 
-#include "extensions/approx_topk.h"
 #include "extensions/grouped_topk.h"
 #include "extensions/segmented_topk.h"
 #include "tests/test_util.h"
-#include "topk/histogram_topk.h"
 #include "topk/operator_factory.h"
 
 namespace topk {
@@ -102,6 +101,48 @@ TEST_F(ExtensionsTest, GroupedTopKConsumeAfterFinishFails) {
             StatusCode::kFailedPrecondition);
 }
 
+TEST_F(ExtensionsTest, GroupedAndSegmentedRemoveTheSpillDirTheyCreated) {
+  DatasetSpec spec;
+  spec.WithRows(5000).WithSeed(6);
+  auto rows = MaterializeDataset(spec);
+
+  GroupedTopK::Options grouped_options;
+  grouped_options.per_group = BaseOptions(100, 4 * 1024);
+  auto grouped = GroupedTopK::Make(grouped_options);
+  ASSERT_TRUE(grouped.ok());
+  for (const Row& row : rows) {
+    ASSERT_TRUE((*grouped)->Consume(row.id % 2, row).ok());
+  }
+  ASSERT_TRUE((*grouped)->Finish().ok());
+  ASSERT_TRUE((*grouped)->group_operator(0)->is_external());
+  grouped->reset();
+  EXPECT_FALSE(std::filesystem::exists(grouped_options.per_group.spill_dir));
+
+  SegmentedTopK::Options segmented_options;
+  segmented_options.base = BaseOptions(100, 4 * 1024);
+  auto segmented = SegmentedTopK::Make(segmented_options);
+  ASSERT_TRUE(segmented.ok());
+  for (const Row& row : rows) {
+    ASSERT_TRUE((*segmented)->Consume(0, row).ok());
+  }
+  ASSERT_TRUE((*segmented)->Finish().ok());
+  segmented->reset();
+  EXPECT_FALSE(std::filesystem::exists(segmented_options.base.spill_dir));
+
+  // A directory the caller made is left in place.
+  const std::string existing = scratch_.str() + "/existing";
+  std::filesystem::create_directories(existing);
+  grouped_options.per_group.spill_dir = existing;
+  grouped = GroupedTopK::Make(grouped_options);
+  ASSERT_TRUE(grouped.ok());
+  for (const Row& row : rows) {
+    ASSERT_TRUE((*grouped)->Consume(0, row).ok());
+  }
+  ASSERT_TRUE((*grouped)->Finish().ok());
+  grouped->reset();
+  EXPECT_TRUE(std::filesystem::exists(existing));
+}
+
 // ---------------- Segmented top-k (Sec 4.2) ----------------
 
 TEST_F(ExtensionsTest, SegmentedTopKStopsAfterKRows) {
@@ -132,6 +173,31 @@ TEST_F(ExtensionsTest, SegmentedTopKStopsAfterKRows) {
     EXPECT_EQ((*result)[i].segment, 0u);
     EXPECT_EQ((*result)[i].row.id, expected0[i].id);
   }
+  for (size_t i = 0; i < 20; ++i) {
+    EXPECT_EQ((*result)[80 + i].segment, 1u);
+    EXPECT_EQ((*result)[80 + i].row.id, expected1[i].id);
+  }
+}
+
+TEST_F(ExtensionsTest, SegmentedTopKCapsApproxTargetAtRemainingRows) {
+  // Segment 0 leaves 20 of k = 100 rows to find, fewer than the target of
+  // 90: segment 1's operator filters for those 20 rows.
+  SegmentedTopK::Options options;
+  options.base = BaseOptions(100, 16 * 1024);
+  options.base.approx_filter_k = 90;
+  auto segmented = SegmentedTopK::Make(options);
+  ASSERT_TRUE(segmented.ok());
+  DatasetSpec spec;
+  spec.WithRows(240).WithSeed(3);
+  auto rows = MaterializeDataset(spec);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_TRUE((*segmented)->Consume(i / 80, rows[i]).ok());
+  }
+  auto result = (*segmented)->Finish();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->size(), 100u);
+  std::vector<Row> segment1(rows.begin() + 80, rows.begin() + 160);
+  auto expected1 = ReferenceTopK(segment1, 20, 0, SortDirection::kAscending);
   for (size_t i = 0; i < 20; ++i) {
     EXPECT_EQ((*result)[80 + i].segment, 1u);
     EXPECT_EQ((*result)[80 + i].row.id, expected1[i].id);
@@ -181,9 +247,11 @@ TEST_F(ExtensionsTest, SegmentedTopKRejectsOffset) {
 // ---------------- Approximate top-k (Sec 4.5) ----------------
 
 TEST_F(ExtensionsTest, ApproxTopKReturnsTruePrefixWithinTolerance) {
-  auto op = ApproxTopK::Make(BaseOptions(2000, 16 * 1024), 0.1);
+  auto approx = ApproximateTopK(BaseOptions(2000, 16 * 1024), 0.1);
+  ASSERT_TRUE(approx.ok());
+  EXPECT_EQ(approx->approx_filter_k, 1800u);  // k' = 1800 guaranteed rows
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, *approx);
   ASSERT_TRUE(op.ok());
-  EXPECT_EQ((*op)->guaranteed_rows(), 1800u);
   DatasetSpec spec;
   spec.WithRows(60000).WithSeed(4);
   auto rows = MaterializeDataset(spec);
@@ -205,7 +273,9 @@ TEST_F(ExtensionsTest, ApproxTopKReturnsTruePrefixWithinTolerance) {
 }
 
 TEST_F(ExtensionsTest, ApproxTopKZeroToleranceIsExact) {
-  auto op = ApproxTopK::Make(BaseOptions(500, 16 * 1024), 0.0);
+  auto approx = ApproximateTopK(BaseOptions(500, 16 * 1024), 0.0);
+  ASSERT_TRUE(approx.ok());
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, *approx);
   ASSERT_TRUE(op.ok());
   DatasetSpec spec;
   spec.WithRows(20000).WithSeed(5);
@@ -220,8 +290,40 @@ TEST_F(ExtensionsTest, ApproxTopKZeroToleranceIsExact) {
 }
 
 TEST_F(ExtensionsTest, ApproxTopKRejectsBadTolerance) {
-  EXPECT_FALSE(ApproxTopK::Make(BaseOptions(10), 1.0).ok());
-  EXPECT_FALSE(ApproxTopK::Make(BaseOptions(10), -0.1).ok());
+  EXPECT_FALSE(ApproximateTopK(BaseOptions(10), 1.0).ok());
+  EXPECT_FALSE(ApproximateTopK(BaseOptions(10), -0.1).ok());
+}
+
+TEST_F(ExtensionsTest, ApproxTopKTargetCoversTheOffset) {
+  // k' = ceil(10 * 0.75) = 8 rows after the 5 skipped ones; at least 1.
+  TopKOptions options = BaseOptions(10);
+  options.offset = 5;
+  auto approx = ApproximateTopK(options, 0.25);
+  ASSERT_TRUE(approx.ok());
+  EXPECT_EQ(approx->approx_filter_k, 13u);
+  approx = ApproximateTopK(BaseOptions(1), 0.99);
+  ASSERT_TRUE(approx.ok());
+  EXPECT_EQ(approx->approx_filter_k, 1u);
+}
+
+TEST_F(ExtensionsTest, ApproxTopKStatsAreLiveAndSuspendWorks) {
+  // The approximate query is the histogram operator itself: its stats are
+  // live during input, it exposes its filter, and it can Suspend.
+  TopKOptions options = BaseOptions(2000, 16 * 1024);
+  options.manifest_filename = "approx.tkm";
+  auto approx = ApproximateTopK(options, 0.1);
+  ASSERT_TRUE(approx.ok());
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, *approx);
+  ASSERT_TRUE(op.ok());
+  DatasetSpec spec;
+  spec.WithRows(20000).WithSeed(4);
+  for (const Row& row : MaterializeDataset(spec)) {
+    ASSERT_TRUE((*op)->Consume(row).ok());
+  }
+  EXPECT_EQ((*op)->stats().rows_consumed, 20000u);
+  ASSERT_NE((*op)->filter(), nullptr);
+  EXPECT_EQ((*op)->filter()->k(), 1800u);
+  EXPECT_TRUE((*op)->Suspend().ok());
 }
 
 // ---------------- Parallel run generation (Sec 4.4) ----------------
@@ -231,7 +333,7 @@ TEST_F(ExtensionsTest, ParallelHistogramMatchesReference) {
   options.workers = 4;
   // The cutoff timeline records from the worker threads too.
   options.obs = ObsContext::Create("parallel");
-  auto op = HistogramTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
   ASSERT_TRUE(op.ok()) << op.status().ToString();
 
   DatasetSpec spec;
@@ -268,7 +370,7 @@ TEST_F(ExtensionsTest, ParallelSharedFilterRetainsLikeSingleThread) {
   auto shared = [&](size_t workers) -> uint64_t {
     TopKOptions options = BaseOptions(kK, kMemory);
     options.workers = workers;
-    auto op = HistogramTopK::Make(options);
+    auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
     EXPECT_TRUE(op.ok());
     for (const Row& row : rows) {
       EXPECT_TRUE((*op)->Consume(row).ok());
@@ -279,9 +381,10 @@ TEST_F(ExtensionsTest, ParallelSharedFilterRetainsLikeSingleThread) {
     return (*op)->stats().rows_spilled;
   };
   auto independent = [&](size_t workers) -> uint64_t {
-    std::vector<std::unique_ptr<HistogramTopK>> ops;
+    std::vector<std::unique_ptr<TopKOperator>> ops;
     for (size_t i = 0; i < workers; ++i) {
-      auto op = HistogramTopK::Make(BaseOptions(kK, kMemory / workers));
+      auto op = MakeTopKOperator(TopKAlgorithm::kHistogram,
+                                 BaseOptions(kK, kMemory / workers));
       EXPECT_TRUE(op.ok());
       ops.push_back(std::move(*op));
     }
@@ -313,14 +416,15 @@ TEST_F(ExtensionsTest, OnlyHistogramTakesWorkers) {
   TopKOptions options = BaseOptions(10);
   for (const size_t workers : {size_t{0}, kMaxWorkers + 1}) {
     options.workers = workers;
-    EXPECT_EQ(HistogramTopK::Make(options).status().code(),
+    EXPECT_EQ(MakeTopKOperator(TopKAlgorithm::kHistogram,
+                               options).status().code(),
               StatusCode::kInvalidArgument)
         << workers;
   }
   options.workers = kMaxWorkers;
-  EXPECT_TRUE(HistogramTopK::Make(options).ok());
+  EXPECT_TRUE(MakeTopKOperator(TopKAlgorithm::kHistogram, options).ok());
   options.workers = 2;
-  EXPECT_TRUE(HistogramTopK::Make(options).ok());
+  EXPECT_TRUE(MakeTopKOperator(TopKAlgorithm::kHistogram, options).ok());
   for (const TopKAlgorithm algorithm :
        {TopKAlgorithm::kHeap, TopKAlgorithm::kTraditionalExternal,
         TopKAlgorithm::kOptimizedExternal}) {
@@ -334,6 +438,40 @@ TEST_F(ExtensionsTest, OnlyHistogramTakesWorkers) {
             StatusCode::kInvalidArgument);
   SegmentedTopK::Options segmented;
   segmented.base = options;
+  EXPECT_EQ(SegmentedTopK::Make(segmented).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(ExtensionsTest, OnlyHistogramTakesApproxFilterK) {
+  TopKOptions options = BaseOptions(10);
+  options.offset = 5;
+  options.approx_filter_k = 16;  // beyond k + offset
+  EXPECT_EQ(MakeTopKOperator(TopKAlgorithm::kHistogram, options)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  options.approx_filter_k = 15;
+  EXPECT_TRUE(MakeTopKOperator(TopKAlgorithm::kHistogram, options).ok());
+  for (const TopKAlgorithm algorithm :
+       {TopKAlgorithm::kHeap, TopKAlgorithm::kTraditionalExternal,
+        TopKAlgorithm::kOptimizedExternal}) {
+    SCOPED_TRACE(TopKAlgorithmName(algorithm));
+    EXPECT_EQ(MakeTopKOperator(algorithm, options).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  // Grouped and segmented execution run the histogram operator, so they
+  // take a target within k + offset and reject one beyond it.
+  GroupedTopK::Options grouped;
+  grouped.per_group = options;
+  EXPECT_TRUE(GroupedTopK::Make(grouped).ok());
+  grouped.per_group.approx_filter_k = 16;
+  EXPECT_EQ(GroupedTopK::Make(grouped).status().code(),
+            StatusCode::kInvalidArgument);
+  SegmentedTopK::Options segmented;
+  segmented.base = BaseOptions(10);  // segmented execution takes no offset
+  segmented.base.approx_filter_k = 8;
+  EXPECT_TRUE(SegmentedTopK::Make(segmented).ok());
+  segmented.base.approx_filter_k = 11;
   EXPECT_EQ(SegmentedTopK::Make(segmented).status().code(),
             StatusCode::kInvalidArgument);
 }

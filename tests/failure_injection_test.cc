@@ -198,11 +198,11 @@ TEST(BlockWriterFailureTest, BytesAppendedNotCountedOnFailedAppend) {
   writer.Close();
 }
 
-/// DeleteFile() failures: RemoveRun must surface the error (a merge step
-/// that cannot reclaim its inputs reports it, not ignores it), and the
+/// DeleteFile() failures: DeleteRunsIf must surface the error (a step that
+/// cannot reclaim its inputs reports it, not ignores it), and the
 /// manager's best-effort destructor cleanup must absorb one without
 /// crashing.
-TEST(DeleteFailureTest, RemoveRunSurfacesDeleteFailure) {
+TEST(DeleteFailureTest, DeleteRunsIfSurfacesDeleteFailure) {
   ScratchDir scratch;
   StorageEnv env;
   auto spill = SpillManager::Create(&env, scratch.str() + "/spill");
@@ -215,7 +215,8 @@ TEST(DeleteFailureTest, RemoveRunSurfacesDeleteFailure) {
   (*spill)->AddRun(*meta);
 
   env.InjectDeleteFailure(1);
-  Status status = (*spill)->RemoveRun(meta->id);
+  Status status =
+      (*spill)->DeleteRunsIf([](const RunMeta&) { return true; }).status();
   EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
 }
 

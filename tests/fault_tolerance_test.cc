@@ -15,9 +15,7 @@
 #include "io/storage_health.h"
 #include "obs/metrics.h"
 #include "tests/test_util.h"
-#include "topk/histogram_topk.h"
 #include "topk/operator_factory.h"
-#include "topk/traditional_external_topk.h"
 
 namespace topk {
 namespace {
@@ -176,7 +174,7 @@ TEST(TransientFaultTest, HedgedReadsUnderLatencySpikesIdentical) {
   options.io_hedge_reads = true;
   options.io_retry.deadline_nanos = 5'000'000'000;  // 5 s: never in play
 
-  auto op = HistogramTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
   ASSERT_TRUE(op.ok());
   auto result = RunOperator(op->get(), rows);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -223,7 +221,7 @@ TEST(TransientFaultTest, BrownoutTripsBreakerWithinRetryBudget) {
   TopKOptions options = SmallOptions(&env, scratch.str());
   options.io_retry.retry_budget = &budget;
 
-  auto op = HistogramTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
   ASSERT_TRUE(op.ok());
   Status status;
   for (const Row& row : rows) {
@@ -374,7 +372,7 @@ TEST(SuspendResumeTest, ResumeRebuildsCutoffFilterFromManifest) {
   TopKOptions options = SmallOptions(&env, scratch.str());
   options.manifest_filename = kManifest;
   {
-    auto op = HistogramTopK::Make(options);
+    auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
     ASSERT_TRUE(op.ok());
     for (const Row& row : rows) {
       ASSERT_TRUE((*op)->Consume(row).ok());
@@ -382,7 +380,7 @@ TEST(SuspendResumeTest, ResumeRebuildsCutoffFilterFromManifest) {
     ASSERT_TRUE((*op)->is_external());
     ASSERT_TRUE((*op)->Suspend().ok());
   }
-  auto resumed = HistogramTopK::ResumeFromManifest(options);
+  auto resumed = ResumeTopKOperator(TopKAlgorithm::kHistogram, options);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   // The per-run histograms persisted in the manifest re-establish a cutoff
   // before the resumed merge reads a single row.

@@ -1,4 +1,4 @@
-#include "topk/heap_topk.h"
+#include "topk/operator_factory.h"
 
 #include <limits>
 
@@ -26,7 +26,7 @@ TEST(HeapTopKTest, MatchesReferenceOnUniformInput) {
   DatasetSpec spec;
   spec.WithRows(10000).WithSeed(1);
   auto rows = MaterializeDataset(spec);
-  auto op = HeapTopK::Make(HeapOptions(100));
+  auto op = MakeTopKOperator(TopKAlgorithm::kHeap, HeapOptions(100));
   ASSERT_TRUE(op.ok());
   auto result = RunOperator(op->get(), rows);
   ASSERT_TRUE(result.ok());
@@ -42,7 +42,7 @@ TEST(HeapTopKTest, DescendingDirection) {
   auto rows = MaterializeDataset(spec);
   TopKOptions options = HeapOptions(50);
   options.direction = SortDirection::kDescending;
-  auto op = HeapTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHeap, options);
   ASSERT_TRUE(op.ok());
   auto result = RunOperator(op->get(), rows);
   ASSERT_TRUE(result.ok());
@@ -56,7 +56,7 @@ TEST(HeapTopKTest, OffsetSkipsRows) {
   auto rows = MaterializeDataset(spec);
   TopKOptions options = HeapOptions(20);
   options.offset = 35;
-  auto op = HeapTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHeap, options);
   ASSERT_TRUE(op.ok());
   auto result = RunOperator(op->get(), rows);
   ASSERT_TRUE(result.ok());
@@ -68,7 +68,7 @@ TEST(HeapTopKTest, InputSmallerThanKReturnsEverythingSorted) {
   DatasetSpec spec;
   spec.WithRows(30).WithSeed(4);
   auto rows = MaterializeDataset(spec);
-  auto op = HeapTopK::Make(HeapOptions(100));
+  auto op = MakeTopKOperator(TopKAlgorithm::kHeap, HeapOptions(100));
   ASSERT_TRUE(op.ok());
   auto result = RunOperator(op->get(), rows);
   ASSERT_TRUE(result.ok());
@@ -82,7 +82,7 @@ TEST(HeapTopKTest, FailsWithOutOfMemoryWhenOutputExceedsBudget) {
   // fail" when the output does not fit.
   TopKOptions options = HeapOptions(1000000);
   options.memory_limit_bytes = 4096;
-  auto op = HeapTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHeap, options);
   ASSERT_TRUE(op.ok());
   Status status = Status::OK();
   for (int i = 0; i < 100000 && status.ok(); ++i) {
@@ -94,7 +94,7 @@ TEST(HeapTopKTest, FailsWithOutOfMemoryWhenOutputExceedsBudget) {
   // top but brings a larger payload must still fit the budget.
   options = HeapOptions(2);
   options.memory_limit_bytes = 4096;
-  op = HeapTopK::Make(options);
+  op = MakeTopKOperator(TopKAlgorithm::kHeap, options);
   ASSERT_TRUE(op.ok());
   ASSERT_TRUE((*op)->Consume(Row(5, 1)).ok());
   ASSERT_TRUE((*op)->Consume(Row(6, 2)).ok());
@@ -109,7 +109,7 @@ TEST(HeapTopKTest, PeakMemoryIsTheLiveFootprint) {
   // row must be the bytes charged for it: the peak is k rows' footprint.
   TopKOptions options = HeapOptions(100);
   options.memory_limit_bytes = 200 * 1024;
-  auto op = HeapTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHeap, options);
   ASSERT_TRUE(op.ok());
   size_t row_cost = 0;
   for (int i = 0; i < 20000; ++i) {
@@ -131,7 +131,7 @@ TEST(HeapTopKTest, PeakMemoryIsTheLiveFootprint) {
 TEST(HeapTopKTest, MaximumMemoryLimitNeverFails) {
   TopKOptions options = HeapOptions(50000);
   options.memory_limit_bytes = std::numeric_limits<size_t>::max();
-  auto op = HeapTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHeap, options);
   ASSERT_TRUE(op.ok());
   DatasetSpec spec;
   spec.WithRows(100000).WithSeed(5);
@@ -142,7 +142,7 @@ TEST(HeapTopKTest, MaximumMemoryLimitNeverFails) {
 }
 
 TEST(HeapTopKTest, CutoffIsHeapTopOnceSaturated) {
-  auto op = HeapTopK::Make(HeapOptions(3));
+  auto op = MakeTopKOperator(TopKAlgorithm::kHeap, HeapOptions(3));
   ASSERT_TRUE(op.ok());
   EXPECT_FALSE((*op)->cutoff().has_value());
   ASSERT_TRUE((*op)->Consume(Row(5, 1)).ok());
@@ -158,7 +158,7 @@ TEST(HeapTopKTest, CutoffIsHeapTopOnceSaturated) {
 TEST(HeapTopKTest, DuplicateKeysStableById) {
   std::vector<Row> rows;
   for (int i = 0; i < 100; ++i) rows.push_back(Row(1.0, 99 - i));
-  auto op = HeapTopK::Make(HeapOptions(10));
+  auto op = MakeTopKOperator(TopKAlgorithm::kHeap, HeapOptions(10));
   ASSERT_TRUE(op.ok());
   auto result = RunOperator(op->get(), rows);
   ASSERT_TRUE(result.ok());
@@ -173,13 +173,13 @@ TEST(HeapTopKTest, ConsumeBatchMatchesRepeatedConsume) {
   spec.WithRows(3000).WithSeed(6);
   auto rows = MaterializeDataset(spec);
 
-  auto batched = HeapTopK::Make(HeapOptions(100));
+  auto batched = MakeTopKOperator(TopKAlgorithm::kHeap, HeapOptions(100));
   ASSERT_TRUE(batched.ok());
   ASSERT_TRUE((*batched)->ConsumeBatch(rows).ok());
   auto batched_result = (*batched)->Finish();
   ASSERT_TRUE(batched_result.ok());
 
-  auto single = HeapTopK::Make(HeapOptions(100));
+  auto single = MakeTopKOperator(TopKAlgorithm::kHeap, HeapOptions(100));
   ASSERT_TRUE(single.ok());
   auto single_result = RunOperator(single->get(), rows);
   ASSERT_TRUE(single_result.ok());
@@ -187,11 +187,11 @@ TEST(HeapTopKTest, ConsumeBatchMatchesRepeatedConsume) {
 }
 
 TEST(HeapTopKTest, RejectsZeroK) {
-  EXPECT_FALSE(HeapTopK::Make(HeapOptions(0)).ok());
+  EXPECT_FALSE(MakeTopKOperator(TopKAlgorithm::kHeap, HeapOptions(0)).ok());
 }
 
 TEST(HeapTopKTest, ConsumeAfterFinishFails) {
-  auto op = HeapTopK::Make(HeapOptions(5));
+  auto op = MakeTopKOperator(TopKAlgorithm::kHeap, HeapOptions(5));
   ASSERT_TRUE(op.ok());
   ASSERT_TRUE((*op)->Consume(Row(1, 1)).ok());
   ASSERT_TRUE((*op)->Finish().ok());

@@ -19,7 +19,7 @@
 #include "io/storage_health.h"
 #include "obs/metrics.h"
 #include "tests/test_util.h"
-#include "topk/histogram_topk.h"
+#include "topk/operator_factory.h"
 
 namespace topk {
 namespace {
@@ -398,7 +398,7 @@ TEST(SpillQuotaTest, HistogramOperatorConsolidatesBeforeFailing) {
 
   const uint64_t consolidations_before =
       CounterValue("spill.quota_consolidations");
-  auto op = HistogramTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
   ASSERT_TRUE(op.ok());
   for (const Row& row : rows) {
     const Status status = (*op)->Consume(row);
@@ -431,7 +431,7 @@ TEST(SpillQuotaTest, HistogramOperatorMeetsQuotaByDroppingDeadRuns) {
 
   const uint64_t consolidations_before =
       CounterValue("spill.quota_consolidations");
-  auto op = HistogramTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
   ASSERT_TRUE(op.ok());
   for (const Row& row : rows) {
     ASSERT_TRUE((*op)->Consume(row).ok());
@@ -458,7 +458,7 @@ TEST(SpillQuotaTest, ImpossibleQuotaSurfacesResourceExhausted) {
   // Smaller than a single spill block: no amount of consolidation helps.
   options.spill_quota_bytes = 4 * 1024;
 
-  auto op = HistogramTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
   ASSERT_TRUE(op.ok());
   Status status;
   for (const Row& row : rows) {

@@ -1,4 +1,4 @@
-#include "topk/histogram_topk.h"
+#include "topk/operator_factory.h"
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include <limits>
 
 #include "tests/test_util.h"
-#include "topk/traditional_external_topk.h"
 
 namespace topk {
 namespace {
@@ -55,7 +54,7 @@ class HistogramTopKTest : public ::testing::Test {
                                    const std::vector<Row>& rows) {
     options.spill_dir = scratch_.str() + "/" + std::to_string(dir_seq_++);
     options.workers = 1;
-    auto op = TraditionalExternalTopK::Make(options);
+    auto op = MakeTopKOperator(TopKAlgorithm::kTraditionalExternal, options);
     EXPECT_TRUE(op.ok());
     auto result = RunOperator(op->get(), rows);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
@@ -66,7 +65,7 @@ class HistogramTopKTest : public ::testing::Test {
   /// unmerged without changing the traditional operator's answer.
   void ExpectDropsKeepTraditionalRows(const TopKOptions& options,
                                       const std::vector<Row>& rows) {
-    auto op = HistogramTopK::Make(options);
+    auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
     ASSERT_TRUE(op.ok());
     auto result = RunOperator(op->get(), rows);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -82,7 +81,7 @@ class HistogramTopKTest : public ::testing::Test {
 TEST_F(HistogramTopKTest, StaysInMemoryWhenOutputFits) {
   // Sec 3.1.1: while the requested output fits in memory, the operator IS
   // the priority-queue algorithm and run generation is never activated.
-  auto op = HistogramTopK::Make(Options(50, 1 << 20));
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, Options(50, 1 << 20));
   ASSERT_TRUE(op.ok());
   DatasetSpec spec;
   spec.WithRows(5000).WithSeed(1);
@@ -97,7 +96,8 @@ TEST_F(HistogramTopKTest, StaysInMemoryWhenOutputFits) {
 }
 
 TEST_F(HistogramTopKTest, SwitchesToExternalWhenOutputExceedsMemory) {
-  auto op = HistogramTopK::Make(Options(2000, 16 * 1024));
+  auto op =
+      MakeTopKOperator(TopKAlgorithm::kHistogram, Options(2000, 16 * 1024));
   ASSERT_TRUE(op.ok());
   DatasetSpec spec;
   spec.WithRows(30000).WithSeed(2);
@@ -114,7 +114,8 @@ TEST_F(HistogramTopKTest, SwitchesToExternalWhenOutputExceedsMemory) {
 TEST_F(HistogramTopKTest, FilterEliminatesMostOfAUniformInput) {
   // The headline behaviour: with input >> k >> memory, the vast majority
   // of input rows must be eliminated before ever reaching a run.
-  auto op = HistogramTopK::Make(Options(1000, 16 * 1024));
+  auto op =
+      MakeTopKOperator(TopKAlgorithm::kHistogram, Options(1000, 16 * 1024));
   ASSERT_TRUE(op.ok());
   DatasetSpec spec;
   spec.WithRows(100000).WithSeed(3);
@@ -133,7 +134,7 @@ TEST_F(HistogramTopKTest, FilterEliminatesMostOfAUniformInput) {
 }
 
 TEST_F(HistogramTopKTest, CutoffOnlySharpens) {
-  auto op = HistogramTopK::Make(Options(500, 8 * 1024));
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, Options(500, 8 * 1024));
   ASSERT_TRUE(op.ok());
   DatasetSpec spec;
   spec.WithRows(50000).WithSeed(4);
@@ -156,7 +157,8 @@ TEST_F(HistogramTopKTest, AdversarialDescendingInputEliminatesNothing) {
   // Sec 5.5's adversarial input: descending keys under an ascending query.
   // Every row is better than everything seen, so no row is ever eliminated
   // at arrival — the filter only adds overhead.
-  auto op = HistogramTopK::Make(Options(2000, 16 * 1024));
+  auto op =
+      MakeTopKOperator(TopKAlgorithm::kHistogram, Options(2000, 16 * 1024));
   ASSERT_TRUE(op.ok());
   DatasetSpec spec;
   spec.WithRows(20000).WithDistribution(KeyDistribution::kDescending);
@@ -175,7 +177,7 @@ TEST_F(HistogramTopKTest, DescendingInputDeletesDeadRunsInsteadOfMerging) {
   TopKOptions options = Options(500, 16 * 1024);
   options.merge_fan_in = 8;
   const auto rows = DescendingRows(20000);
-  auto op = HistogramTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
   ASSERT_TRUE(op.ok());
   for (const Row& row : rows) ASSERT_TRUE((*op)->Consume(row).ok());
   // Before Finish, and so before any merge: dead runs already left the
@@ -220,7 +222,7 @@ TEST_F(HistogramTopKTest, DroppedRunsKeepEveryTie) {
   options.with_ties = true;
   options.merge_fan_in = 4;
   ASSERT_NO_FATAL_FAILURE(ExpectDropsKeepTraditionalRows(options, rows));
-  auto op = HistogramTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
   ASSERT_TRUE(op.ok());
   auto result = RunOperator(op->get(), rows);
   ASSERT_TRUE(result.ok());
@@ -265,7 +267,7 @@ TEST_F(HistogramTopKTest, ApproximateFilterDropsNoRun) {
   options.approx_filter_k = 1800;
   options.merge_fan_in = 4;
   const auto rows = DescendingRows(20000);
-  auto op = HistogramTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
   ASSERT_TRUE(op.ok());
   auto result = RunOperator(op->get(), rows);
   ASSERT_TRUE(result.ok());
@@ -279,7 +281,7 @@ TEST_F(HistogramTopKTest, ApproximateFilterDropsNoRun) {
 TEST_F(HistogramTopKTest, ZeroBucketsDisablesFiltering) {
   TopKOptions options = Options(1000, 16 * 1024);
   options.histogram_buckets_per_run = 0;
-  auto op = HistogramTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
   ASSERT_TRUE(op.ok());
   DatasetSpec spec;
   spec.WithRows(30000).WithSeed(6);
@@ -303,7 +305,7 @@ TEST_F(HistogramTopKTest, MoreBucketsSpillFewerRows) {
   for (uint64_t buckets : {1ULL, 50ULL}) {
     TopKOptions options = Options(1000, 16 * 1024);
     options.histogram_buckets_per_run = buckets;
-    auto op = HistogramTopK::Make(options);
+    auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
     ASSERT_TRUE(op.ok());
     auto result = RunOperator(op->get(), rows);
     ASSERT_TRUE(result.ok());
@@ -321,7 +323,7 @@ TEST_F(HistogramTopKTest, ConsolidationKeepsResultsCorrectUnderTinyBudget) {
   TopKOptions options = Options(2000, 16 * 1024);
   options.histogram_memory_limit_bytes = 256;  // forces consolidations
   options.histogram_buckets_per_run = 100;
-  auto op = HistogramTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
   ASSERT_TRUE(op.ok());
   DatasetSpec spec;
   spec.WithRows(40000).WithSeed(8);
@@ -338,7 +340,7 @@ TEST_F(HistogramTopKTest, ApproximateFilterKReturnsTruePrefix) {
   // short of k rows but must be an exact prefix of the true order.
   TopKOptions options = Options(2000, 16 * 1024);
   options.approx_filter_k = 1800;
-  auto op = HistogramTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
   ASSERT_TRUE(op.ok());
   DatasetSpec spec;
   spec.WithRows(50000).WithSeed(9);
@@ -355,7 +357,8 @@ TEST_F(HistogramTopKTest, ApproximateFilterKReturnsTruePrefix) {
 }
 
 TEST_F(HistogramTopKTest, StatsExposeFilterInternals) {
-  auto op = HistogramTopK::Make(Options(1500, 16 * 1024));
+  auto op =
+      MakeTopKOperator(TopKAlgorithm::kHistogram, Options(1500, 16 * 1024));
   ASSERT_TRUE(op.ok());
   DatasetSpec spec;
   spec.WithRows(40000).WithSeed(10);
@@ -373,7 +376,8 @@ TEST_F(HistogramTopKTest, StatsExposeFilterInternals) {
 TEST_F(HistogramTopKTest, EliminationAtSpillHappensWhenCutoffSharpens) {
   // Rows admitted under an older, looser cutoff must be re-checked when
   // they are spilled (Algorithm 1 line 11).
-  auto op = HistogramTopK::Make(Options(1000, 32 * 1024));
+  auto op =
+      MakeTopKOperator(TopKAlgorithm::kHistogram, Options(1000, 32 * 1024));
   ASSERT_TRUE(op.ok());
   DatasetSpec spec;
   spec.WithRows(150000).WithSeed(11);

@@ -360,7 +360,7 @@ TEST_F(IoTest, SpillManagerLifecycle) {
   EXPECT_FALSE(std::filesystem::exists(spill_dir));
 }
 
-TEST_F(IoTest, SpillManagerRemoveRunDeletesFile) {
+TEST_F(IoTest, SpillManagerDeleteRunsIfDeletesFile) {
   auto spill = SpillManager::Create(&env_, Path("spill"));
   ASSERT_TRUE(spill.ok());
   RowComparator cmp;
@@ -370,12 +370,21 @@ TEST_F(IoTest, SpillManagerRemoveRunDeletesFile) {
   auto meta = (*writer)->Finish();
   ASSERT_TRUE(meta.ok());
   (*spill)->AddRun(*meta);
-  ASSERT_TRUE((*spill)->RemoveRun(meta->id).ok());
+  const auto picked = [&](const RunMeta& run) { return run.id == meta->id; };
+  auto deleted = (*spill)->DeleteRunsIf(picked);
+  ASSERT_TRUE(deleted.ok());
+  ASSERT_EQ(deleted->size(), 1u);
+  EXPECT_EQ(deleted->front().id, meta->id);
   EXPECT_EQ((*spill)->run_count(), 0u);
   EXPECT_FALSE(std::filesystem::exists(meta->path));
   // Totals are historical and unaffected by removal.
   EXPECT_EQ((*spill)->total_rows_spilled(), 1u);
-  EXPECT_EQ((*spill)->RemoveRun(meta->id).code(), StatusCode::kNotFound);
+  // The run is no longer registered: nothing left to delete or release.
+  deleted = (*spill)->DeleteRunsIf(picked);
+  ASSERT_TRUE(deleted.ok());
+  EXPECT_TRUE(deleted->empty());
+  EXPECT_EQ((*spill)->ReleaseRun(meta->id).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(IoTest, SpillManagerAssignsDistinctRunIds) {

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "tests/test_util.h"
-#include "topk/histogram_topk.h"
+#include "topk/operator_factory.h"
 
 namespace topk {
 namespace {
@@ -256,7 +256,7 @@ TEST(AnalyticModelTest, ModelPredictsRealOperatorWithinFactor) {
   options.histogram_buckets_per_run = 9;
   options.env = &env;
   options.spill_dir = scratch.str();
-  auto op = HistogramTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
   ASSERT_TRUE(op.ok());
   DatasetSpec spec;
   spec.WithRows(input).WithSeed(12);

@@ -14,7 +14,6 @@
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "tests/test_util.h"
-#include "topk/histogram_topk.h"
 #include "topk/operator_factory.h"
 
 namespace topk {
@@ -44,7 +43,7 @@ QueryRun RunScopedQuery(const std::string& spill_dir, uint64_t rows,
   options.env = &env;
   options.spill_dir = spill_dir;
   options.obs = run.obs;
-  auto op = HistogramTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
   EXPECT_TRUE(op.ok()) << op.status().ToString();
   DatasetSpec spec;
   spec.WithRows(rows).WithSeed(seed);

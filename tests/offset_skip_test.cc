@@ -9,7 +9,7 @@
 
 #include "common/random.h"
 #include "tests/test_util.h"
-#include "topk/histogram_topk.h"
+#include "topk/operator_factory.h"
 
 namespace topk {
 namespace {
@@ -223,7 +223,7 @@ TEST_F(OffsetSkipTest, OperatorLevelOffsetSkipMatchesPlain) {
     options.histogram_offset_skip = use_skip;
     options.env = &env;
     options.spill_dir = op_scratch.str() + (use_skip ? "/skip" : "/plain");
-    auto op = HistogramTopK::Make(options);
+    auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
     ASSERT_TRUE(op.ok());
     auto result = RunOperator(op->get(), rows);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -256,7 +256,7 @@ TEST_F(OffsetSkipTest, ParallelRunGenerationKeepsTheOffsetSkip) {
     options.env = &env;
     options.spill_dir = op_scratch.str() + "/" +
                         std::to_string(static_cast<int>(direction));
-    auto op = HistogramTopK::Make(options);
+    auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
     ASSERT_TRUE(op.ok()) << op.status().ToString();
     auto result = RunOperator(op->get(), rows);
     ASSERT_TRUE(result.ok()) << result.status().ToString();

@@ -1,7 +1,9 @@
-#include "topk/optimized_external_topk.h"
+#include <filesystem>
 
 #include <gtest/gtest.h>
 
+#include "common/query_control.h"
+#include "io/manifest.h"
 #include "tests/test_util.h"
 #include "topk/operator_factory.h"
 
@@ -34,7 +36,8 @@ TEST_F(OptimizedTopKTest, SmallKCutoffFromRunKthKey) {
   // k smaller than a run: the (k)th key of the first full run becomes the
   // cutoff (the incrementally sharpening filter of [14]); no early merge is
   // needed.
-  auto op = OptimizedExternalTopK::Make(Options(100, 32 * 1024));
+  auto op = MakeTopKOperator(TopKAlgorithm::kOptimizedExternal,
+                             Options(100, 32 * 1024));
   ASSERT_TRUE(op.ok());
   DatasetSpec spec;
   spec.WithRows(50000).WithSeed(1);
@@ -53,7 +56,7 @@ TEST_F(OptimizedTopKTest, LargeKCutoffRequiresEarlyMerge) {
   // establish a cutoff (Sec 2.5), at the cost of intermediate merge I/O.
   TopKOptions options = Options(3000, 16 * 1024);
   options.early_merge_fan_in = 5;
-  auto op = OptimizedExternalTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kOptimizedExternal, options);
   ASSERT_TRUE(op.ok());
   DatasetSpec spec;
   spec.WithRows(60000).WithSeed(2);
@@ -68,7 +71,8 @@ TEST_F(OptimizedTopKTest, LargeKCutoffRequiresEarlyMerge) {
 }
 
 TEST_F(OptimizedTopKTest, RunSizesRespectOutputLimit) {
-  auto op = OptimizedExternalTopK::Make(Options(200, 64 * 1024));
+  auto op = MakeTopKOperator(TopKAlgorithm::kOptimizedExternal,
+                             Options(200, 64 * 1024));
   ASSERT_TRUE(op.ok());
   DatasetSpec spec;
   spec.WithRows(30000).WithSeed(3);
@@ -106,7 +110,7 @@ TEST_F(OptimizedTopKTest, SpillsLessThanTraditionalButMoreThanHistogram) {
 TEST_F(OptimizedTopKTest, DescendingDirection) {
   TopKOptions options = Options(1000, 16 * 1024);
   options.direction = SortDirection::kDescending;
-  auto op = OptimizedExternalTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kOptimizedExternal, options);
   ASSERT_TRUE(op.ok());
   DatasetSpec spec;
   spec.WithRows(30000).WithSeed(5);
@@ -117,10 +121,101 @@ TEST_F(OptimizedTopKTest, DescendingDirection) {
                  *result);
 }
 
+/// Replaces `to` with a copy of `from`: a crash snapshot of every file and
+/// the manifest as they are on disk now. The manifest names runs by
+/// absolute path, so a snapshot is resumed after copying it back.
+void CopyDir(const std::filesystem::path& from,
+             const std::filesystem::path& to) {
+  std::filesystem::remove_all(to);
+  std::filesystem::copy(from, to, std::filesystem::copy_options::recursive);
+}
+
+TEST_F(OptimizedTopKTest, ResumeCommitsTheManifestBeforeDeletingReplayedRuns) {
+  // A mid-input crash leaves runs written after the last input checkpoint.
+  // The resume deletes them, since the replay re-delivers their rows. A
+  // crash during that resume must find a durable manifest that names none
+  // of them while their files still exist, and resume again cleanly.
+  DatasetSpec spec;
+  spec.WithRows(30000).WithSeed(9);
+  const auto rows = MaterializeDataset(spec);
+  TopKOptions options = Options(2000, 16 * 1024);
+  options.enable_early_merge = false;  // no cutoff: every row is spilled
+  options.io_background_threads = 0;   // the manifest on disk is current
+  options.manifest_filename = "ckpt.tkm";
+  options.checkpoint_input_every_rows = 5000;
+  const std::filesystem::path dir = options.spill_dir;
+  const std::filesystem::path crashed = scratch_.str() + "/crashed";
+  const std::filesystem::path crashed_in_resume =
+      scratch_.str() + "/crashed-in-resume";
+  const std::string manifest = (dir / options.manifest_filename).string();
+  {
+    auto op = MakeTopKOperator(TopKAlgorithm::kOptimizedExternal, options);
+    ASSERT_TRUE(op.ok());
+    for (size_t i = 0; i < 17000; ++i) {
+      ASSERT_TRUE((*op)->Consume(rows[i]).ok());
+    }
+    CopyDir(dir, crashed);  // the crash: the operator never finishes
+  }
+  CopyDir(crashed, dir);
+  ManifestCheckpoint ckpt;
+  bool has_ckpt = false;
+  auto before =
+      ReadManifest(&env_, manifest, RetryPolicy(), &ckpt, &has_ckpt);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_TRUE(has_ckpt);
+  std::vector<std::string> duplicated;
+  for (const RunMeta& run : *before) {
+    if (run.id >= ckpt.run_id_bound) duplicated.push_back(run.path);
+  }
+  ASSERT_FALSE(duplicated.empty());
+
+  bool fired = false;
+  ASSERT_TRUE(ArmCrashPointForTest("optimized.resume-drop", [&] {
+                fired = true;
+                auto durable = ReadManifest(&env_, manifest);
+                ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+                for (const RunMeta& run : *durable) {
+                  EXPECT_LT(run.id, ckpt.run_id_bound);
+                }
+                for (const std::string& path : duplicated) {
+                  EXPECT_TRUE(std::filesystem::exists(path)) << path;
+                }
+                CopyDir(dir, crashed_in_resume);
+              }).ok());
+  {
+    auto resumed = ResumeTopKOperator(TopKAlgorithm::kOptimizedExternal,
+                                      options);
+    DisarmCrashPoints();
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    ASSERT_TRUE(fired);
+    for (const std::string& path : duplicated) {
+      EXPECT_FALSE(std::filesystem::exists(path)) << path;
+    }
+  }
+
+  // Resume from the state the crash point left behind.
+  CopyDir(crashed_in_resume, dir);
+  RestoreReport report;
+  auto resumed = ResumeTopKOperator(TopKAlgorithm::kOptimizedExternal,
+                                    options, &report);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_TRUE(report.quarantined.empty());
+  ASSERT_TRUE((*resumed)->resume_accepts_input());
+  ASSERT_EQ((*resumed)->resume_input_offset(), ckpt.input_rows_consumed);
+  for (size_t i = ckpt.input_rows_consumed; i < rows.size(); ++i) {
+    ASSERT_TRUE((*resumed)->Consume(rows[i]).ok());
+  }
+  auto result = (*resumed)->Finish();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectSameRows(ReferenceTopK(rows, 2000, 0, SortDirection::kAscending),
+                 *result);
+}
+
 TEST_F(OptimizedTopKTest, RejectsBadEarlyMergeFanIn) {
   TopKOptions options = Options(10);
   options.early_merge_fan_in = 1;
-  EXPECT_FALSE(OptimizedExternalTopK::Make(options).ok());
+  EXPECT_FALSE(MakeTopKOperator(TopKAlgorithm::kOptimizedExternal,
+                                options).ok());
 }
 
 }  // namespace

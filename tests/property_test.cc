@@ -8,7 +8,6 @@
 
 #include "common/random.h"
 #include "tests/test_util.h"
-#include "topk/histogram_topk.h"
 #include "topk/operator_factory.h"
 
 namespace topk {
@@ -134,7 +133,7 @@ TEST_P(CutoffSoundnessTest, CutoffNeverCrossesTrueKthKey) {
   options.histogram_buckets_per_run = 1 + rng.NextUint64(50);
   options.env = &env;
   options.spill_dir = scratch.str();
-  auto op = HistogramTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
   ASSERT_TRUE(op.ok());
   for (size_t i = 0; i < rows.size(); ++i) {
     ASSERT_TRUE((*op)->Consume(rows[i]).ok());

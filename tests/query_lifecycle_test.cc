@@ -17,10 +17,7 @@
 #include "io/retry.h"
 #include "obs/metrics.h"
 #include "tests/test_util.h"
-#include "topk/histogram_topk.h"
 #include "topk/operator_factory.h"
-#include "topk/optimized_external_topk.h"
-#include "topk/traditional_external_topk.h"
 
 namespace topk {
 namespace {
@@ -389,7 +386,7 @@ void ExpectCancelMidConsumeResumesPrefix(size_t workers) {
   options.on_cancel = OnCancelPolicy::kKeepForResume;
   options.cancel = std::make_shared<CancellationToken>();
   {
-    auto op = HistogramTopK::Make(options);
+    auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
     ASSERT_TRUE(op.ok());
     for (size_t i = 0; i < kCancelAt; ++i) {
       ASSERT_TRUE((*op)->Consume(rows[i]).ok());
@@ -431,7 +428,7 @@ TEST(KeepForResumeTest, TraditionalCancelBeforeFinishResumesFull) {
   options.on_cancel = OnCancelPolicy::kKeepForResume;
   options.cancel = std::make_shared<CancellationToken>();
   {
-    auto op = TraditionalExternalTopK::Make(options);
+    auto op = MakeTopKOperator(TopKAlgorithm::kTraditionalExternal, options);
     ASSERT_TRUE(op.ok());
     for (const Row& row : rows) {
       ASSERT_TRUE((*op)->Consume(row).ok());
@@ -464,7 +461,7 @@ TEST(KeepForResumeTest, OptimizedCancelMidInputReplaysTail) {
   options.checkpoint_input_every_rows = 5000;
   options.cancel = std::make_shared<CancellationToken>();
   {
-    auto op = OptimizedExternalTopK::Make(options);
+    auto op = MakeTopKOperator(TopKAlgorithm::kOptimizedExternal, options);
     ASSERT_TRUE(op.ok());
     for (size_t i = 0; i < kCancelAt; ++i) {
       ASSERT_TRUE((*op)->Consume(rows[i]).ok());
@@ -474,7 +471,8 @@ TEST(KeepForResumeTest, OptimizedCancelMidInputReplaysTail) {
   }
   TopKOptions resume_options = options;
   resume_options.cancel = nullptr;
-  auto resumed = OptimizedExternalTopK::ResumeFromManifest(resume_options);
+  auto resumed =
+      ResumeTopKOperator(TopKAlgorithm::kOptimizedExternal, resume_options);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   // The cancel handoff checkpointed at the cancel point itself, so the
   // replay starts exactly where the preempted query stopped.

@@ -12,7 +12,7 @@
 
 #include "obs/json.h"
 #include "tests/test_util.h"
-#include "topk/histogram_topk.h"
+#include "topk/operator_factory.h"
 
 namespace topk {
 namespace {
@@ -177,7 +177,7 @@ TEST(TraceEndToEndTest, SpillingTopKProducesSpansAndCutoffTimeline) {
   options.spill_dir = scratch.str() + "/spill";
 
   ScopedTracing tracing;
-  auto op = HistogramTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
   ASSERT_TRUE(op.ok());
   DatasetSpec spec;
   spec.WithRows(30000).WithSeed(11);

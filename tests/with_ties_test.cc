@@ -10,8 +10,6 @@
 
 #include "common/random.h"
 #include "tests/test_util.h"
-#include "topk/heap_topk.h"
-#include "topk/histogram_topk.h"
 #include "topk/operator_factory.h"
 
 namespace topk {
@@ -155,7 +153,7 @@ TEST(WithTiesRobustnessTest, HeapFailsOnUnboundedDuplicates) {
   options.k = 10;
   options.with_ties = true;
   options.memory_limit_bytes = 8 * 1024;
-  auto op = HeapTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHeap, options);
   ASSERT_TRUE(op.ok());
   Status status = Status::OK();
   for (int i = 0; i < 100000 && status.ok(); ++i) {
@@ -191,18 +189,16 @@ TEST(WithTiesRobustnessTest, EvictedTiesReleaseWhatTheyWereCharged) {
   options.env = &env;
   options.spill_dir = scratch.str();
 
-  auto heap = HeapTopK::Make(options);
+  auto heap = MakeTopKOperator(TopKAlgorithm::kHeap, options);
   ASSERT_TRUE(heap.ok());
-  auto histogram = HistogramTopK::Make(options);
+  auto histogram = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
   ASSERT_TRUE(histogram.ok());
   for (int i = 0; i < 2 * pairs; ++i) {
     ASSERT_TRUE((*heap)->Consume(slack_row(i)).ok());
     ASSERT_TRUE((*histogram)->Consume(slack_row(i)).ok());
   }
-  for (TopKOperator* op :
-       {static_cast<TopKOperator*>(heap->get()),
-        static_cast<TopKOperator*>(histogram->get())}) {
-    SCOPED_TRACE(op->name());
+  for (TopKOperator* op : {heap->get(), histogram->get()}) {
+    SCOPED_TRACE(op == heap->get() ? "heap" : "histogram");
     auto result = op->Finish();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ExpectSameRows(expected, *result);
@@ -222,7 +218,7 @@ TEST(WithTiesRobustnessTest, HistogramSwitchesToExternalAndSucceeds) {
   options.memory_limit_bytes = 8 * 1024;
   options.env = &env;
   options.spill_dir = scratch.str();
-  auto op = HistogramTopK::Make(options);
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
   ASSERT_TRUE(op.ok());
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
@@ -258,7 +254,7 @@ TEST(WithTiesRobustnessTest, ParallelRunGenerationKeepsEveryTie) {
       options.workers = 4;
       options.env = &env;
       options.spill_dir = scratch.str();
-      auto op = HistogramTopK::Make(options);
+      auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
       ASSERT_TRUE(op.ok()) << op.status().ToString();
       auto result = RunOperator(op->get(), rows);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -285,7 +281,7 @@ TEST(WithTiesRobustnessTest, TiesNeverEliminatedByFilter) {
     options.histogram_buckets_per_run = 1 + rng.NextUint64(60);
     options.env = &env;
     options.spill_dir = scratch.str();
-    auto op = HistogramTopK::Make(options);
+    auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
     ASSERT_TRUE(op.ok());
     auto result = RunOperator(op->get(), rows);
     ASSERT_TRUE(result.ok()) << result.status().ToString();

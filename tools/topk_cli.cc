@@ -565,7 +565,7 @@ int main(int argc, char** argv) {
     }
     if (!metrics_json.empty()) {
       StatsExport exported;
-      exported.operator_name = (*op)->name();
+      exported.operator_name = TopKAlgorithmName(algorithm);
       exported.operator_stats = (*op)->stats();
       exported.io = env.stats()->snapshot();
       exported.metrics = obs->metrics().TakeSnapshot();
@@ -601,7 +601,7 @@ int main(int argc, char** argv) {
   }
   if (!metrics_json.empty()) {
     StatsExport exported;
-    exported.operator_name = (*op)->name();
+    exported.operator_name = TopKAlgorithmName(algorithm);
     exported.operator_stats = (*op)->stats();
     exported.io = env.stats()->snapshot();
     exported.metrics = obs->metrics().TakeSnapshot();
