@@ -4,8 +4,8 @@
 /// behaviours worth separating:
 ///   (a) no early merge  — no cutoff is ever established; the entire input
 ///       is sorted (what the paper's production baseline did, Sec 5.2);
-///   (b) one early merge — a cutoff appears after `early_merge_fan_in`
-///       runs, at the price of an interrupted pipeline and a low-fan-in
+///   (b) one early merge — a cutoff appears after the early merge's fan-in
+///       of 10 runs, at the price of an interrupted pipeline and a low-fan-in
 ///       merge (the [14] recommendation, Sec 2.5);
 ///   (c) the histogram filter — a cutoff appears *while runs are written*,
 ///       with no merge effort at all (Sec 3).

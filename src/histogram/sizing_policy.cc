@@ -9,9 +9,11 @@ BucketSizingPolicy::BucketSizingPolicy(uint64_t target_buckets,
     rows_per_bucket_ = 0;
     return;
   }
-  // round(R / (B + 1)), at least one row per bucket.
+  // round(R / (B + 1)), at least one row per bucket; rounded on the
+  // remainder so that R near the top of the range cannot overflow.
   const uint64_t denom = target_buckets + 1;
-  uint64_t width = (target_run_rows + denom / 2) / denom;
+  uint64_t width = target_run_rows / denom +
+                   (target_run_rows % denom >= denom - denom / 2 ? 1 : 0);
   if (width == 0) width = 1;
   rows_per_bucket_ = width;
 }

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <atomic>
 
 #include "extensions/offset_skip.h"
 #include "obs/metrics.h"
@@ -11,35 +10,10 @@ namespace topk {
 
 namespace {
 
-ObsCounter& CutoffUpdatesCounter() {
-  static ObsCounter counter("filter.cutoff_updates");
-  return counter;
-}
 ObsCounter& QuotaConsolidationsCounter() {
   static ObsCounter counter("spill.quota_consolidations");
   return counter;
 }
-
-/// A run generator's spill hook: Algorithm 1 lines 11-13 on the cutoff
-/// filter, through a Spiller of its own, so that parallel run generators
-/// (Sec 4.4) can share the filter.
-class FilterSpillObserver final : public SpillObserver {
- public:
-  explicit FilterSpillObserver(CutoffFilter* filter)
-      : filter_(filter), spiller_(filter) {}
-
-  bool EliminateAtSpill(const Row& row) override {
-    return filter_->Eliminate(row);
-  }
-  void OnRowSpilled(const Row& row) override { spiller_.RowSpilled(row.key); }
-  std::vector<HistogramBucket> OnRunFinished() override {
-    return spiller_.RunFinished();
-  }
-
- private:
-  CutoffFilter* filter_;
-  CutoffFilter::Spiller spiller_;
-};
 
 /// The paper's algorithm (Sec 3): top-k by external merge sort with eager
 /// input filtering guided by histograms.
@@ -69,11 +43,11 @@ class FilterSpillObserver final : public SpillObserver {
 ///
 /// With TopKOptions::workers > 1, run generation runs on that many worker
 /// threads, each with an equal share of the memory budget and all filtering
-/// through the one cutoff filter, through one spill observer per generator
-/// (Sec 4.4: threads sharing one histogram priority queue retain about as
-/// many rows as one thread). The input probe stays on the consuming thread;
-/// everything else above — cancellation, Suspend and resume, WITH TIES, the
-/// merges — is unchanged.
+/// through the operator's one cutoff filter, through one spill observer per
+/// generator (Sec 4.4: threads sharing one histogram priority queue retain
+/// about as many rows as one thread). The input probe stays on the
+/// consuming thread; everything else above — cancellation, Suspend and
+/// resume, WITH TIES, the merges — is unchanged.
 ///
 /// A resume is merge-phase only: the cutoff filter is rebuilt from the
 /// per-run histograms the manifest preserved, and Finish merges the
@@ -83,7 +57,7 @@ class HistogramFilterPolicy final : public BoundedHeapPolicy {
   Status StartRunGeneration(RunGeneratorOptions* gen_options) override;
   Status ConsumeExternal(Row row) override {
     // Algorithm 1 line 4.
-    if (filter_->Eliminate(row)) {
+    if (filter()->Eliminate(row)) {
       ++stats().rows_eliminated_input;
       return Status::OK();
     }
@@ -91,7 +65,7 @@ class HistogramFilterPolicy final : public BoundedHeapPolicy {
     // value, so a quota breach inside run generation would lose it. Runs
     // the cutoff has passed go first, so consolidation sees their bytes
     // freed.
-    if (cutoff_moved_.load(std::memory_order_relaxed)) {
+    if (cutoff_changes() != cutoff_changes_at_drop_) {
       TOPK_RETURN_NOT_OK(DropDeadRuns());
     }
     TOPK_RETURN_NOT_OK(MaybeConsolidateForQuota());
@@ -101,20 +75,18 @@ class HistogramFilterPolicy final : public BoundedHeapPolicy {
     planner->policy = options().merge_policy;
     planner->intermediate_limit = options().output_rows();
     planner->with_ties = options().with_ties;
-    planner->filter = filter_.get();
+    planner->filter = filter();
   }
   Result<MergeStats> FinalMerge(const std::vector<RunMeta>& runs,
                                 const MergeOptions& merge_options,
                                 const RowSink& sink) override;
   Result<std::optional<uint64_t>> Resume() override;
-  std::optional<double> cutoff() const override {
-    if (filter_ != nullptr) return filter_->cutoff();
-    return BoundedHeapPolicy::cutoff();
-  }
-  const CutoffFilter* filter() const override { return filter_.get(); }
 
  private:
-  CutoffFilter::Options MakeFilterOptions(uint64_t expected_run_rows);
+  /// Leases the bucket queue's budget and builds the operator's cutoff
+  /// filter with histogram_buckets_per_run buckets per run of
+  /// `expected_run_rows` rows.
+  Status BuildHistogramFilter(uint64_t expected_run_rows);
 
   /// Consolidates spilled runs early when the spill quota is nearly full
   /// or the memory arbiter reports soft pressure (checked before every row
@@ -132,87 +104,36 @@ class HistogramFilterPolicy final : public BoundedHeapPolicy {
   Status DropDeadRuns();
 
   /// Arbiter lease covering the cutoff filter's bucket-queue budget,
-  /// acquired at the external switch.
+  /// acquired where the filter is built.
   MemoryLease filter_lease_;
-  std::unique_ptr<CutoffFilter> filter_;
-  /// One spill hook per run generator.
-  std::vector<std::unique_ptr<FilterSpillObserver>> observers_;
   /// total_runs_created() at the last quota consolidation attempt; a new
   /// attempt waits for at least one new run so a consolidation that could
   /// not free enough space is not retried on every row.
   uint64_t runs_created_at_last_quota_merge_ = 0;
-  /// Set by the filter's on_cutoff_change, from whichever thread moved the
-  /// cutoff; read per input row, cleared by DropDeadRuns.
-  std::atomic<bool> cutoff_moved_{false};
+  /// cutoff_changes() at the last DropDeadRuns; read per input row.
+  uint64_t cutoff_changes_at_drop_ = 0;
 };
 
-CutoffFilter::Options HistogramFilterPolicy::MakeFilterOptions(
+Status HistogramFilterPolicy::BuildHistogramFilter(
     uint64_t expected_run_rows) {
-  const TopKOptions& opts = options();
-  CutoffFilter::Options filter_options;
-  filter_options.k =
-      opts.approx_filter_k > 0 ? opts.approx_filter_k : opts.output_rows();
-  filter_options.direction = opts.direction;
-  filter_options.target_buckets_per_run = opts.histogram_buckets_per_run;
-  filter_options.memory_limit_bytes = opts.histogram_memory_limit_bytes;
-  filter_options.consolidation = opts.histogram_consolidation;
-  // Cutoff-evolution timeline: one instant event per establishment /
-  // tightening, annotated with operator progress. With one run generator
-  // the callback runs on the consumer thread, where reading the stats is
-  // safe. With several it may run on any worker, where the stats are off
-  // limits: progress then reads 0.
-  const bool on_consumer = opts.workers == 1;
-  filter_options.on_cutoff_change =
-      [this, on_consumer](const CutoffFilter::CutoffUpdate& update) {
-        CutoffUpdatesCounter().Add(1);
-        cutoff_moved_.store(true, std::memory_order_relaxed);
-        const std::shared_ptr<ObsContext>& obs = options().obs;
-        const uint64_t consumed = on_consumer ? stats().rows_consumed : 0;
-        const uint64_t eliminated =
-            on_consumer ? stats().rows_eliminated_input : 0;
-        if (obs != nullptr) {
-          // The profile report's cutoff-evolution timeline, captured even
-          // when tracing is off (it is cheap: one capped vector append).
-          ObsContext::CutoffEvent event;
-          event.at_nanos = obs->ElapsedNanos();
-          event.cutoff = update.cutoff;
-          event.tightened = update.tightened;
-          event.rows_consumed = consumed;
-          event.rows_eliminated_input = eliminated;
-          obs->RecordCutoffEvent(event);
-        }
-        if (!TracingEnabled()) return;
-        const double pass_rate =
-            consumed == 0
-                ? 1.0
-                : 1.0 - static_cast<double>(eliminated) /
-                            static_cast<double>(consumed);
-        TraceInstant(update.tightened ? "cutoff.tighten" : "cutoff.establish",
-                     "filter",
-                     {TraceArg("cutoff", update.cutoff),
-                      TraceArg("proposed", update.proposed ? 1 : 0),
-                      TraceArg("bucket_count", update.bucket_count),
-                      TraceArg("tracked_rows", update.tracked_rows),
-                      TraceArg("rows_consumed", consumed),
-                      TraceArg("rows_eliminated_input", eliminated),
-                      TraceArg("input_pass_rate", pass_rate)});
-      };
-  filter_options.target_run_rows = expected_run_rows;
-  return filter_options;
-}
-
-Status HistogramFilterPolicy::StartRunGeneration(
-    RunGeneratorOptions* gen_options) {
   const TopKOptions& opts = options();
   // The cutoff filter's bucket queue is a sizable consumer in its own
   // right: lease its configured budget up front, so the arbiter sees the
-  // external switch's full footprint before the first run is written.
+  // external switch's (or the resume's) full footprint before the queue
+  // grows.
   MemoryArbiter* arbiter = opts.effective_arbiter();
   if (arbiter != nullptr && !filter_lease_.attached()) {
     TOPK_ASSIGN_OR_RETURN(filter_lease_, arbiter->Acquire("cutoff-filter", 0));
     TOPK_RETURN_NOT_OK(
         filter_lease_.EnsureAtLeast(opts.histogram_memory_limit_bytes));
   }
+  BuildFilter(opts.histogram_buckets_per_run, expected_run_rows);
+  return Status::OK();
+}
+
+Status HistogramFilterPolicy::StartRunGeneration(
+    RunGeneratorOptions* gen_options) {
+  const TopKOptions& opts = options();
   // Bucket width is derived from the expected run length: replacement
   // selection produces runs near twice the rows that fit in memory,
   // truncated by the run-size limit ("A best effort is made to decide the
@@ -223,13 +144,7 @@ Status HistogramFilterPolicy::StartRunGeneration(
       2 * std::max<uint64_t>(memory().rows.size() / opts.workers, 1),
       opts.output_rows());
   gen_options->run_row_limit = opts.output_rows();
-  filter_ = std::make_unique<CutoffFilter>(MakeFilterOptions(expected_run_rows));
-  observers_.clear();
-  for (size_t i = 0; i < opts.workers; ++i) {
-    observers_.push_back(std::make_unique<FilterSpillObserver>(filter_.get()));
-    gen_options->worker_observers.push_back(observers_.back().get());
-  }
-  gen_options->observer = observers_.front().get();
+  TOPK_RETURN_NOT_OK(BuildHistogramFilter(expected_run_rows));
   // Index granularity that yields ~64 seek points per run even when runs
   // are small (offset skips need entries inside every run).
   gen_options->run_index_stride =
@@ -276,17 +191,16 @@ Status HistogramFilterPolicy::MaybeConsolidateForQuota() {
                            spill()->spill_quota()->charged_bytes())});
   QuotaConsolidationsCounter().Add(1);
 
-  TOPK_RETURN_NOT_OK(
-      MergeDuringInput(inputs, filter_.get(), /*quota_exempt=*/true).status());
+  TOPK_RETURN_NOT_OK(MergeDuringInput(inputs, /*quota_exempt=*/true).status());
   runs_created_at_last_quota_merge_ = spill()->total_runs_created();
   return Status::OK();
 }
 
 Status HistogramFilterPolicy::DropDeadRuns() {
-  cutoff_moved_.store(false, std::memory_order_relaxed);
+  cutoff_changes_at_drop_ = cutoff_changes();
   uint64_t dropped = 0;
   TOPK_ASSIGN_OR_RETURN(
-      dropped, DropRunsBeyondCutoff(spill(), *filter_, options().output_rows(),
+      dropped, DropRunsBeyondCutoff(spill(), *filter(), options().output_rows(),
                                     /*input_complete=*/false));
   stats().runs_dropped += dropped;
   return Status::OK();
@@ -310,29 +224,12 @@ Result<MergeStats> HistogramFilterPolicy::FinalMerge(
 }
 
 Result<std::optional<uint64_t>> HistogramFilterPolicy::Resume() {
-  // Rebuild the cutoff filter from the per-run histograms the manifest
-  // preserved ("retain any information once gained" surviving a process
-  // death): merge steps resume with the same eager filtering the original
-  // execution had earned.
+  // The rebuilt filter's buckets are sized for the longest restored run.
   uint64_t max_run_rows = 1;
-  uint64_t buckets = 0;
   for (const RunMeta& run : spill()->runs()) {
     max_run_rows = std::max(max_run_rows, run.rows);
-    buckets += run.histogram.size();
   }
-  filter_ = std::make_unique<CutoffFilter>(MakeFilterOptions(max_run_rows));
-  for (const RunMeta& run : spill()->runs()) {
-    for (const HistogramBucket& bucket : run.histogram) {
-      filter_->InsertBucket(bucket);
-    }
-  }
-  if (TracingEnabled()) {
-    TraceInstant("resume.filter_rebuilt", "topk",
-                 {TraceArg("runs", spill()->run_count()),
-                  TraceArg("buckets", buckets),
-                  TraceArg("cutoff_established",
-                           filter_->cutoff().has_value() ? 1 : 0)});
-  }
+  TOPK_RETURN_NOT_OK(BuildHistogramFilter(max_run_rows));
   // Merge-phase resume: the runs hold every surviving row.
   return std::optional<uint64_t>();
 }

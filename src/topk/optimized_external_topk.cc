@@ -1,3 +1,5 @@
+#include <limits>
+
 #include "obs/obs_context.h"
 #include "obs/trace.h"
 #include "topk/topk_operator.h"
@@ -5,6 +7,9 @@
 namespace topk {
 
 namespace {
+
+/// Runs an early merge combines (the example of Sec 2.5).
+constexpr size_t kEarlyMergeFanIn = 10;
 
 /// The paper's baseline (Sec 2.5): external merge sort optimized for top
 /// queries per Graefe 2008 ("A general and efficient algorithm for 'top'
@@ -16,7 +21,7 @@ namespace {
 ///    (that run alone proves k rows at or before it) — the "incrementally
 ///    sharpening filter" of [14]. With the run-size limit, this is exactly
 ///    the key that truncates each run.
-///  * k larger than a run: once `early_merge_fan_in` runs exist, an early
+///  * k larger than a run: once kEarlyMergeFanIn runs exist, an early
 ///    merge step combines them into an intermediate run of at most
 ///    k+offset rows; if it reaches k+offset rows, its last key becomes the
 ///    cutoff. Early merges repeat as runs accumulate, so the cutoff keeps
@@ -25,22 +30,26 @@ namespace {
 ///    algorithm removes.
 ///
 /// This was F1 Query's production operator before the histogram algorithm.
-/// The policy is the run generator's spill observer: it drops rows beyond
-/// the cutoff at spill time and proposes the (k+offset)th key of every
-/// physical run as a new cutoff.
+/// Its cutoff is the operator's cutoff filter (Sec 3) reduced to one bucket
+/// per run: a run that reaches k+offset rows closes a bucket of k+offset
+/// rows whose boundary is its last key, so the filter's cutoff is the
+/// sharpest such key, and an early merge proposes its kth merged key. The
+/// filter's spill observer drops rows beyond the cutoff at spill time.
 ///
 /// Suspend (and the keep-for-resume cancel) also records an input
 /// checkpoint — rows consumed, run-id frontier, cutoff — so the resumed
 /// operator accepts the input tail this execution never saw; so do the
 /// periodic checkpoints of TopKOptions::checkpoint_input_every_rows. A
-/// resume takes one of two shapes, decided by the manifest:
+/// resume rebuilds the filter from the one-bucket histograms the manifest
+/// kept and takes one of two shapes, decided by the manifest:
 ///
 ///  * It holds an input checkpoint (ckpt record): the crash happened
 ///    mid-input. Runs past the checkpoint's run-id frontier are deleted
-///    (the replay re-delivers their rows), the cutoff is restored, and
-///    the resumed operator ACCEPTS INPUT — resume_accepts_input() is
-///    true and the caller must replay the input stream starting at
-///    resume_input_offset(), then call Finish().
+///    (the replay re-delivers their rows) before the filter is rebuilt,
+///    the checkpointed cutoff is proposed to it, and the resumed operator
+///    ACCEPTS INPUT — resume_accepts_input() is true and the caller must
+///    replay the input stream starting at resume_input_offset(), then
+///    call Finish().
 ///  * No checkpoint: the input had been fully flushed into runs before
 ///    the crash (Finish clears the checkpoint at that boundary). The
 ///    resumed operator accepts no input; Finish() merges the runs.
@@ -50,15 +59,12 @@ namespace {
 /// only crashes after run generation completed are then safely
 /// resumable. Enable input checkpointing when optimized executions must
 /// survive mid-input crashes.
-class RunKthKeyPolicy final : public CutoffPolicy, private SpillObserver {
+class RunKthKeyPolicy final : public CutoffPolicy {
  public:
-  Status ValidateOptions() const override {
-    if (options().early_merge_fan_in >= 2) return Status::OK();
-    return Status::InvalidArgument("early merge fan-in must be at least 2");
-  }
   Status StartRunGeneration(RunGeneratorOptions* gen_options) override {
     gen_options->run_row_limit = options().output_rows();
-    gen_options->observer = this;
+    // A replay-resume rebuilt the filter already.
+    if (filter() == nullptr) BuildOneBucketFilter();
     return Status::OK();
   }
   Status ConsumeExternal(Row row) override;
@@ -71,35 +77,22 @@ class RunKthKeyPolicy final : public CutoffPolicy, private SpillObserver {
     planner->with_ties = options().with_ties;
   }
   Result<std::optional<uint64_t>> Resume() override;
-  std::optional<double> cutoff() const override { return cutoff_; }
 
  private:
-  // SpillObserver.
-  bool EliminateAtSpill(const Row& row) override { return Beyond(row); }
-  void OnRowSpilled(const Row& row) override {
-    ++rows_in_run_;
-    if (rows_in_run_ == options().output_rows()) {
-      // This run alone proves k+offset rows at or before row.key.
-      ProposeCutoff(row.key);
-    }
+  /// The cutoff filter with one bucket of exactly k+offset rows per run:
+  /// the sizing rule round(R / (B + 1)) gives that width for B = 1 over
+  /// runs of R = 2(k+offset) rows (saturated, should k+offset exceed half
+  /// the range).
+  void BuildOneBucketFilter() {
+    const uint64_t rows = options().output_rows();
+    const uint64_t kMax = std::numeric_limits<uint64_t>::max();
+    BuildFilter(/*buckets_per_run=*/1, rows > kMax / 2 ? kMax : 2 * rows);
   }
-  std::vector<HistogramBucket> OnRunFinished() override {
-    rows_in_run_ = 0;
-    return {};
-  }
-
-  bool Beyond(const Row& row) const {
-    return cutoff_.has_value() && comparator().KeyBeyond(row.key, *cutoff_);
-  }
-  void ProposeCutoff(double key);
   Status MaybeEarlyMerge();
   /// Closes the current run set and makes an input checkpoint durable;
   /// the "optimized.mid-input" crash point fires once it is.
   Status CheckpointInput();
 
-  std::optional<double> cutoff_;
-  /// Rows written to the current physical run.
-  uint64_t rows_in_run_ = 0;
   /// Rows consumed since the last input checkpoint.
   uint64_t rows_since_checkpoint_ = 0;
   /// Run ids below this bound are covered by the last durable input
@@ -110,21 +103,8 @@ class RunKthKeyPolicy final : public CutoffPolicy, private SpillObserver {
   uint64_t pinned_run_id_bound_ = 0;
 };
 
-void RunKthKeyPolicy::ProposeCutoff(double key) {
-  if (cutoff_.has_value() && !comparator().KeyLess(key, *cutoff_)) return;
-  const bool tightened = cutoff_.has_value();
-  cutoff_ = key;
-  if (TracingEnabled()) {
-    TraceInstant(tightened ? "cutoff.tighten" : "cutoff.establish", "filter",
-                 {TraceArg("cutoff", key),
-                  TraceArg("rows_consumed", stats().rows_consumed),
-                  TraceArg("rows_eliminated_input",
-                           stats().rows_eliminated_input)});
-  }
-}
-
 Status RunKthKeyPolicy::ConsumeExternal(Row row) {
-  if (Beyond(row)) {
+  if (filter()->Eliminate(row)) {
     ++stats().rows_eliminated_input;
   } else {
     TOPK_RETURN_NOT_OK(generator()->Add(std::move(row)));
@@ -143,13 +123,14 @@ Status RunKthKeyPolicy::ConsumeExternal(Row row) {
 
 Status RunKthKeyPolicy::MaybeEarlyMerge() {
   // An early merge only helps while no cutoff exists (k exceeds run sizes):
-  // merging `early_merge_fan_in` runs can prove k rows and yield a cutoff
-  // much earlier than waiting for the final merge. It interrupts run
-  // generation and performs a low-fan-in merge — the cost the histogram
-  // algorithm avoids.
-  const TopKOptions& opts = options();
-  if (!opts.enable_early_merge || cutoff_.has_value()) return Status::OK();
-  if (spill()->run_count() < opts.early_merge_fan_in) return Status::OK();
+  // merging kEarlyMergeFanIn runs can prove k rows and yield a cutoff much
+  // earlier than waiting for the final merge. It interrupts run generation
+  // and performs a low-fan-in merge — the cost the histogram algorithm
+  // avoids.
+  if (!options().enable_early_merge || filter()->cutoff().has_value()) {
+    return Status::OK();
+  }
+  if (spill()->run_count() < kEarlyMergeFanIn) return Status::OK();
   // Checkpointed runs are pinned: consuming one would leave its merged
   // replacement — a higher id the resume path deletes as replay-duplicated
   // — as the only copy of pre-checkpoint rows the replay never
@@ -159,26 +140,23 @@ Status RunKthKeyPolicy::MaybeEarlyMerge() {
   for (const RunMeta& run : spill()->runs()) {
     if (run.id >= pinned_run_id_bound_) inputs.push_back(run);
   }
-  if (inputs.size() < opts.early_merge_fan_in) return Status::OK();
+  if (inputs.size() < kEarlyMergeFanIn) return Status::OK();
 
   PhaseScope phase("merge.early");
   SampledScopeTimer::InFull in_full;
   TraceSpan span("merge.early", "topk", {TraceArg("runs", inputs.size())});
-  MergeStats merged;
-  TOPK_ASSIGN_OR_RETURN(merged, MergeDuringInput(inputs, /*filter=*/nullptr,
-                                                 /*quota_exempt=*/false));
-  if (merged.rows_emitted >= opts.output_rows()) {
-    ProposeCutoff(merged.last_key);
-  }
-  return Status::OK();
+  // The merge proposes its kth key to the filter once it reaches k+offset
+  // rows.
+  return MergeDuringInput(inputs, /*quota_exempt=*/false).status();
 }
 
 Status RunKthKeyPolicy::MakeInputDurable() {
   ManifestCheckpoint ckpt;
   ckpt.input_rows_consumed = stats().rows_consumed;
   ckpt.run_id_bound = spill()->run_id_bound();
-  ckpt.has_cutoff = cutoff_.has_value();
-  if (cutoff_.has_value()) ckpt.cutoff = *cutoff_;
+  const std::optional<double> cutoff = filter()->cutoff();
+  ckpt.has_cutoff = cutoff.has_value();
+  if (cutoff.has_value()) ckpt.cutoff = *cutoff;
   spill()->SetManifestCheckpoint(ckpt);
   TOPK_RETURN_NOT_OK(CutoffPolicy::MakeInputDurable());
   pinned_run_id_bound_ = ckpt.run_id_bound;
@@ -206,6 +184,7 @@ Result<std::optional<uint64_t>> RunKthKeyPolicy::Resume() {
     // No input checkpoint: run generation had completed (Finish clears
     // the checkpoint at that boundary). Merge-phase resume — no
     // generator, no replay, Finish merges the restored runs.
+    BuildOneBucketFilter();
     return std::optional<uint64_t>();
   }
   // Mid-input crash. Runs at or past the checkpoint's id frontier were
@@ -221,7 +200,10 @@ Result<std::optional<uint64_t>> RunKthKeyPolicy::Resume() {
                               return run.id >= ckpt->run_id_bound;
                             },
                             "optimized.resume-drop"));
-  if (ckpt->has_cutoff) cutoff_ = ckpt->cutoff;
+  // The rebuilt cutoff is never sharper than the checkpointed one, which
+  // an early merge may have proposed.
+  BuildOneBucketFilter();
+  if (ckpt->has_cutoff) filter()->ProposeCutoff(ckpt->cutoff);
   pinned_run_id_bound_ = ckpt->run_id_bound;
   if (TracingEnabled()) {
     TraceInstant("resume.input_checkpoint", "topk",

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/memory_accounting.h"
+#include "obs/metrics.h"
 #include "obs/obs_context.h"
 #include "obs/trace.h"
 #include "row/serialization.h"
@@ -164,14 +165,115 @@ std::optional<double> BoundedHeapPolicy::cutoff() const {
   return heap.front().key;
 }
 
+namespace {
+
+ObsCounter& CutoffUpdatesCounter() {
+  static ObsCounter counter("filter.cutoff_updates");
+  return counter;
+}
+
+/// A run generator's spill hook: Algorithm 1 lines 11-13 on the cutoff
+/// filter, through a Spiller of its own, so that parallel run generators
+/// (Sec 4.4) can share the filter.
+class FilterSpillObserver final : public SpillObserver {
+ public:
+  explicit FilterSpillObserver(CutoffFilter* filter)
+      : filter_(filter), spiller_(filter) {}
+
+  bool EliminateAtSpill(const Row& row) override {
+    return filter_->Eliminate(row);
+  }
+  void OnRowSpilled(const Row& row) override { spiller_.RowSpilled(row.key); }
+  std::vector<HistogramBucket> OnRunFinished() override {
+    return spiller_.RunFinished();
+  }
+
+ private:
+  CutoffFilter* filter_;
+  CutoffFilter::Spiller spiller_;
+};
+
+}  // namespace
+
+void CutoffPolicy::BuildFilter(uint64_t buckets_per_run, uint64_t run_rows) {
+  const TopKOptions& opts = options();
+  CutoffFilter::Options filter_options;
+  filter_options.k =
+      opts.approx_filter_k > 0 ? opts.approx_filter_k : opts.output_rows();
+  filter_options.direction = opts.direction;
+  filter_options.target_buckets_per_run = buckets_per_run;
+  filter_options.target_run_rows = run_rows;
+  filter_options.memory_limit_bytes = opts.histogram_memory_limit_bytes;
+  filter_options.consolidation = opts.histogram_consolidation;
+  // Cutoff-evolution timeline: one instant event per establishment /
+  // tightening, annotated with operator progress. With one run generator
+  // the callback runs on the consumer thread, where reading the stats is
+  // safe. With several it may run on any worker, where the stats are off
+  // limits: progress then reads 0.
+  const bool on_consumer = opts.workers == 1;
+  filter_options.on_cutoff_change =
+      [this, on_consumer](const CutoffFilter::CutoffUpdate& update) {
+        CutoffUpdatesCounter().Add(1);
+        cutoff_changes_.fetch_add(1, std::memory_order_relaxed);
+        const std::shared_ptr<ObsContext>& obs = options().obs;
+        const uint64_t consumed = on_consumer ? stats().rows_consumed : 0;
+        const uint64_t eliminated =
+            on_consumer ? stats().rows_eliminated_input : 0;
+        if (obs != nullptr) {
+          // The profile report's cutoff-evolution timeline, captured even
+          // when tracing is off (it is cheap: one capped vector append).
+          ObsContext::CutoffEvent event;
+          event.at_nanos = obs->ElapsedNanos();
+          event.cutoff = update.cutoff;
+          event.tightened = update.tightened;
+          event.rows_consumed = consumed;
+          event.rows_eliminated_input = eliminated;
+          obs->RecordCutoffEvent(event);
+        }
+        if (!TracingEnabled()) return;
+        const double pass_rate =
+            consumed == 0
+                ? 1.0
+                : 1.0 - static_cast<double>(eliminated) /
+                            static_cast<double>(consumed);
+        TraceInstant(update.tightened ? "cutoff.tighten" : "cutoff.establish",
+                     "filter",
+                     {TraceArg("cutoff", update.cutoff),
+                      TraceArg("proposed", update.proposed ? 1 : 0),
+                      TraceArg("bucket_count", update.bucket_count),
+                      TraceArg("tracked_rows", update.tracked_rows),
+                      TraceArg("rows_consumed", consumed),
+                      TraceArg("rows_eliminated_input", eliminated),
+                      TraceArg("input_pass_rate", pass_rate)});
+      };
+  filter_ = std::make_unique<CutoffFilter>(filter_options);
+  // Rebuild from the per-run histograms a reopened manifest preserved
+  // ("retain any information once gained" surviving a process death):
+  // the resumed query filters with the cutoff the original execution had
+  // earned. A fresh spill directory has no runs.
+  uint64_t buckets = 0;
+  for (const RunMeta& run : spill()->runs()) {
+    for (const HistogramBucket& bucket : run.histogram) {
+      filter_->InsertBucket(bucket);
+    }
+    buckets += run.histogram.size();
+  }
+  if (op_->resumed_ && TracingEnabled()) {
+    TraceInstant("resume.filter_rebuilt", "topk",
+                 {TraceArg("runs", spill()->run_count()),
+                  TraceArg("buckets", buckets),
+                  TraceArg("cutoff_established",
+                           filter_->cutoff().has_value() ? 1 : 0)});
+  }
+}
+
 Result<MergeStats> CutoffPolicy::MergeDuringInput(
-    const std::vector<RunMeta>& inputs, CutoffFilter* filter,
-    bool quota_exempt) {
+    const std::vector<RunMeta>& inputs, bool quota_exempt) {
   MergeOptions merge_options;
   merge_options.limit = options().output_rows();
   merge_options.with_ties = options().with_ties;
-  merge_options.stop_filter = filter;
-  merge_options.refine_filter = filter;
+  merge_options.stop_filter = filter();
+  merge_options.refine_filter = filter();
   merge_options.use_ovc = options().use_ovc;
   merge_options.cancel = options().cancel.get();
   MergeStats merged;
@@ -201,7 +303,6 @@ Result<std::unique_ptr<TopKOperator>> TopKOperator::Open(
   TOPK_RETURN_NOT_OK(ValidateTopKOptions(
       options, /*requires_storage=*/algorithm != TopKAlgorithm::kHeap,
       /*histogram_filter=*/algorithm == TopKAlgorithm::kHistogram));
-  TOPK_RETURN_NOT_OK(op->policy_->ValidateOptions());
   if (resume) TOPK_RETURN_NOT_OK(op->Reopen(report));
   return op;
 }
@@ -213,6 +314,15 @@ Status TopKOperator::CreateGenerator() {
   gen_options.arbiter = options_.effective_arbiter();
   gen_options.workers = options_.workers;
   TOPK_RETURN_NOT_OK(policy_->StartRunGeneration(&gen_options));
+  if (CutoffFilter* filter = policy_->filter()) {
+    std::vector<std::unique_ptr<SpillObserver>>& observers =
+        policy_->observers_;
+    for (size_t i = 0; i < options_.workers; ++i) {
+      observers.push_back(std::make_unique<FilterSpillObserver>(filter));
+      gen_options.worker_observers.push_back(observers.back().get());
+    }
+    gen_options.observer = observers.front().get();
+  }
   generator_ = MakeRunGenerator(options_.run_generation, spill_.get(),
                                 comparator_, gen_options);
   return Status::OK();

@@ -1,6 +1,7 @@
 #ifndef TOPK_TOPK_TOPK_OPERATOR_H_
 #define TOPK_TOPK_TOPK_OPERATOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -79,10 +80,6 @@ struct TopKOptions {
   /// lowest-keys-first for top operations; used by the histogram and
   /// optimized operators).
   MergePolicy merge_policy = MergePolicy::kLowestKeysFirst;
-  /// Number of initial runs an early merge step combines to establish a
-  /// cutoff in the optimized baseline (Sec 2.5; the paper's example uses
-  /// 10).
-  size_t early_merge_fan_in = 10;
 
   /// Optimized operator: force an early merge step to establish a
   /// cutoff when k exceeds the run size (the [14] recommendation). The
@@ -256,7 +253,7 @@ struct OperatorStats {
 
   /// Final cutoff key, when one was established.
   std::optional<double> final_cutoff;
-  /// Cutoff-filter internals (histogram operator only).
+  /// Cutoff-filter internals (histogram and optimized operators).
   uint64_t filter_buckets_inserted = 0;
   uint64_t filter_consolidations = 0;
 
@@ -332,9 +329,6 @@ class CutoffPolicy {
   CutoffPolicy& operator=(const CutoffPolicy&) = delete;
   virtual ~CutoffPolicy() = default;
 
-  /// Checks the options the policy alone reads.
-  virtual Status ValidateOptions() const { return Status::OK(); }
-
   /// In-memory phase: keeps `row` in memory, or returns false — leaving
   /// `row` untouched — when memory is full and the operator must switch to
   /// run generation. Default: buffer every row.
@@ -352,7 +346,9 @@ class CutoffPolicy {
 
   /// Sets up the cutoff state that runs alongside run generation and
   /// adjusts the generator's options. Called when the operator switches to
-  /// external mode and when a replay-resume recreates the generator.
+  /// external mode and when a replay-resume recreates the generator. A
+  /// policy that builds the cutoff filter here (BuildFilter) gets a spill
+  /// observer on it for each run generator.
   virtual Status StartRunGeneration(RunGeneratorOptions* /*gen_options*/) {
     return Status::OK();
   }
@@ -386,10 +382,9 @@ class CutoffPolicy {
     return std::optional<uint64_t>();
   }
 
-  /// Current cutoff key, when one is established.
+  /// Current cutoff key while the operator has no cutoff filter, when one
+  /// is established.
   virtual std::optional<double> cutoff() const { return std::nullopt; }
-  /// The histogram cutoff filter, when the policy keeps one.
-  virtual const CutoffFilter* filter() const { return nullptr; }
 
  protected:
   /// The operator state a policy works on.
@@ -400,21 +395,46 @@ class CutoffPolicy {
   SpillManager* spill() const;
   RunGenerator* generator() const;
 
+  /// The operator's cutoff filter, once BuildFilter made one.
+  CutoffFilter* filter() const;
+  /// How many times the cutoff filter's cutoff has moved. Any thread may
+  /// move it; one relaxed load.
+  uint64_t cutoff_changes() const;
+
   /// Charges `row` against the memory budget and moves it into `*into`;
   /// false, leaving `row` untouched, when it does not fit.
   Result<bool> Buffer(Row& row, std::vector<Row>* into);
 
+  /// Builds the operator's one cutoff filter (Sec 3.1.2). It collects up
+  /// to `buckets_per_run` histogram buckets from each run, sized for runs
+  /// of `run_rows` rows, and targets approx_filter_k or else k+offset
+  /// rows. The operator publishes every
+  /// cutoff change (filter.cutoff_updates, the ObsContext timeline, trace
+  /// instants) and seeds the filter with the histograms of the runs
+  /// already registered, so after a resume it holds the cutoff the
+  /// reopened runs prove.
+  void BuildFilter(uint64_t buckets_per_run, uint64_t run_rows);
+
   /// Merges `inputs` into one committed run of at most k+offset rows (plus
   /// ties) while input is still arriving (MergeIntoCommittedRun), charging
-  /// the merge to the operator's stats. A `filter` stops the merge at its
-  /// cutoff and is refined by it. The output is not a run-generation run,
-  /// so runs_created leaves it out.
+  /// the merge to the operator's stats. The cutoff filter, when there is
+  /// one, stops the merge at its cutoff and takes the kth merged key as a
+  /// cutoff. The output is not a run-generation run, so runs_created
+  /// leaves it out.
   Result<MergeStats> MergeDuringInput(const std::vector<RunMeta>& inputs,
-                                      CutoffFilter* filter, bool quota_exempt);
+                                      bool quota_exempt);
 
  private:
   friend class TopKOperator;
   TopKOperator* op_ = nullptr;
+  /// The cutoff filter BuildFilter made, kept beside the policy's per-row
+  /// probes that read it.
+  std::unique_ptr<CutoffFilter> filter_;
+  /// One spill observer on filter_ per run generator.
+  std::vector<std::unique_ptr<SpillObserver>> observers_;
+  /// Bumped by filter_'s cutoff-change callback, from whichever thread
+  /// moved the cutoff.
+  std::atomic<uint64_t> cutoff_changes_{0};
 };
 
 /// The bounded priority queue of Sec 2.3 as the in-memory phase: the rows
@@ -438,8 +458,9 @@ class BoundedHeapPolicy : public CutoffPolicy {
 
 /// The paper's baseline (Sec 2.5, TopKAlgorithm::kOptimizedExternal):
 /// external merge sort optimized for top queries per Graefe 2008 ("A
-/// general and efficient algorithm for 'top' queries"); RunKthKeyPolicy in
-/// optimized_external_topk.cc.
+/// general and efficient algorithm for 'top' queries"), whose cutoff is
+/// the cutoff filter with one bucket of k+offset rows per run;
+/// RunKthKeyPolicy in optimized_external_topk.cc.
 std::unique_ptr<CutoffPolicy> MakeRunKthKeyPolicy();
 
 /// The paper's algorithm (Sec 3, TopKAlgorithm::kHistogram): eager input
@@ -497,15 +518,17 @@ class TopKOperator {
 
   const OperatorStats& stats() const { return stats_; }
 
-  /// Current cutoff key: the policy's, or none.
-  std::optional<double> cutoff() const { return policy_->cutoff(); }
+  /// Current cutoff key: the cutoff filter's, else the policy's, or none.
+  std::optional<double> cutoff() const {
+    return filter() != nullptr ? filter()->cutoff() : policy_->cutoff();
+  }
 
   /// True once the operator switched to external (spilling) mode.
   bool is_external() const { return generator_ != nullptr || resumed_; }
 
-  /// The cutoff filter (histogram policy in external mode; for
-  /// tests/benchmarks).
-  const CutoffFilter* filter() const { return policy_->filter(); }
+  /// The cutoff filter (histogram and optimized policies in external mode;
+  /// for tests/benchmarks).
+  const CutoffFilter* filter() const { return policy_->filter_.get(); }
 
  private:
   friend class CutoffPolicy;
@@ -568,8 +591,8 @@ class TopKOperator {
 
   /// External phase (created on the first overflow). The generator is
   /// declared after the spill manager and the policy so it is destroyed
-  /// before them: it writes into the one and may observe through the
-  /// other.
+  /// before them: it writes into the one and observes through the cutoff
+  /// filter the other holds.
   std::unique_ptr<SpillManager> spill_;
   std::unique_ptr<RunGenerator> generator_;
 
@@ -602,6 +625,10 @@ inline const RowComparator& CutoffPolicy::comparator() const {
 inline OperatorStats& CutoffPolicy::stats() const { return op_->stats_; }
 inline InMemoryRows& CutoffPolicy::memory() const { return op_->memory_; }
 inline SpillManager* CutoffPolicy::spill() const { return op_->spill_.get(); }
+inline CutoffFilter* CutoffPolicy::filter() const { return filter_.get(); }
+inline uint64_t CutoffPolicy::cutoff_changes() const {
+  return cutoff_changes_.load(std::memory_order_relaxed);
+}
 inline RunGenerator* CutoffPolicy::generator() const {
   return op_->generator_.get();
 }

@@ -373,6 +373,33 @@ TEST_F(HistogramTopKTest, StatsExposeFilterInternals) {
   EXPECT_GT(stats.peak_memory_bytes, 0u);
 }
 
+TEST_F(HistogramTopKTest, ResumedFilterLeasesItsBucketQueueBudget) {
+  // A merge-phase resume rebuilds the cutoff filter, whose bucket queue may
+  // grow to histogram_memory_limit_bytes: the arbiter must see that lease
+  // before Finish, as it does from the external switch on.
+  TopKOptions options = Options(2000, 16 * 1024);
+  options.manifest_filename = "query.tkm";
+  DatasetSpec spec;
+  spec.WithRows(40000).WithSeed(13);
+  const auto rows = MaterializeDataset(spec);
+  {
+    auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
+    ASSERT_TRUE(op.ok());
+    for (const Row& row : rows) ASSERT_TRUE((*op)->Consume(row).ok());
+    ASSERT_TRUE((*op)->is_external());
+    ASSERT_TRUE((*op)->Suspend().ok());
+  }
+  MemoryArbiter arbiter;
+  options.arbiter = &arbiter;
+  auto resumed = ResumeTopKOperator(TopKAlgorithm::kHistogram, options);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_GE(arbiter.granted_bytes(), options.histogram_memory_limit_bytes);
+  auto result = (*resumed)->Finish();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectSameRows(ReferenceTopK(rows, 2000, 0, SortDirection::kAscending),
+                 *result);
+}
+
 TEST_F(HistogramTopKTest, EliminationAtSpillHappensWhenCutoffSharpens) {
   // Rows admitted under an older, looser cutoff must be re-checked when
   // they are spilled (Algorithm 1 line 11).

@@ -1,5 +1,3 @@
-#include <unistd.h>
-
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -15,6 +13,7 @@
 #include "io/spill_manager.h"
 #include "io/storage_env.h"
 #include "row/serialization.h"
+#include "tests/test_util.h"
 
 namespace topk {
 namespace {
@@ -22,9 +21,7 @@ namespace {
 class IoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("topk_io_test_" + std::to_string(::getpid()) + "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    dir_ = testing_util::TestScratchPath("topk_io_test");
     std::filesystem::create_directories(dir_);
   }
 

@@ -1,7 +1,5 @@
 #include "sort/merge_planner.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
@@ -14,6 +12,7 @@
 #include "common/random.h"
 #include "io/manifest.h"
 #include "sort/merger.h"
+#include "tests/test_util.h"
 
 namespace topk {
 namespace {
@@ -21,9 +20,7 @@ namespace {
 class MergePlannerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("topk_planner_" + std::to_string(::getpid()) + "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    dir_ = testing_util::TestScratchPath("topk_planner");
     auto spill = SpillManager::Create(&env_, dir_.string());
     ASSERT_TRUE(spill.ok());
     spill_ = std::move(*spill);

@@ -1,7 +1,5 @@
 #include "sort/merger.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -12,6 +10,7 @@
 
 #include "common/random.h"
 #include "obs/metrics.h"
+#include "tests/test_util.h"
 
 namespace topk {
 namespace {
@@ -19,9 +18,7 @@ namespace {
 class MergerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("topk_merger_" + std::to_string(::getpid()) + "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    dir_ = testing_util::TestScratchPath("topk_merger");
     auto spill = SpillManager::Create(&env_, dir_.string());
     ASSERT_TRUE(spill.ok());
     spill_ = std::move(*spill);

@@ -4,6 +4,7 @@
 
 #include "common/query_control.h"
 #include "io/manifest.h"
+#include "obs/obs_context.h"
 #include "tests/test_util.h"
 #include "topk/operator_factory.h"
 
@@ -55,7 +56,6 @@ TEST_F(OptimizedTopKTest, LargeKCutoffRequiresEarlyMerge) {
   // k larger than any run: only an early merge step can prove k rows and
   // establish a cutoff (Sec 2.5), at the cost of intermediate merge I/O.
   TopKOptions options = Options(3000, 16 * 1024);
-  options.early_merge_fan_in = 5;
   auto op = MakeTopKOperator(TopKAlgorithm::kOptimizedExternal, options);
   ASSERT_TRUE(op.ok());
   DatasetSpec spec;
@@ -211,11 +211,129 @@ TEST_F(OptimizedTopKTest, ResumeCommitsTheManifestBeforeDeletingReplayedRuns) {
                  *result);
 }
 
-TEST_F(OptimizedTopKTest, RejectsBadEarlyMergeFanIn) {
-  TopKOptions options = Options(10);
-  options.early_merge_fan_in = 1;
-  EXPECT_FALSE(MakeTopKOperator(TopKAlgorithm::kOptimizedExternal,
-                                options).ok());
+/// Runs an optimized query recorded into its own ObsContext and checks the
+/// cutoff timeline the operator's cutoff filter published: every cutoff
+/// change is one event and one filter.cutoff_updates count, and the first
+/// comes after input arrived.
+void ExpectCutoffTimeline(TopKOptions options, const std::vector<Row>& rows,
+                          bool early_merge) {
+  auto obs = ObsContext::Create("optimized");
+  options.obs = obs;
+  auto op = MakeTopKOperator(TopKAlgorithm::kOptimizedExternal, options);
+  ASSERT_TRUE(op.ok());
+  auto result = RunOperator(op->get(), rows);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectSameRows(ReferenceTopK(rows, options.k, 0, SortDirection::kAscending),
+                 *result);
+  EXPECT_EQ((*op)->stats().merge_rows_written > 0, early_merge);
+  const std::vector<ObsContext::CutoffEvent> events = obs->cutoff_events();
+  ASSERT_FALSE(events.empty());
+  EXPECT_GT(events.front().rows_consumed, 0u);
+  EXPECT_FALSE(events.front().tightened);
+  EXPECT_EQ(obs->metrics().GetCounter("filter.cutoff_updates")->value(),
+            events.size() + obs->cutoff_events_dropped());
+  EXPECT_EQ(events.back().cutoff, *(*op)->stats().final_cutoff);
+}
+
+TEST_F(OptimizedTopKTest, RunKthKeyCutoffsFormATimeline) {
+  DatasetSpec spec;
+  spec.WithRows(50000).WithSeed(1);
+  ExpectCutoffTimeline(Options(100, 32 * 1024), MaterializeDataset(spec),
+                       /*early_merge=*/false);
+}
+
+TEST_F(OptimizedTopKTest, EarlyMergeCutoffsFormATimeline) {
+  DatasetSpec spec;
+  spec.WithRows(60000).WithSeed(2);
+  ExpectCutoffTimeline(Options(3000, 16 * 1024), MaterializeDataset(spec),
+                       /*early_merge=*/true);
+}
+
+TEST_F(OptimizedTopKTest, FullRunsStoreOneBucketOfOutputRows) {
+  // A run that reaches k+offset rows is a one-bucket histogram: its last
+  // key bounds k+offset rows. The manifest keeps that bucket; a shorter run
+  // proves nothing and stores none.
+  TopKOptions options = Options(100, 32 * 1024);
+  options.offset = 20;
+  options.enable_early_merge = false;
+  options.io_background_threads = 0;
+  options.manifest_filename = "query.tkm";
+  DatasetSpec spec;
+  spec.WithRows(50000).WithSeed(3);
+  const auto rows = MaterializeDataset(spec);
+  auto op = MakeTopKOperator(TopKAlgorithm::kOptimizedExternal, options);
+  ASSERT_TRUE(op.ok());
+  for (const Row& row : rows) ASSERT_TRUE((*op)->Consume(row).ok());
+  ASSERT_TRUE((*op)->Suspend().ok());
+  auto runs = ReadManifest(
+      &env_, options.spill_dir + "/" + options.manifest_filename);
+  ASSERT_TRUE(runs.ok()) << runs.status().ToString();
+  size_t full = 0;
+  size_t shorter = 0;
+  for (const RunMeta& run : *runs) {
+    ASSERT_LE(run.rows, 120u);
+    if (run.rows == 120) {
+      ++full;
+      ASSERT_EQ(run.histogram.size(), 1u) << "run " << run.id;
+      EXPECT_EQ(run.histogram[0], (HistogramBucket{run.last_key, 120}));
+    } else {
+      ++shorter;
+      EXPECT_TRUE(run.histogram.empty()) << "run " << run.id;
+    }
+  }
+  EXPECT_GT(full, 0u);
+  EXPECT_GT(shorter, 0u);
+}
+
+TEST_F(OptimizedTopKTest, MergePhaseResumeReportsTheCutoffItsRunsProve) {
+  // A crash after run generation resumes into the merge with the filter
+  // rebuilt from the runs' one-bucket histograms: the sharpest full run's
+  // last key.
+  DatasetSpec spec;
+  spec.WithRows(50000).WithSeed(4);
+  const auto rows = MaterializeDataset(spec);
+  TopKOptions options = Options(100, 32 * 1024);
+  options.enable_early_merge = false;
+  options.io_background_threads = 0;  // the manifest on disk is current
+  options.manifest_filename = "query.tkm";
+  const std::filesystem::path dir = options.spill_dir;
+  const std::filesystem::path crashed = scratch_.str() + "/crashed";
+  ASSERT_TRUE(ArmCrashPointForTest("post-run-flush", [&] {
+                CopyDir(dir, crashed);
+              }).ok());
+  std::optional<double> cutoff;
+  {
+    auto op = MakeTopKOperator(TopKAlgorithm::kOptimizedExternal, options);
+    ASSERT_TRUE(op.ok());
+    auto result = RunOperator(op->get(), rows);
+    DisarmCrashPoints();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    cutoff = (*op)->stats().final_cutoff;
+  }
+  ASSERT_TRUE(cutoff.has_value());
+  CopyDir(crashed, dir);
+  auto runs = ReadManifest(&env_, (dir / options.manifest_filename).string());
+  ASSERT_TRUE(runs.ok()) << runs.status().ToString();
+  std::optional<double> proven;
+  for (const RunMeta& run : *runs) {
+    if (run.rows == options.k && (!proven || run.last_key < *proven)) {
+      proven = run.last_key;
+    }
+  }
+  ASSERT_TRUE(proven.has_value());
+  EXPECT_EQ(*proven, *cutoff);
+
+  auto resumed =
+      ResumeTopKOperator(TopKAlgorithm::kOptimizedExternal, options);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  ASSERT_FALSE((*resumed)->resume_accepts_input());
+  ASSERT_TRUE((*resumed)->cutoff().has_value());
+  EXPECT_EQ(*(*resumed)->cutoff(), *proven);
+  auto result = (*resumed)->Finish();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ((*resumed)->stats().final_cutoff, proven);
+  ExpectSameRows(ReferenceTopK(rows, 100, 0, SortDirection::kAscending),
+                 *result);
 }
 
 }  // namespace

@@ -79,7 +79,6 @@ TEST_P(RandomConfigTest, AllOperatorsAgreeWithReference) {
   options.memory_limit_bytes = 8 * 1024 + rng.NextUint64(64 * 1024);
   options.histogram_buckets_per_run = rng.NextUint64(101);
   options.merge_fan_in = 2 + rng.NextUint64(30);
-  options.early_merge_fan_in = 2 + rng.NextUint64(10);
   options.run_generation = rng.NextUint64(2) == 0
                                ? RunGenerationKind::kReplacementSelection
                                : RunGenerationKind::kQuicksort;

@@ -1,5 +1,3 @@
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -19,6 +17,7 @@
 #include "gen/generator.h"
 #include "sort/replacement_selection.h"
 #include "sort/run_generation.h"
+#include "tests/test_util.h"
 
 namespace topk {
 namespace {
@@ -27,9 +26,7 @@ namespace {
 class SpillDirTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("topk_rungen_" + std::to_string(::getpid()) + "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    dir_ = testing_util::TestScratchPath("topk_rungen");
     auto spill = SpillManager::Create(&env_, dir_.string());
     ASSERT_TRUE(spill.ok());
     spill_ = std::move(*spill);
@@ -391,9 +388,7 @@ INSTANTIATE_TEST_SUITE_P(
 class ReplacementSelectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("topk_rs_" + std::to_string(::getpid()) + "_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    dir_ = testing_util::TestScratchPath("topk_rs");
     auto spill = SpillManager::Create(&env_, dir_.string());
     ASSERT_TRUE(spill.ok());
     spill_ = std::move(*spill);
@@ -858,9 +853,7 @@ void ExpectSameStats(const RunGeneratorStats& tree,
 class DifferentialTest : public ::testing::TestWithParam<DifferentialCase> {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("topk_rs_diff_" + std::to_string(::getpid()) + "_" +
-            GetParam().name);
+    dir_ = testing_util::TestScratchPath("topk_rs_diff");
     auto spill = SpillManager::Create(&env_, dir_.string());
     ASSERT_TRUE(spill.ok());
     spill_ = std::move(*spill);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace topk {
 namespace {
 
@@ -31,6 +34,19 @@ TEST(BucketSizingPolicyTest, WidthAtLeastOne) {
   // More buckets than rows: width clamps to one row per bucket.
   BucketSizingPolicy policy(1000, 10);
   EXPECT_EQ(policy.rows_per_bucket(), 1u);
+}
+
+TEST(BucketSizingPolicyTest, RoundsHalfUpWithoutOverflow) {
+  EXPECT_EQ(BucketSizingPolicy(1, 1001).rows_per_bucket(), 501u);
+  EXPECT_EQ(BucketSizingPolicy(2, 1000).rows_per_bucket(), 333u);
+  EXPECT_EQ(BucketSizingPolicy(2, 1001).rows_per_bucket(), 334u);
+  // The optimized operator's one-bucket filter over R = 2(k+offset) rows,
+  // saturated for k+offset beyond half the range: R must not wrap.
+  EXPECT_EQ(BucketSizingPolicy(1, 2 * 120).rows_per_bucket(), 120u);
+  EXPECT_EQ(
+      BucketSizingPolicy(1, std::numeric_limits<uint64_t>::max())
+          .rows_per_bucket(),
+      uint64_t{1} << 63);
 }
 
 TEST(RunHistogramBuilderTest, ClosesBucketEveryWidthRows) {

@@ -23,6 +23,25 @@
 namespace topk {
 namespace testing_util {
 
+/// `name` with its path separators replaced: a parameterized test's name
+/// holds '/', and a scratch path built from it must stay one directory deep
+/// for remove_all to take it whole.
+inline std::string PathSafe(std::string name) {
+  for (char& c : name) {
+    if (c == '/' || c == '\\') c = '_';
+  }
+  return name;
+}
+
+/// `<temp dir>/<prefix>_<pid>_<test name>` for the running test; the
+/// fixture creates it and removes it in TearDown.
+inline std::filesystem::path TestScratchPath(const std::string& prefix) {
+  return std::filesystem::temp_directory_path() /
+         (prefix + "_" + std::to_string(::getpid()) + "_" +
+          PathSafe(
+              ::testing::UnitTest::GetInstance()->current_test_info()->name()));
+}
+
 /// Creates a unique scratch directory for the current test and removes it on
 /// destruction.
 class ScratchDir {
@@ -32,10 +51,8 @@ class ScratchDir {
         ::testing::UnitTest::GetInstance()->current_test_info();
     std::string name = "topk_test";
     if (info != nullptr) {
-      name = std::string(info->test_suite_name()) + "_" + info->name();
-      for (char& c : name) {
-        if (c == '/' || c == '\\') c = '_';
-      }
+      name = PathSafe(std::string(info->test_suite_name()) + "_" +
+                      info->name());
     }
     path_ = std::filesystem::temp_directory_path() /
             (name + "_" + std::to_string(::getpid()) + "_" +
