@@ -12,6 +12,10 @@ BucketSizingPolicy::BucketSizingPolicy(uint64_t target_buckets,
   // round(R / (B + 1)), at least one row per bucket; rounded on the
   // remainder so that R near the top of the range cannot overflow.
   const uint64_t denom = target_buckets + 1;
+  if (denom == 0) {  // more buckets than any run has rows
+    rows_per_bucket_ = 1;
+    return;
+  }
   uint64_t width = target_run_rows / denom +
                    (target_run_rows % denom >= denom - denom / 2 ? 1 : 0);
   if (width == 0) width = 1;

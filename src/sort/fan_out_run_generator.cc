@@ -12,7 +12,7 @@ namespace topk {
 
 namespace {
 
-/// The share of the memory budget kept for rows in flight: 1/8.
+/// The bytes of rows in flight, as a share of the memory budget: 1/8.
 constexpr size_t kInFlightShareDivisor = 8;
 
 }  // namespace
@@ -20,17 +20,20 @@ constexpr size_t kInFlightShareDivisor = 8;
 FanOutRunGenerator::FanOutRunGenerator(RunGenerationKind kind,
                                        SpillManager* spill,
                                        const RowComparator& comparator,
-                                       const RunGeneratorOptions& options)
-    : arbiter_(options.arbiter), obs_(CurrentObsContextShared()) {
-  const size_t workers = options.workers;
-  const size_t reserve = options.memory_limit_bytes / kInFlightShareDivisor;
+                                       const RunGeneratorOptions& options,
+                                       RowAdmission* admission)
+    : arbiter_(options.arbiter),
+      admission_(admission),
+      obs_(CurrentObsContextShared()) {
+  const size_t workers = std::max<size_t>(options.workers, 1);
+  const size_t in_flight = options.memory_limit_bytes / kInFlightShareDivisor;
   batch_bytes_limit_ =
-      std::max<size_t>(reserve / (kBatchesPerWorker * workers + 1), 1);
+      std::max<size_t>(in_flight / (kBatchesPerWorker * workers + 1), 1);
   RunGeneratorOptions worker_options = options;
   worker_options.workers = 1;
   worker_options.worker_observers.clear();
   worker_options.memory_limit_bytes =
-      std::max<size_t>((options.memory_limit_bytes - reserve) / workers, 1);
+      std::max<size_t>(options.memory_limit_bytes / workers, 1);
   for (size_t i = 0; i < workers; ++i) {
     worker_options.observer = i < options.worker_observers.size()
                                   ? options.worker_observers[i]
@@ -40,19 +43,42 @@ FanOutRunGenerator::FanOutRunGenerator(RunGenerationKind kind,
         MakeRunGenerator(kind, spill, comparator, worker_options);
     workers_.push_back(std::move(worker));
   }
-  open_.rows.reserve(kBatchRows);
+  open_.entries.reserve(kBatchRows);
 }
 
 FanOutRunGenerator::~FanOutRunGenerator() {
   (void)JoinWorkers(/*drain=*/false);
 }
 
+Status FanOutRunGenerator::Offer(Row&& row, const InputProgress& at) {
+  return Queue(std::move(row), at, /*admit=*/true);
+}
+
 Status FanOutRunGenerator::Add(Row row) {
+  if (!Idle()) return Queue(std::move(row), InputProgress(), /*admit=*/false);
+  // No worker thread touches the generators while they are stopped.
+  ++stats_.rows_added;
+  TOPK_RETURN_NOT_OK(workers_[next_worker_]->generator->Add(std::move(row)));
+  if (++direct_rows_ % kBatchRows == 0) {
+    next_worker_ = (next_worker_ + 1) % workers_.size();
+  }
+  return Status::OK();
+}
+
+bool FanOutRunGenerator::Idle() {
+  if (running_ || !open_.entries.empty()) return false;
+  std::lock_guard<std::mutex> lock(mu_);
+  return std::all_of(workers_.begin(), workers_.end(),
+                     [](const auto& worker) { return worker->queue.empty(); });
+}
+
+Status FanOutRunGenerator::Queue(Row&& row, const InputProgress& at,
+                                 bool admit) {
   // A batch is still full only when its hand-off failed; retry that first
   // so the open batch stays bounded.
   if (BatchFull()) TOPK_RETURN_NOT_OK(HandOff());
   open_.bytes += HeldRowBytes(row);
-  open_.rows.push_back(std::move(row));
+  open_.entries.push_back(Entry{std::move(row), at, admit});
   ++stats_.rows_added;
   if (BatchFull()) return HandOff();
   return Status::OK();
@@ -77,7 +103,7 @@ Status FanOutRunGenerator::HandOff() {
   }
   work_cv_.notify_all();
   open_ = Batch();
-  open_.rows.reserve(kBatchRows);
+  open_.entries.reserve(kBatchRows);
   next_worker_ = (next_worker_ + 1) % workers_.size();
   in_flight_peak_ = std::max(in_flight_peak_, in_flight);
   TOPK_RETURN_NOT_OK(lease_.EnsureAtLeast(in_flight));
@@ -93,7 +119,7 @@ Status FanOutRunGenerator::StartWorkers() {
       worker->thread =
           std::thread([this, w = worker.get()] { WorkerLoop(w); });
     } catch (const std::system_error& e) {
-      // Stop the workers that did start; the next Add or Flush tries again.
+      // Stop the workers that did start; the next call tries again.
       (void)JoinWorkers(/*drain=*/false);
       return Status::ResourceExhausted(
           std::string("cannot start a run-generation worker: ") + e.what());
@@ -117,6 +143,8 @@ Status FanOutRunGenerator::JoinWorkers(bool drain) {
   std::lock_guard<std::mutex> lock(mu_);
   draining_ = false;
   stopping_ = false;
+  queues_drained_ = 0;
+  input_drained_ = false;
   return error_;
 }
 
@@ -129,35 +157,83 @@ void FanOutRunGenerator::WorkerLoop(Worker* worker) {
       return stopping_ || draining_ || !worker->queue.empty();
     });
     if (stopping_) return;
-    // Draining with nothing left: end this worker's last run. Otherwise
-    // drain the front batch, which only this worker touches.
-    Batch* batch = worker->queue.empty() ? nullptr : &worker->queue.front();
+    if (worker->queue.empty()) break;  // drained
+    // The front batch, which only this worker touches.
+    Batch* batch = &worker->queue.front();
+    lock.unlock();
+    const Status status = RunWithAllocGuard(
+        "a run-generation worker", [&] { return Drain(worker, batch); });
+    lock.lock();
+    if (!status.ok()) return Fail(status);
+    in_flight_bytes_ -= batch->bytes;
+    // Its rows have left; the husk is freed outside the lock.
+    Batch done = std::move(worker->queue.front());
+    worker->queue.pop_front();
+    lock.unlock();
+    space_cv_.notify_all();
+    done = Batch();
+    lock.lock();
+  }
+  // Every queue drains before any generator flushes, so the cutoff changes
+  // of the flushes come after the last admission, as with one worker. The
+  // last worker to drain ends the input for all of them.
+  if (++queues_drained_ == workers_.size()) {
     lock.unlock();
     const Status status =
         RunWithAllocGuard("a run-generation worker", [&]() -> Status {
-          if (batch == nullptr) return worker->generator->Flush();
-          while (batch->next < batch->rows.size()) {
-            // Counted before the call: a generator that stops on a
-            // cancellation keeps the row it was given.
-            TOPK_RETURN_NOT_OK(worker->generator->Add(
-                std::move(batch->rows[batch->next++])));
-          }
+          if (admission_ != nullptr) admission_->Drained();
           return Status::OK();
         });
     lock.lock();
-    if (!status.ok() && error_.ok()) error_ = status;
-    if (batch == nullptr || !status.ok()) {
-      space_cv_.notify_all();
-      return;
-    }
-    in_flight_bytes_ -= batch->bytes;
-    worker->queue.pop_front();
-    space_cv_.notify_all();
+    if (!status.ok()) return Fail(status);
+    input_drained_ = true;
+    work_cv_.notify_all();
+  } else {
+    work_cv_.wait(lock,
+                  [&] { return stopping_ || input_drained_ || !error_.ok(); });
+    if (!input_drained_) return;
   }
+  lock.unlock();
+  const Status status =
+      RunWithAllocGuard("a run-generation worker", [&]() -> Status {
+        PhaseScope phase("rungen.worker");
+        return worker->generator->Flush();
+      });
+  lock.lock();
+  if (!status.ok()) Fail(status);
+}
+
+void FanOutRunGenerator::Fail(const Status& status) {
+  if (error_.ok()) error_ = status;
+  // Wake the caller and any worker waiting for the others to drain.
+  space_cv_.notify_all();
+  work_cv_.notify_all();
+}
+
+Status FanOutRunGenerator::Drain(Worker* worker, Batch* batch) {
+  // The worker's own phase: its time overlaps the caller's.
+  PhaseScope phase("rungen.worker");
+  while (batch->next < batch->entries.size()) {
+    Entry& entry = batch->entries[batch->next];
+    if (entry.admit && admission_ != nullptr) {
+      bool admitted = false;
+      TOPK_ASSIGN_OR_RETURN(admitted, admission_->Admit(entry.row, entry.at));
+      if (!admitted) {
+        Row dropped = std::move(entry.row);
+        ++batch->next;
+        continue;
+      }
+    }
+    // Counted before the call: a generator that stops on a cancellation
+    // keeps the row it was given.
+    ++batch->next;
+    TOPK_RETURN_NOT_OK(worker->generator->Add(std::move(entry.row)));
+  }
+  return Status::OK();
 }
 
 Status FanOutRunGenerator::Flush() {
-  if (!open_.rows.empty()) TOPK_RETURN_NOT_OK(HandOff());
+  if (!open_.entries.empty()) TOPK_RETURN_NOT_OK(HandOff());
   TOPK_RETURN_NOT_OK(StartWorkers());
   Status status = JoinWorkers(/*drain=*/true);
   CollectStats();

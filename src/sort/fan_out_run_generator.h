@@ -2,6 +2,7 @@
 #define TOPK_SORT_FAN_OUT_RUN_GENERATOR_H_
 
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -13,36 +14,73 @@
 
 namespace topk {
 
-/// Parallel run generation (Sec 4.4): options.workers run generators of one
-/// kind, each on its own thread, fed round-robin with batches of rows and
-/// spilling into the one SpillManager, so the caller still sees one run
-/// generator and one run set. Worker i reports to
-/// options.worker_observers[i].
+/// Where a row stood in its operator's input when it was offered: the rows
+/// consumed, this one included, and the rows eliminated at input before it.
+struct InputProgress {
+  uint64_t rows_consumed = 0;
+  uint64_t rows_eliminated_input = 0;
+};
+
+/// What a FanOutRunGenerator's workers do with each offered row before
+/// adding it to their generators: the histogram operator's Algorithm 1
+/// line-4 probe and the run maintenance that rides on it.
+class RowAdmission {
+ public:
+  virtual ~RowAdmission() = default;
+
+  /// Runs on a worker's thread for each row offered to that worker, in offer
+  /// order. True adds the row to the worker's generator; false drops it. A
+  /// failure leaves the row queued: a later Flush admits it again.
+  virtual Result<bool> Admit(const Row& row, const InputProgress& at) = 0;
+
+  /// Runs once per Flush, on a worker's thread, after every worker has
+  /// admitted its last row and before any generator flushes; the caller
+  /// waits in Flush meanwhile.
+  virtual void Drained() = 0;
+};
+
+/// Pipelined run generation (Secs 2.1, 4.4): options.workers run generators
+/// of one kind, each on its own thread, fed round-robin with batches of
+/// rows and spilling into the one SpillManager, so the caller still sees
+/// one run generator and one run set. Worker i reports to
+/// options.worker_observers[i]. With one worker, rows reach its generator
+/// in the order they were offered.
 ///
-/// Add, Flush and SetCancel are called from one thread. A batch holds at
-/// most kBatchRows rows and a worker at most kBatchesPerWorker batches, so
-/// the rows in flight are bounded. An eighth of the memory budget is kept
-/// for them (it bounds a batch's bytes) and leased for the queued batches;
-/// the workers split the rest evenly.
+/// Offer, Add, Flush and SetCancel are called from one thread. A batch
+/// holds at most kBatchRows rows and a worker at most kBatchesPerWorker
+/// batches, so the rows in flight are bounded: by an eighth of the memory
+/// budget, which is leased for them on top of the budget the workers'
+/// generators split evenly. The caller waits for queue space, and an idle
+/// worker for rows, on a condition variable.
 ///
 /// A worker's failure, an allocation failure included, surfaces from the
-/// next Add or Flush. A cancellation leaves every row not yet spilled in
-/// place, so once SetCancel detaches the tripped token, Flush still writes
-/// the whole input.
+/// next Offer, Add or Flush. A cancellation leaves every row not yet
+/// spilled in place, so once SetCancel detaches the tripped token, Flush
+/// still writes the whole input.
 class FanOutRunGenerator : public RunGenerator {
  public:
   static constexpr size_t kBatchRows = 256;
   static constexpr size_t kBatchesPerWorker = 2;
 
+  /// `admission` (not owned; may be null) admits every offered row.
   FanOutRunGenerator(RunGenerationKind kind, SpillManager* spill,
                      const RowComparator& comparator,
-                     const RunGeneratorOptions& options);
+                     const RunGeneratorOptions& options,
+                     RowAdmission* admission = nullptr);
   ~FanOutRunGenerator() override;
 
   // The workers hold its address.
   FanOutRunGenerator(const FanOutRunGenerator&) = delete;
   FanOutRunGenerator& operator=(const FanOutRunGenerator&) = delete;
 
+  /// Queues `row` for the next worker, which admits it, when there is an
+  /// admission, and adds it. Starts the workers.
+  Status Offer(Row&& row, const InputProgress& at);
+  /// Adds `row` without admission. While the workers are stopped and
+  /// nothing is queued, it goes straight into a worker's generator on the
+  /// calling thread, the workers taking kBatchRows rows in turn: the
+  /// external switch hands over its in-memory rows this way and holds none
+  /// in flight. Otherwise it queues behind the offered rows.
   Status Add(Row row) override;
   Status Flush() override;
   /// Stops the workers first: they read the token their generators hold.
@@ -52,9 +90,15 @@ class FanOutRunGenerator : public RunGenerator {
   const RunGeneratorStats& stats() const override { return stats_; }
 
  private:
+  struct Entry {
+    Row row;
+    InputProgress at;
+    /// Offered, so admitted before it is added.
+    bool admit = false;
+  };
   struct Batch {
-    std::vector<Row> rows;
-    /// Rows before this index are in the worker's generator.
+    std::vector<Entry> entries;
+    /// Entries before this index have left the batch.
     size_t next = 0;
     size_t bytes = 0;
   };
@@ -66,10 +110,13 @@ class FanOutRunGenerator : public RunGenerator {
     std::deque<Batch> queue;
   };
 
+  Status Queue(Row&& row, const InputProgress& at, bool admit);
   bool BatchFull() const {
-    return open_.rows.size() >= kBatchRows ||
+    return open_.entries.size() >= kBatchRows ||
            open_.bytes >= batch_bytes_limit_;
   }
+  /// True while no row is queued or in the open batch and no worker runs.
+  bool Idle();
   /// Queues the open batch for the next worker, waiting while that worker
   /// has kBatchesPerWorker batches outstanding.
   Status HandOff();
@@ -80,10 +127,17 @@ class FanOutRunGenerator : public RunGenerator {
   /// flushes its generator; otherwise each stops after its current batch.
   /// Returns the first failure any worker latched.
   Status JoinWorkers(bool drain);
+  /// Drains the worker's batches until it is stopped, or, once Flush
+  /// drains, until its queue is empty; then flushes its generator.
   void WorkerLoop(Worker* worker);
+  /// Admits and adds the batch's remaining rows.
+  Status Drain(Worker* worker, Batch* batch);
+  /// Latches a worker's failure. Called with mu_ held.
+  void Fail(const Status& status);
   void CollectStats();
 
   MemoryArbiter* arbiter_;
+  RowAdmission* admission_;
   size_t batch_bytes_limit_ = 1;
   /// The query's observability context, installed on every worker.
   std::shared_ptr<ObsContext> obs_;
@@ -91,6 +145,8 @@ class FanOutRunGenerator : public RunGenerator {
   /// Lease covering the queued batches (detached without an arbiter).
   MemoryLease lease_;
   size_t in_flight_peak_ = 0;
+  /// Rows Add placed on the calling thread.
+  uint64_t direct_rows_ = 0;
   RunGeneratorStats stats_;
 
   std::mutex mu_;
@@ -101,6 +157,10 @@ class FanOutRunGenerator : public RunGenerator {
   size_t in_flight_bytes_ = 0;
   bool draining_ = false;
   bool stopping_ = false;
+  /// Workers whose queue Flush has drained, and whether the last of them
+  /// has run RowAdmission::Drained.
+  size_t queues_drained_ = 0;
+  bool input_drained_ = false;
   /// The first failure a worker hit.
   Status error_;
 

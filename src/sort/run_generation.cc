@@ -6,7 +6,6 @@
 #include "common/stopwatch.h"
 #include "obs/trace.h"
 #include "row/serialization.h"
-#include "sort/fan_out_run_generator.h"
 #include "sort/replacement_selection.h"
 
 namespace topk {
@@ -14,10 +13,6 @@ namespace topk {
 std::unique_ptr<RunGenerator> MakeRunGenerator(
     RunGenerationKind kind, SpillManager* spill,
     const RowComparator& comparator, const RunGeneratorOptions& options) {
-  if (options.workers > 1) {
-    return std::make_unique<FanOutRunGenerator>(kind, spill, comparator,
-                                                options);
-  }
   if (kind == RunGenerationKind::kReplacementSelection) {
     return std::make_unique<ReplacementSelectionRunGenerator>(
         spill, comparator, options);

@@ -74,12 +74,12 @@ struct RunGeneratorOptions {
   /// generator spills early — at half its configured memory limit — so
   /// buffered rows drain while the process still has headroom.
   MemoryArbiter* arbiter = nullptr;
-  /// Run generators working in parallel, each on its own thread (Sec 4.4).
-  /// Above 1, MakeRunGenerator builds a FanOutRunGenerator: `observer` is
-  /// then unused, and worker i reports to worker_observers[i].
+  /// FanOutRunGenerator only (MakeRunGenerator builds one generator and
+  /// ignores these): its run generators, each on its own thread (Sec 4.4).
   size_t workers = 1;
-  /// One spill hook per worker when workers > 1 (empty = none), each called
-  /// only from its worker's thread. Not owned.
+  /// FanOutRunGenerator only: one spill hook per worker (empty = none), in
+  /// place of `observer`; worker i reports to worker_observers[i]. Not
+  /// owned.
   std::vector<SpillObserver*> worker_observers;
 };
 
@@ -276,8 +276,7 @@ class QuicksortRunGenerator : public RunGenerator {
 };
 
 /// Builds the run generator of `kind` (replacement selection or quicksort)
-/// spilling into `spill`; with options.workers > 1, a FanOutRunGenerator
-/// over that many of them.
+/// spilling into `spill`, on the calling thread.
 std::unique_ptr<RunGenerator> MakeRunGenerator(
     RunGenerationKind kind, SpillManager* spill,
     const RowComparator& comparator, const RunGeneratorOptions& options);

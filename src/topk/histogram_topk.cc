@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <atomic>
+#include <mutex>
 
 #include "extensions/offset_skip.h"
 #include "obs/metrics.h"
@@ -41,35 +43,39 @@ ObsCounter& QuotaConsolidationsCounter() {
 /// before every merge step instead of being merged, and the final merge
 /// seeks past the offset prefix.
 ///
-/// With TopKOptions::workers > 1, run generation runs on that many worker
-/// threads, each with an equal share of the memory budget and all filtering
-/// through the operator's one cutoff filter, through one spill observer per
-/// generator (Sec 4.4: threads sharing one histogram priority queue retain
-/// about as many rows as one thread). The input probe stays on the
-/// consuming thread; everything else above — cancellation, Suspend and
-/// resume, WITH TIES, the merges — is unchanged.
+/// Run generation is pipelined (Sec 2.1): it runs on TopKOptions::workers
+/// threads of a FanOutRunGenerator, each with an equal share of the memory
+/// budget and all filtering through the operator's one cutoff filter,
+/// through one spill observer per generator (Sec 4.4: threads sharing one
+/// histogram priority queue retain about as many rows as one thread). The
+/// consuming thread only pre-probes each row against the latest published
+/// cutoff and queues the survivors with their input progress. A worker then
+/// runs everything above for each of its rows, in input order: the
+/// authoritative line-4 probe, the dead-run drop, quota consolidation, and
+/// replacement selection. The cutoff only tightens, so the pre-probe drops
+/// only rows the worker would drop too, and with one worker every decision
+/// sees exactly the cutoff a sequential operator would. The switch hands
+/// the in-memory rows straight to the generators, before the worker starts;
+/// Suspend, the keep-for-resume cancel and Finish drain the queue through
+/// the workers before they flush.
 ///
 /// A resume is merge-phase only: the cutoff filter is rebuilt from the
 /// per-run histograms the manifest preserved, and Finish merges the
 /// surviving runs.
-class HistogramFilterPolicy final : public BoundedHeapPolicy {
+class HistogramFilterPolicy final : public BoundedHeapPolicy,
+                                    private RowAdmission {
  public:
   Status StartRunGeneration(RunGeneratorOptions* gen_options) override;
-  Status ConsumeExternal(Row row) override {
-    // Algorithm 1 line 4.
+  std::unique_ptr<RunGenerator> MakeGenerator(
+      const RunGeneratorOptions& gen_options) override;
+  Status ConsumeExternal(Row&& row) override {
+    // The pre-probe, against the latest published cutoff.
     if (filter()->Eliminate(row)) {
       ++stats().rows_eliminated_input;
       return Status::OK();
     }
-    // Reclaim disk headroom *before* handing over the row: Add takes it by
-    // value, so a quota breach inside run generation would lose it. Runs
-    // the cutoff has passed go first, so consolidation sees their bytes
-    // freed.
-    if (cutoff_changes() != cutoff_changes_at_drop_) {
-      TOPK_RETURN_NOT_OK(DropDeadRuns());
-    }
-    TOPK_RETURN_NOT_OK(MaybeConsolidateForQuota());
-    return generator()->Add(std::move(row));
+    return pipeline_->Offer(
+        std::move(row), {stats().rows_consumed, stats().rows_eliminated_input});
   }
   void ConfigureMerges(MergePlannerOptions* planner) const override {
     planner->policy = options().merge_policy;
@@ -81,8 +87,24 @@ class HistogramFilterPolicy final : public BoundedHeapPolicy {
                                 const MergeOptions& merge_options,
                                 const RowSink& sink) override;
   Result<std::optional<uint64_t>> Resume() override;
+  InputProgress progress() const override {
+    return {progress_consumed_.load(std::memory_order_relaxed),
+            progress_eliminated_.load(std::memory_order_relaxed)};
+  }
 
  private:
+  /// On a worker: Algorithm 1 line 4 for one queued row, and the run
+  /// maintenance due before the worker adds it.
+  Result<bool> Admit(const Row& row, const InputProgress& at) override;
+  /// On a worker, after the last queued row: folds what the workers
+  /// counted into stats(), whose owner waits in Flush, and publishes the
+  /// input totals as progress for the flush and the merges.
+  void Drained() override;
+  void PublishProgress(uint64_t consumed, uint64_t eliminated) {
+    progress_consumed_.store(consumed, std::memory_order_relaxed);
+    progress_eliminated_.store(eliminated, std::memory_order_relaxed);
+  }
+
   /// Leases the bucket queue's budget and builds the operator's cutoff
   /// filter with histogram_buckets_per_run buckets per run of
   /// `expected_run_rows` rows.
@@ -106,12 +128,28 @@ class HistogramFilterPolicy final : public BoundedHeapPolicy {
   /// Arbiter lease covering the cutoff filter's bucket-queue budget,
   /// acquired where the filter is built.
   MemoryLease filter_lease_;
+  /// The run generator, which runs Admit on its workers.
+  FanOutRunGenerator* pipeline_ = nullptr;
+
+  /// Serializes the workers' run maintenance (dead-run drops, quota
+  /// consolidation) and guards the members below it.
+  std::mutex maintenance_mu_;
   /// total_runs_created() at the last quota consolidation attempt; a new
   /// attempt waits for at least one new run so a consolidation that could
   /// not free enough space is not retried on every row.
   uint64_t runs_created_at_last_quota_merge_ = 0;
-  /// cutoff_changes() at the last DropDeadRuns; read per input row.
-  uint64_t cutoff_changes_at_drop_ = 0;
+  /// What the workers counted toward stats() since the last Drained.
+  uint64_t runs_dropped_ = 0;
+  std::vector<MergeStats> consolidations_;
+  /// cutoff_changes() at the last DropDeadRuns; read per queued row.
+  std::atomic<uint64_t> cutoff_changes_at_drop_{0};
+  /// Rows the workers' probe eliminated since the last Drained.
+  std::atomic<uint64_t> rows_eliminated_by_workers_{0};
+  /// The input progress of the row run generation works on: the row the
+  /// switch hands over, a worker's queued row, or the whole input once
+  /// the workers drained.
+  std::atomic<uint64_t> progress_consumed_{0};
+  std::atomic<uint64_t> progress_eliminated_{0};
 };
 
 Status HistogramFilterPolicy::BuildHistogramFilter(
@@ -144,12 +182,56 @@ Status HistogramFilterPolicy::StartRunGeneration(
       2 * std::max<uint64_t>(memory().rows.size() / opts.workers, 1),
       opts.output_rows());
   gen_options->run_row_limit = opts.output_rows();
+  // The switch hands its rows over on this thread, before any is queued.
+  PublishProgress(stats().rows_consumed, stats().rows_eliminated_input);
   TOPK_RETURN_NOT_OK(BuildHistogramFilter(expected_run_rows));
   // Index granularity that yields ~64 seek points per run even when runs
   // are small (offset skips need entries inside every run).
   gen_options->run_index_stride =
       std::max<uint64_t>(16, expected_run_rows / 64);
   return Status::OK();
+}
+
+std::unique_ptr<RunGenerator> HistogramFilterPolicy::MakeGenerator(
+    const RunGeneratorOptions& gen_options) {
+  RowAdmission* admission = this;
+  auto pipeline = std::make_unique<FanOutRunGenerator>(
+      options().run_generation, spill(), comparator(), gen_options, admission);
+  pipeline_ = pipeline.get();
+  return pipeline;
+}
+
+Result<bool> HistogramFilterPolicy::Admit(const Row& row,
+                                          const InputProgress& at) {
+  PublishProgress(at.rows_consumed,
+                  at.rows_eliminated_input +
+                      rows_eliminated_by_workers_.load(
+                          std::memory_order_relaxed));
+  // Algorithm 1 line 4.
+  if (filter()->Eliminate(row)) {
+    rows_eliminated_by_workers_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  // Reclaim disk headroom *before* adding the row: Add takes it by value,
+  // so a quota breach inside run generation would lose it. Runs the cutoff
+  // has passed go first, so consolidation sees their bytes freed.
+  if (cutoff_changes() !=
+      cutoff_changes_at_drop_.load(std::memory_order_relaxed)) {
+    TOPK_RETURN_NOT_OK(DropDeadRuns());
+  }
+  TOPK_RETURN_NOT_OK(MaybeConsolidateForQuota());
+  return true;
+}
+
+void HistogramFilterPolicy::Drained() {
+  std::lock_guard<std::mutex> lock(maintenance_mu_);
+  stats().rows_eliminated_input +=
+      rows_eliminated_by_workers_.exchange(0, std::memory_order_relaxed);
+  stats().runs_dropped += runs_dropped_;
+  runs_dropped_ = 0;
+  for (const MergeStats& merged : consolidations_) ChargeInputMerge(merged);
+  consolidations_.clear();
+  PublishProgress(stats().rows_consumed, stats().rows_eliminated_input);
 }
 
 Status HistogramFilterPolicy::MaybeConsolidateForQuota() {
@@ -168,6 +250,7 @@ Status HistogramFilterPolicy::MaybeConsolidateForQuota() {
   const bool mem_pressed =
       arbiter != nullptr && arbiter->pressure() >= MemoryPressure::kSoft;
   if (!quota_pressed && !mem_pressed) return Status::OK();
+  std::lock_guard<std::mutex> lock(maintenance_mu_);
   if (spill()->run_count() < 2) return Status::OK();
   if (spill()->total_runs_created() == runs_created_at_last_quota_merge_) {
     return Status::OK();
@@ -191,18 +274,27 @@ Status HistogramFilterPolicy::MaybeConsolidateForQuota() {
                            spill()->spill_quota()->charged_bytes())});
   QuotaConsolidationsCounter().Add(1);
 
-  TOPK_RETURN_NOT_OK(MergeDuringInput(inputs, /*quota_exempt=*/true).status());
+  MergeStats merged;
+  TOPK_ASSIGN_OR_RETURN(merged,
+                        MergeDuringInput(inputs, /*quota_exempt=*/true));
+  consolidations_.push_back(merged);
   runs_created_at_last_quota_merge_ = spill()->total_runs_created();
   return Status::OK();
 }
 
 Status HistogramFilterPolicy::DropDeadRuns() {
-  cutoff_changes_at_drop_ = cutoff_changes();
+  std::lock_guard<std::mutex> lock(maintenance_mu_);
+  const uint64_t changes = cutoff_changes();
+  // Another worker may have dropped for this cutoff already.
+  if (cutoff_changes_at_drop_.load(std::memory_order_relaxed) == changes) {
+    return Status::OK();
+  }
+  cutoff_changes_at_drop_.store(changes, std::memory_order_relaxed);
   uint64_t dropped = 0;
   TOPK_ASSIGN_OR_RETURN(
       dropped, DropRunsBeyondCutoff(spill(), *filter(), options().output_rows(),
                                     /*input_complete=*/false));
-  stats().runs_dropped += dropped;
+  runs_dropped_ += dropped;
   return Status::OK();
 }
 

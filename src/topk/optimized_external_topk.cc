@@ -67,7 +67,7 @@ class RunKthKeyPolicy final : public CutoffPolicy {
     if (filter() == nullptr) BuildOneBucketFilter();
     return Status::OK();
   }
-  Status ConsumeExternal(Row row) override;
+  Status ConsumeExternal(Row&& row) override;
   /// Records (rows consumed, run-id frontier, cutoff) in the manifest as
   /// an input checkpoint, flushes it, and advances the early-merge pin.
   Status MakeInputDurable() override;
@@ -103,7 +103,7 @@ class RunKthKeyPolicy final : public CutoffPolicy {
   uint64_t pinned_run_id_bound_ = 0;
 };
 
-Status RunKthKeyPolicy::ConsumeExternal(Row row) {
+Status RunKthKeyPolicy::ConsumeExternal(Row&& row) {
   if (filter()->Eliminate(row)) {
     ++stats().rows_eliminated_input;
   } else {
@@ -147,7 +147,11 @@ Status RunKthKeyPolicy::MaybeEarlyMerge() {
   TraceSpan span("merge.early", "topk", {TraceArg("runs", inputs.size())});
   // The merge proposes its kth key to the filter once it reaches k+offset
   // rows.
-  return MergeDuringInput(inputs, /*quota_exempt=*/false).status();
+  MergeStats merged;
+  TOPK_ASSIGN_OR_RETURN(merged,
+                        MergeDuringInput(inputs, /*quota_exempt=*/false));
+  ChargeInputMerge(merged);
+  return Status::OK();
 }
 
 Status RunKthKeyPolicy::MakeInputDurable() {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <string>
 
 #include "common/memory_accounting.h"
@@ -55,6 +56,11 @@ Status ValidateTopKOptions(const TopKOptions& options, bool requires_storage,
   }
   if (options.memory_limit_bytes == 0) {
     return Status::InvalidArgument("memory limit must be positive");
+  }
+  // The bucket sizing divides by buckets + 1, which must not wrap to 0.
+  if (options.histogram_buckets_per_run ==
+      std::numeric_limits<uint64_t>::max()) {
+    return Status::InvalidArgument("histogram buckets per run out of range");
   }
   if (requires_storage) {
     if (options.env == nullptr) {
@@ -206,19 +212,20 @@ void CutoffPolicy::BuildFilter(uint64_t buckets_per_run, uint64_t run_rows) {
   filter_options.memory_limit_bytes = opts.histogram_memory_limit_bytes;
   filter_options.consolidation = opts.histogram_consolidation;
   // Cutoff-evolution timeline: one instant event per establishment /
-  // tightening, annotated with operator progress. With one run generator
-  // the callback runs on the consumer thread, where reading the stats is
-  // safe. With several it may run on any worker, where the stats are off
-  // limits: progress then reads 0.
-  const bool on_consumer = opts.workers == 1;
+  // tightening, annotated with the input progress of the thread that moved
+  // the cutoff.
   filter_options.on_cutoff_change =
-      [this, on_consumer](const CutoffFilter::CutoffUpdate& update) {
+      [this](const CutoffFilter::CutoffUpdate& update) {
         CutoffUpdatesCounter().Add(1);
         cutoff_changes_.fetch_add(1, std::memory_order_relaxed);
         const std::shared_ptr<ObsContext>& obs = options().obs;
-        const uint64_t consumed = on_consumer ? stats().rows_consumed : 0;
-        const uint64_t eliminated =
-            on_consumer ? stats().rows_eliminated_input : 0;
+        const InputProgress at = progress();
+        reported_consumed_ = std::max(reported_consumed_, at.rows_consumed);
+        reported_eliminated_ = std::min(
+            reported_consumed_,
+            std::max(reported_eliminated_, at.rows_eliminated_input));
+        const uint64_t consumed = reported_consumed_;
+        const uint64_t eliminated = reported_eliminated_;
         if (obs != nullptr) {
           // The profile report's cutoff-evolution timeline, captured even
           // when tracing is off (it is cheap: one capped vector append).
@@ -267,6 +274,16 @@ void CutoffPolicy::BuildFilter(uint64_t buckets_per_run, uint64_t run_rows) {
   }
 }
 
+std::unique_ptr<RunGenerator> CutoffPolicy::MakeGenerator(
+    const RunGeneratorOptions& gen_options) {
+  return MakeRunGenerator(options().run_generation, spill(), comparator(),
+                          gen_options);
+}
+
+InputProgress CutoffPolicy::progress() const {
+  return {stats().rows_consumed, stats().rows_eliminated_input};
+}
+
 Result<MergeStats> CutoffPolicy::MergeDuringInput(
     const std::vector<RunMeta>& inputs, bool quota_exempt) {
   MergeOptions merge_options;
@@ -280,10 +297,13 @@ Result<MergeStats> CutoffPolicy::MergeDuringInput(
   TOPK_ASSIGN_OR_RETURN(merged,
                         MergeIntoCommittedRun(spill(), inputs, comparator(),
                                               merge_options, quota_exempt));
+  return merged;
+}
+
+void CutoffPolicy::ChargeInputMerge(const MergeStats& merged) {
   stats().merge_rows_written += merged.rows_emitted;
   stats().merge_rows_read += merged.rows_read;
   if (merged.rows_emitted > 0) ++op_->input_merge_runs_;
-  return merged;
 }
 
 TopKOperator::TopKOperator(TopKAlgorithm algorithm, const TopKOptions& options,
@@ -323,8 +343,7 @@ Status TopKOperator::CreateGenerator() {
     }
     gen_options.observer = observers.front().get();
   }
-  generator_ = MakeRunGenerator(options_.run_generation, spill_.get(),
-                                comparator_, gen_options);
+  generator_ = policy_->MakeGenerator(gen_options);
   return Status::OK();
 }
 
@@ -436,7 +455,7 @@ Status TopKOperator::Consume(Row row) {
   return status;
 }
 
-Status TopKOperator::ConsumeImpl(Row row) {
+Status TopKOperator::ConsumeImpl(Row&& row) {
   TOPK_RETURN_NOT_OK(CheckCancel());
   SampledScopeTimer timer(&consume_timing_, &stats_.consume_nanos);
   // Checked once, before the row is buffered: an oversized payload must

@@ -20,6 +20,7 @@
 #include "io/storage_env.h"
 #include "obs/obs_context.h"
 #include "row/row.h"
+#include "sort/fan_out_run_generator.h"
 #include "sort/merge_planner.h"
 #include "sort/merger.h"
 #include "sort/run_generation.h"
@@ -90,10 +91,12 @@ struct TopKOptions {
 
   RunGenerationKind run_generation = RunGenerationKind::kReplacementSelection;
 
-  /// Run-generation threads (Sec 4.4), at most kMaxWorkers. Above 1, the
-  /// histogram operator runs that many run generators in parallel, each
-  /// with an equal share of the memory budget, all filtering through its
-  /// one cutoff filter. Every other operator requires 1.
+  /// Run-generation threads (Secs 2.1, 4.4), at most kMaxWorkers. The
+  /// histogram operator runs its run generation on that many threads
+  /// beside the consuming one, each with an equal share of the memory
+  /// budget, all filtering through its one cutoff filter; the consuming
+  /// thread only pre-probes the cutoff and queues the rows that pass. Every
+  /// other operator requires 1 and generates runs on the consuming thread.
   size_t workers = 1;
 
   /// Offset-value coding on every merge step's loser tree (Do & Graefe;
@@ -352,8 +355,13 @@ class CutoffPolicy {
   virtual Status StartRunGeneration(RunGeneratorOptions* /*gen_options*/) {
     return Status::OK();
   }
+  /// Builds run generation from `gen_options` at the external switch.
+  /// Default: one generator of the operator's kind, on the consuming
+  /// thread.
+  virtual std::unique_ptr<RunGenerator> MakeGenerator(
+      const RunGeneratorOptions& gen_options);
   /// External phase: routes one input row into run generation.
-  virtual Status ConsumeExternal(Row row) {
+  virtual Status ConsumeExternal(Row&& row) {
     return generator()->Add(std::move(row));
   }
   /// Makes the flushed run set durable in the manifest (Suspend and the
@@ -386,6 +394,11 @@ class CutoffPolicy {
   /// is established.
   virtual std::optional<double> cutoff() const { return std::nullopt; }
 
+  /// The input progress the cutoff timeline reports for a cutoff change
+  /// made now, on whichever thread makes it. Default: stats(), for a
+  /// policy whose run generation runs on the consuming thread.
+  virtual InputProgress progress() const;
+
  protected:
   /// The operator state a policy works on.
   const TopKOptions& options() const;
@@ -409,20 +422,22 @@ class CutoffPolicy {
   /// to `buckets_per_run` histogram buckets from each run, sized for runs
   /// of `run_rows` rows, and targets approx_filter_k or else k+offset
   /// rows. The operator publishes every
-  /// cutoff change (filter.cutoff_updates, the ObsContext timeline, trace
-  /// instants) and seeds the filter with the histograms of the runs
-  /// already registered, so after a resume it holds the cutoff the
-  /// reopened runs prove.
+  /// cutoff change (filter.cutoff_updates, the ObsContext timeline at
+  /// progress(), trace instants) and seeds the filter with the histograms
+  /// of the runs already registered, so after a resume it holds the cutoff
+  /// the reopened runs prove.
   void BuildFilter(uint64_t buckets_per_run, uint64_t run_rows);
 
   /// Merges `inputs` into one committed run of at most k+offset rows (plus
-  /// ties) while input is still arriving (MergeIntoCommittedRun), charging
-  /// the merge to the operator's stats. The cutoff filter, when there is
-  /// one, stops the merge at its cutoff and takes the kth merged key as a
-  /// cutoff. The output is not a run-generation run, so runs_created
-  /// leaves it out.
+  /// ties) while input is still arriving (MergeIntoCommittedRun). The
+  /// cutoff filter, when there is one, stops the merge at its cutoff and
+  /// takes the kth merged key as a cutoff. Safe from a run-generation
+  /// thread; ChargeInputMerge counts the merge.
   Result<MergeStats> MergeDuringInput(const std::vector<RunMeta>& inputs,
                                       bool quota_exempt);
+  /// Charges a MergeDuringInput merge to the operator's stats. Its output
+  /// is not a run-generation run, so runs_created leaves it out.
+  void ChargeInputMerge(const MergeStats& merged);
 
  private:
   friend class TopKOperator;
@@ -435,6 +450,11 @@ class CutoffPolicy {
   /// Bumped by filter_'s cutoff-change callback, from whichever thread
   /// moved the cutoff.
   std::atomic<uint64_t> cutoff_changes_{0};
+  /// The progress the timeline last reported; it never reports less, so
+  /// parallel run generators give a non-decreasing timeline. Guarded by
+  /// filter_'s mutex, under which the callback runs.
+  uint64_t reported_consumed_ = 0;
+  uint64_t reported_eliminated_ = 0;
 };
 
 /// The bounded priority queue of Sec 2.3 as the in-memory phase: the rows
@@ -552,7 +572,7 @@ class TopKOperator {
 
   Status Reopen(RestoreReport* report);
 
-  Status ConsumeImpl(Row row);
+  Status ConsumeImpl(Row&& row);
   Result<std::vector<Row>> FinishImpl();
   Status SuspendImpl();
 

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <limits>
 
+#include "obs/obs_context.h"
+#include "sort/replacement_selection.h"
+#include "sort/merge_planner.h"
+#include "io/spill_manager.h"
 #include "tests/test_util.h"
 
 namespace topk {
@@ -412,6 +417,191 @@ TEST_F(HistogramTopKTest, EliminationAtSpillHappensWhenCutoffSharpens) {
   auto result = RunOperator(op->get(), rows);
   ASSERT_TRUE(result.ok());
   EXPECT_GT((*op)->stats().rows_eliminated_spill, 0u);
+}
+
+/// What the sequential operator would have done: the same heap phase,
+/// switch and admission steps (probe, dead-run drop, then Add) run in
+/// this thread on a ReplacementSelectionRunGenerator and a CutoffFilter.
+/// `memory` must overflow before k rows are buffered, so the heap phase
+/// only buffers.
+struct SequentialRun {
+  std::vector<RunMeta> runs;
+  uint64_t eliminated_input = 0;
+  uint64_t eliminated_spill = 0;
+  uint64_t runs_dropped = 0;
+  std::vector<std::pair<uint64_t, uint64_t>> timeline;
+};
+
+class ReplayObserver : public SpillObserver {
+ public:
+  explicit ReplayObserver(CutoffFilter* filter)
+      : filter_(filter), spiller_(filter) {}
+  bool EliminateAtSpill(const Row& row) override {
+    return filter_->Eliminate(row);
+  }
+  void OnRowSpilled(const Row& row) override { spiller_.RowSpilled(row.key); }
+  std::vector<HistogramBucket> OnRunFinished() override {
+    return spiller_.RunFinished();
+  }
+
+ private:
+  CutoffFilter* filter_;
+  CutoffFilter::Spiller spiller_;
+};
+
+SequentialRun ReplaySequentially(const std::vector<Row>& rows, uint64_t k,
+                                 size_t memory, const std::string& dir) {
+  SequentialRun out;
+  size_t buffered = 0, m = 0;
+  while (m < rows.size() && buffered + HeldRowBytes(rows[m]) <= memory) {
+    buffered += HeldRowBytes(rows[m++]);
+  }
+  EXPECT_LT(m, k);
+  StorageEnv env;
+  IoPipelineOptions io;
+  io.background_threads = 0;
+  auto spill = SpillManager::Create(&env, dir, io);
+  EXPECT_TRUE(spill.ok());
+  uint64_t consumed = m + 1, eliminated = 0, changes = 0;
+  CutoffFilter::Options filter_options;
+  filter_options.k = k;
+  filter_options.target_run_rows =
+      std::min<uint64_t>(2 * std::max<uint64_t>(m, 1), k);
+  filter_options.on_cutoff_change = [&](const CutoffFilter::CutoffUpdate&) {
+    ++changes;
+    out.timeline.emplace_back(consumed, eliminated);
+  };
+  CutoffFilter filter(filter_options);
+  ReplayObserver observer(&filter);
+  RunGeneratorOptions gen_options;
+  gen_options.memory_limit_bytes = memory;
+  gen_options.run_row_limit = k;
+  gen_options.run_index_stride =
+      std::max<uint64_t>(16, filter_options.target_run_rows / 64);
+  gen_options.observer = &observer;
+  ReplacementSelectionRunGenerator gen(spill->get(), RowComparator(),
+                                       gen_options);
+  // The switch hands the buffered rows over worst first.
+  std::vector<Row> heap(rows.begin(), rows.begin() + m);
+  std::sort(heap.begin(), heap.end(),
+            [](const Row& a, const Row& b) { return RowComparator()(b, a); });
+  for (const Row& row : heap) EXPECT_TRUE(gen.Add(row).ok());
+  uint64_t changes_at_drop = 0;
+  for (size_t i = m; i < rows.size(); ++i) {
+    consumed = i + 1;
+    if (filter.Eliminate(rows[i])) {
+      ++eliminated;
+      continue;
+    }
+    if (changes != changes_at_drop) {
+      changes_at_drop = changes;
+      auto dropped = DropRunsBeyondCutoff(spill->get(), filter, k, false);
+      EXPECT_TRUE(dropped.ok());
+      out.runs_dropped += dropped.ok() ? *dropped : 0;
+    }
+    EXPECT_TRUE(gen.Add(rows[i]).ok());
+  }
+  EXPECT_TRUE(gen.Flush().ok());
+  out.runs = (*spill)->runs();
+  out.eliminated_input = eliminated;
+  out.eliminated_spill = gen.stats().rows_eliminated_at_spill;
+  return out;
+}
+
+TEST_F(HistogramTopKTest, OneWorkerMatchesTheSequentialReplay) {
+  constexpr uint64_t kK = 2000;
+  constexpr size_t kMemory = 24 * 1024;
+  std::vector<std::pair<std::string, std::vector<Row>>> inputs;
+  for (const KeyDistribution dist :
+       {KeyDistribution::kUniform, KeyDistribution::kDescending}) {
+    DatasetSpec spec;
+    spec.WithRows(40000).WithSeed(31).WithPayload(8, 8);
+    spec.WithDistribution(dist);
+    inputs.emplace_back(dist == KeyDistribution::kUniform ? "uniform"
+                                                           : "descending",
+                        MaterializeDataset(spec));
+  }
+  // Duplicate-heavy, with ties at every key.
+  std::vector<Row> ties = inputs.front().second;
+  for (Row& row : ties) row.key = std::floor(row.key * 64) / 64;
+  inputs.emplace_back("ties", std::move(ties));
+  for (const auto& [name, rows] : inputs) {
+    SCOPED_TRACE(name);
+    TopKOptions options = Options(kK, kMemory);
+    options.io_background_threads = 0;
+    options.manifest_filename = "m";
+    options.obs = ObsContext::Create(name);
+    auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
+    ASSERT_TRUE(op.ok());
+    for (const Row& row : rows) ASSERT_TRUE((*op)->Consume(row).ok());
+    ASSERT_TRUE((*op)->Suspend().ok());
+    const OperatorStats stats = (*op)->stats();
+    auto reopened = SpillManager::OpenExisting(&env_, options.spill_dir, "m");
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    const SequentialRun want = ReplaySequentially(
+        rows, kK, kMemory, scratch_.str() + "/replay-" + name);
+
+    EXPECT_EQ(stats.rows_eliminated_input, want.eliminated_input);
+    EXPECT_EQ(stats.rows_eliminated_spill, want.eliminated_spill);
+    EXPECT_EQ(stats.runs_dropped, want.runs_dropped);
+    const std::vector<RunMeta> got = (*reopened)->runs();
+    ASSERT_EQ(got.size(), want.runs.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].id, want.runs[i].id);
+      EXPECT_EQ(got[i].crc32c, want.runs[i].crc32c);
+      EXPECT_EQ(got[i].rows, want.runs[i].rows);
+      EXPECT_EQ(got[i].first_key, want.runs[i].first_key);
+      EXPECT_EQ(got[i].last_key, want.runs[i].last_key);
+      ASSERT_EQ(got[i].histogram.size(), want.runs[i].histogram.size());
+      for (size_t b = 0; b < got[i].histogram.size(); ++b) {
+        EXPECT_EQ(got[i].histogram[b].boundary,
+                  want.runs[i].histogram[b].boundary);
+        EXPECT_EQ(got[i].histogram[b].count, want.runs[i].histogram[b].count);
+      }
+    }
+    std::vector<std::pair<uint64_t, uint64_t>> timeline;
+    for (const auto& event : options.obs->cutoff_events()) {
+      timeline.emplace_back(event.rows_consumed, event.rows_eliminated_input);
+    }
+    // The context keeps the first kMaxCutoffEvents and counts the rest.
+    EXPECT_FALSE(timeline.empty());
+    EXPECT_EQ(timeline.size() + options.obs->cutoff_events_dropped(),
+              want.timeline.size());
+    const std::vector<std::pair<uint64_t, uint64_t>> want_kept(
+        want.timeline.begin(),
+        want.timeline.begin() +
+            std::min(timeline.size(), want.timeline.size()));
+    EXPECT_EQ(timeline, want_kept);
+  }
+}
+
+TEST_F(HistogramTopKTest, ParallelTimelineCountsRowsConsumed) {
+  // Each queued row carries its input ordinal, so the cutoff timeline of
+  // four run-generation workers reports progress, never backwards.
+  DatasetSpec spec;
+  spec.WithRows(60000).WithSeed(5);
+  const auto rows = MaterializeDataset(spec);
+  TopKOptions options = Options(500);
+  options.workers = 4;
+  options.obs = ObsContext::Create("parallel-timeline");
+  auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
+  ASSERT_TRUE(op.ok());
+  auto result = RunOperator(op->get(), rows);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectSameRows(ReferenceTopK(rows, 500, 0, SortDirection::kAscending),
+                 *result);
+  const auto events = options.obs->cutoff_events();
+  ASSERT_FALSE(events.empty());
+  uint64_t consumed = 0, eliminated = 0;
+  for (const auto& event : events) {
+    EXPECT_GT(event.rows_consumed, 0u);
+    EXPECT_GE(event.rows_consumed, consumed);
+    EXPECT_GE(event.rows_eliminated_input, eliminated);
+    EXPECT_LE(event.rows_eliminated_input, event.rows_consumed);
+    consumed = event.rows_consumed;
+    eliminated = event.rows_eliminated_input;
+  }
+  EXPECT_LE(consumed, rows.size());
 }
 
 }  // namespace

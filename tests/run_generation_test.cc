@@ -3,8 +3,11 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <map>
+#include <mutex>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <type_traits>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "common/random.h"
 #include "common/resource_arbiter.h"
 #include "gen/generator.h"
+#include "sort/fan_out_run_generator.h"
 #include "sort/replacement_selection.h"
 #include "sort/run_generation.h"
 #include "tests/test_util.h"
@@ -260,14 +264,15 @@ TEST_F(FanOutRunGeneratorTest, EveryWorkerWritesSortedRunsOfTheInput) {
   for (ThresholdObserver& observer : observers) {
     options.worker_observers.push_back(&observer);
   }
-  auto gen = MakeRunGenerator(RunGenerationKind::kReplacementSelection,
-                              spill_.get(), RowComparator(), options);
+  auto gen = std::make_unique<FanOutRunGenerator>(
+      RunGenerationKind::kReplacementSelection, spill_.get(), RowComparator(),
+      options);
   Random rng(11);
   std::vector<double> kept;
   for (int i = 0; i < 20000; ++i) {
     const double key = rng.NextDouble();
     if (key <= 0.9) kept.push_back(key);
-    ASSERT_TRUE(gen->Add(Row(key, i)).ok());
+    ASSERT_TRUE(gen->Offer(Row(key, i), InputProgress()).ok());
   }
   ASSERT_TRUE(gen->Flush().ok());
   EXPECT_EQ(gen->stats().rows_added, 20000u);
@@ -293,6 +298,102 @@ TEST_F(FanOutRunGeneratorTest, EveryWorkerWritesSortedRunsOfTheInput) {
   std::sort(read_back.begin(), read_back.end());
   EXPECT_EQ(kept, observed);
   EXPECT_EQ(kept, read_back);
+}
+
+/// Admits the rows whose id is not a multiple of `drop_every`, and records
+/// what each worker thread saw.
+class RecordingAdmission : public RowAdmission {
+ public:
+  explicit RecordingAdmission(uint64_t drop_every) : drop_every_(drop_every) {}
+
+  Result<bool> Admit(const Row& row, const InputProgress& at) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++admitted;
+    admitted_ids[std::this_thread::get_id()].push_back(row.id);
+    progress_matches &= at.rows_consumed == row.id + 1 &&
+                        at.rows_eliminated_input == row.id / 2;
+    return row.id % drop_every_ != 0;
+  }
+  void Drained() override {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++drained;
+    admitted_at_drain = admitted;
+  }
+
+  std::mutex mu_;
+  uint64_t admitted = 0;
+  std::map<std::thread::id, std::vector<uint64_t>> admitted_ids;
+  bool progress_matches = true;
+  int drained = 0;
+  uint64_t admitted_at_drain = 0;
+
+ private:
+  uint64_t drop_every_;
+};
+
+TEST_F(FanOutRunGeneratorTest, WorkersAdmitTheirRowsInOfferOrder) {
+  for (const size_t workers : {size_t{1}, size_t{3}}) {
+    SCOPED_TRACE(workers);
+    TearDown();
+    SetUp();
+    RunGeneratorOptions options = SmallMemory(100);
+    options.workers = workers;
+    RecordingAdmission admission(/*drop_every=*/5);
+    FanOutRunGenerator gen(RunGenerationKind::kReplacementSelection,
+                           spill_.get(), RowComparator(), options,
+                           &admission);
+    constexpr uint64_t kRows = 10000;
+    for (uint64_t id = 0; id < kRows; ++id) {
+      ASSERT_TRUE(gen.Offer(Row(static_cast<double>(id % 977), id),
+                            {id + 1, id / 2})
+                      .ok());
+    }
+    ASSERT_TRUE(gen.Flush().ok());
+    EXPECT_TRUE(admission.progress_matches);
+    // Once per Flush, after the last admission of every worker.
+    EXPECT_EQ(admission.drained, 1);
+    EXPECT_EQ(admission.admitted_at_drain, kRows);
+    // Each worker has a thread of its own, none the caller's, and admits
+    // its rows in the order they were offered.
+    EXPECT_EQ(admission.admitted_ids.size(), workers);
+    EXPECT_EQ(admission.admitted_ids.count(std::this_thread::get_id()), 0u);
+    for (const auto& [thread, ids] : admission.admitted_ids) {
+      EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+    }
+    EXPECT_EQ(admission.admitted, kRows);
+    EXPECT_EQ(gen.stats().rows_added, kRows);
+    EXPECT_EQ(gen.stats().rows_spilled, kRows - kRows / 5);
+    uint64_t run_rows = 0;
+    for (const RunMeta& meta : spill_->runs()) run_rows += meta.rows;
+    EXPECT_EQ(run_rows, kRows - kRows / 5);
+  }
+}
+
+TEST_F(FanOutRunGeneratorTest, AddWhileIdleRunsOnTheCallingThread) {
+  // The external switch's rows go straight into the generators, with no
+  // thread started and nothing in flight; rows added once rows are queued
+  // wait their turn behind them, unadmitted.
+  RunGeneratorOptions options = SmallMemory(100);
+  options.workers = 2;
+  MemoryArbiter arbiter;
+  options.arbiter = &arbiter;
+  RecordingAdmission admission(/*drop_every=*/1);
+  FanOutRunGenerator gen(RunGenerationKind::kReplacementSelection,
+                         spill_.get(), RowComparator(), options, &admission);
+  for (uint64_t id = 0; id < 3000; ++id) {
+    ASSERT_TRUE(gen.Add(Row(static_cast<double>(id), id)).ok());
+  }
+  EXPECT_EQ(admission.admitted_ids.size(), 0u);
+  ASSERT_TRUE(gen.Offer(Row(-1.0, 3000), {}).ok());
+  for (uint64_t id = 3001; id < 3500; ++id) {
+    ASSERT_TRUE(gen.Add(Row(static_cast<double>(id), id)).ok());
+  }
+  ASSERT_TRUE(gen.Flush().ok());
+  // Only the offered row met the admission, which dropped it.
+  EXPECT_EQ(admission.admitted, 1u);
+  EXPECT_EQ(gen.stats().rows_added, 3500u);
+  EXPECT_EQ(gen.stats().rows_spilled, 3499u);
+  EXPECT_EQ(arbiter.granted_bytes(), 0u);
 }
 
 /// Records the rows reported spilled and trips `cancel` once it has seen
@@ -334,20 +435,28 @@ TEST_P(DetachedCancelTest, FlushSpillsEveryRowOnce) {
   options.run_row_limit = 50;
   std::vector<CancellingObserver> observers(workers,
                                             CancellingObserver(&cancel, 120));
+  std::unique_ptr<RunGenerator> gen;
+  FanOutRunGenerator* fan_out = nullptr;
   if (workers == 1) {
     options.observer = &observers[0];
+    gen = MakeRunGenerator(kind, spill_.get(), RowComparator(), options);
   } else {
     for (CancellingObserver& observer : observers) {
       options.worker_observers.push_back(&observer);
     }
+    auto pipeline = std::make_unique<FanOutRunGenerator>(
+        kind, spill_.get(), RowComparator(), options);
+    fan_out = pipeline.get();
+    gen = std::move(pipeline);
   }
-  auto gen = MakeRunGenerator(kind, spill_.get(), RowComparator(), options);
   Random rng(12);
   std::vector<double> keys;
   Status status;
   while (status.ok() && keys.size() < 20000) {
     keys.push_back(rng.NextDouble());
-    status = gen->Add(Row(keys.back(), keys.size()));
+    Row row(keys.back(), keys.size());
+    status = fan_out != nullptr ? fan_out->Offer(std::move(row), {})
+                                : gen->Add(std::move(row));
   }
   ASSERT_EQ(status.code(), StatusCode::kCancelled) << status.ToString();
   gen->SetCancel(nullptr);

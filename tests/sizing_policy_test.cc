@@ -75,6 +75,13 @@ TEST(RunHistogramBuilderTest, MedianPolicyYieldsOneBucket) {
   EXPECT_EQ(buckets, 1);
 }
 
+TEST(BucketSizingPolicyTest, MaximalBucketCountDoesNotWrap) {
+  // B + 1 would wrap to 0 and divide by it.
+  const uint64_t max = std::numeric_limits<uint64_t>::max();
+  EXPECT_EQ(BucketSizingPolicy(max, 1000).rows_per_bucket(), 1u);
+  EXPECT_EQ(BucketSizingPolicy(max, max).rows_per_bucket(), 1u);
+}
+
 TEST(RunHistogramBuilderTest, FinishRunReturnsCollectedBucketsAndResets) {
   BucketSizingPolicy policy(9, 1000);
   RunHistogramBuilder builder(policy);

@@ -195,6 +195,9 @@ int main(int argc, char** argv) {
       TOPK_ASSIGN_OR_RETURN(offset, flags.GetInt("offset", 0));
       TOPK_ASSIGN_OR_RETURN(payload, flags.GetInt("payload", 56));
       TOPK_ASSIGN_OR_RETURN(buckets, flags.GetInt("buckets", 50));
+      if (buckets < 0) {
+        return Status::InvalidArgument("--buckets must be >= 0");
+      }
       TOPK_ASSIGN_OR_RETURN(fan_in, flags.GetInt("fan-in", 64));
       TOPK_ASSIGN_OR_RETURN(seed, flags.GetInt("seed", 42));
       TOPK_ASSIGN_OR_RETURN(memory_mb, flags.GetDouble("memory-mb", 4.0));
