@@ -96,7 +96,8 @@ class SpillManager {
   /// written — used for consolidation output, which *reduces* net spill
   /// usage once its inputs are deleted, so refusing it under pressure
   /// would be self-defeating. The exemption ends when the finished run is
-  /// registered via AddRun.
+  /// registered via AddRun. The run's writes do not observe the query's
+  /// cancellation token: its writers stop between rows instead.
   Result<std::unique_ptr<RunWriter>> NewRun(
       const RowComparator& comparator,
       uint64_t index_stride = kDefaultIndexStride, bool quota_exempt = false);

@@ -12,8 +12,13 @@ namespace topk {
 
 namespace {
 
-/// The bytes of rows in flight, as a share of the memory budget: 1/8.
-constexpr size_t kInFlightShareDivisor = 8;
+/// The bytes of rows in flight, as a share of the memory budget: a quarter,
+/// which under a 1 MiB budget is one arbiter lease chunk.
+constexpr size_t kInFlightShareDivisor = 4;
+
+static_assert(FanOutRunGenerator::kWakeBatches <=
+                  FanOutRunGenerator::kQueueBatches,
+              "a full queue must wake its worker");
 
 }  // namespace
 
@@ -26,9 +31,12 @@ FanOutRunGenerator::FanOutRunGenerator(RunGenerationKind kind,
       admission_(admission),
       obs_(CurrentObsContextShared()) {
   const size_t workers = std::max<size_t>(options.workers, 1);
+  // Queued and spent batches together stay within a full queue per worker;
+  // add the open batch, and one batch of slack for the rows that carry
+  // batches past the limit.
   const size_t in_flight = options.memory_limit_bytes / kInFlightShareDivisor;
   batch_bytes_limit_ =
-      std::max<size_t>(in_flight / (kBatchesPerWorker * workers + 1), 1);
+      std::max<size_t>(in_flight / (kQueueBatches * workers + 2), 1);
   RunGeneratorOptions worker_options = options;
   worker_options.workers = 1;
   worker_options.worker_observers.clear();
@@ -44,6 +52,10 @@ FanOutRunGenerator::FanOutRunGenerator(RunGenerationKind kind,
     workers_.push_back(std::move(worker));
   }
   open_.entries.reserve(kBatchRows);
+  // Spent batches never outnumber a full queue per worker; with room for
+  // them, a worker hands a batch back without allocating.
+  spent_.reserve(kQueueBatches * workers);
+  freeing_.reserve(kQueueBatches * workers);
 }
 
 FanOutRunGenerator::~FanOutRunGenerator() {
@@ -51,14 +63,14 @@ FanOutRunGenerator::~FanOutRunGenerator() {
 }
 
 Status FanOutRunGenerator::Offer(Row&& row, const InputProgress& at) {
-  return Queue(std::move(row), at, /*admit=*/true);
+  return Queue(Entry{std::move(row), at, /*admit=*/true});
 }
 
-Status FanOutRunGenerator::Add(Row row) {
-  if (!Idle()) return Queue(std::move(row), InputProgress(), /*admit=*/false);
+Status FanOutRunGenerator::Add(const Row& row) {
+  if (!Idle()) return Queue(Entry{row, InputProgress(), /*admit=*/false});
   // No worker thread touches the generators while they are stopped.
   ++stats_.rows_added;
-  TOPK_RETURN_NOT_OK(workers_[next_worker_]->generator->Add(std::move(row)));
+  TOPK_RETURN_NOT_OK(workers_[next_worker_]->generator->Add(row));
   if (++direct_rows_ % kBatchRows == 0) {
     next_worker_ = (next_worker_ + 1) % workers_.size();
   }
@@ -72,13 +84,12 @@ bool FanOutRunGenerator::Idle() {
                      [](const auto& worker) { return worker->queue.empty(); });
 }
 
-Status FanOutRunGenerator::Queue(Row&& row, const InputProgress& at,
-                                 bool admit) {
+Status FanOutRunGenerator::Queue(Entry&& entry) {
   // A batch is still full only when its hand-off failed; retry that first
   // so the open batch stays bounded.
   if (BatchFull()) TOPK_RETURN_NOT_OK(HandOff());
-  open_.bytes += HeldRowBytes(row);
-  open_.entries.push_back(Entry{std::move(row), at, admit});
+  open_.bytes += HeldRowBytes(entry.row);
+  open_.entries.push_back(std::move(entry));
   ++stats_.rows_added;
   if (BatchFull()) return HandOff();
   return Status::OK();
@@ -91,23 +102,32 @@ Status FanOutRunGenerator::HandOff() {
   }
   Worker* worker = workers_[next_worker_].get();
   size_t in_flight = 0;
+  size_t spent_bytes = 0;
+  bool wake = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
     space_cv_.wait(lock, [&] {
-      return !error_.ok() || worker->queue.size() < kBatchesPerWorker;
+      return !error_.ok() || worker->queue.size() < kQueueBatches;
     });
     if (!error_.ok()) return error_;
     in_flight_bytes_ += open_.bytes;
     in_flight = in_flight_bytes_;
     worker->queue.push_back(std::move(open_));
+    wake = worker->queue.size() >= kWakeBatches;
+    // Take the spent batches; freeing keeps both vectors' capacity.
+    freeing_.swap(spent_);
+    for (const Batch& batch : freeing_) spent_bytes += batch.bytes;
+    in_flight_bytes_ -= spent_bytes;
   }
-  work_cv_.notify_all();
+  if (wake) worker->work_cv.notify_one();
   open_ = Batch();
   open_.entries.reserve(kBatchRows);
   next_worker_ = (next_worker_ + 1) % workers_.size();
+  // Their rows are freed here, on the thread that consumed them.
+  freeing_.clear();
   in_flight_peak_ = std::max(in_flight_peak_, in_flight);
   TOPK_RETURN_NOT_OK(lease_.EnsureAtLeast(in_flight));
-  lease_.ShrinkTo(in_flight);
+  lease_.ShrinkTo(in_flight - spent_bytes);
   return Status::OK();
 }
 
@@ -134,13 +154,16 @@ Status FanOutRunGenerator::JoinWorkers(bool drain) {
       std::lock_guard<std::mutex> lock(mu_);
       (drain ? draining_ : stopping_) = true;
     }
-    work_cv_.notify_all();
+    for (auto& worker : workers_) worker->work_cv.notify_one();
+    drained_cv_.notify_all();
     for (auto& worker : workers_) {
       if (worker->thread.joinable()) worker->thread.join();
     }
     running_ = false;
   }
   std::lock_guard<std::mutex> lock(mu_);
+  for (const Batch& batch : spent_) in_flight_bytes_ -= batch.bytes;
+  spent_.clear();
   draining_ = false;
   stopping_ = false;
   queues_drained_ = 0;
@@ -153,11 +176,15 @@ void FanOutRunGenerator::WorkerLoop(Worker* worker) {
   TraceSpan span("rungen.worker", "sort");
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    work_cv_.wait(lock, [&] {
-      return stopping_ || draining_ || !worker->queue.empty();
-    });
     if (stopping_) return;
-    if (worker->queue.empty()) break;  // drained
+    if (worker->queue.empty()) {
+      if (draining_) break;
+      worker->work_cv.wait(lock, [&] {
+        return stopping_ || draining_ ||
+               worker->queue.size() >= kWakeBatches;
+      });
+      continue;
+    }
     // The front batch, which only this worker touches.
     Batch* batch = &worker->queue.front();
     lock.unlock();
@@ -165,14 +192,11 @@ void FanOutRunGenerator::WorkerLoop(Worker* worker) {
         "a run-generation worker", [&] { return Drain(worker, batch); });
     lock.lock();
     if (!status.ok()) return Fail(status);
-    in_flight_bytes_ -= batch->bytes;
-    // Its rows have left; the husk is freed outside the lock.
-    Batch done = std::move(worker->queue.front());
+    spent_.push_back(std::move(worker->queue.front()));
     worker->queue.pop_front();
-    lock.unlock();
-    space_cv_.notify_all();
-    done = Batch();
-    lock.lock();
+    if (worker->queue.size() <= kQueueBatches - kWakeBatches) {
+      space_cv_.notify_one();
+    }
   }
   // Every queue drains before any generator flushes, so the cutoff changes
   // of the flushes come after the last admission, as with one worker. The
@@ -187,10 +211,10 @@ void FanOutRunGenerator::WorkerLoop(Worker* worker) {
     lock.lock();
     if (!status.ok()) return Fail(status);
     input_drained_ = true;
-    work_cv_.notify_all();
+    drained_cv_.notify_all();
   } else {
-    work_cv_.wait(lock,
-                  [&] { return stopping_ || input_drained_ || !error_.ok(); });
+    drained_cv_.wait(
+        lock, [&] { return stopping_ || input_drained_ || !error_.ok(); });
     if (!input_drained_) return;
   }
   lock.unlock();
@@ -205,21 +229,23 @@ void FanOutRunGenerator::WorkerLoop(Worker* worker) {
 
 void FanOutRunGenerator::Fail(const Status& status) {
   if (error_.ok()) error_ = status;
-  // Wake the caller and any worker waiting for the others to drain.
+  // Wake the producer and any worker waiting for the others to drain.
   space_cv_.notify_all();
-  work_cv_.notify_all();
+  drained_cv_.notify_all();
 }
 
 Status FanOutRunGenerator::Drain(Worker* worker, Batch* batch) {
   // The worker's own phase: its time overlaps the caller's.
   PhaseScope phase("rungen.worker");
+  // Read once: the members share cache lines the producer writes per row.
+  RowAdmission* const admission = admission_;
+  RunGenerator* const generator = worker->generator.get();
   while (batch->next < batch->entries.size()) {
-    Entry& entry = batch->entries[batch->next];
-    if (entry.admit && admission_ != nullptr) {
+    const Entry& entry = batch->entries[batch->next];
+    if (entry.admit && admission != nullptr) {
       bool admitted = false;
-      TOPK_ASSIGN_OR_RETURN(admitted, admission_->Admit(entry.row, entry.at));
+      TOPK_ASSIGN_OR_RETURN(admitted, admission->Admit(entry.row, entry.at));
       if (!admitted) {
-        Row dropped = std::move(entry.row);
         ++batch->next;
         continue;
       }
@@ -227,7 +253,7 @@ Status FanOutRunGenerator::Drain(Worker* worker, Batch* batch) {
     // Counted before the call: a generator that stops on a cancellation
     // keeps the row it was given.
     ++batch->next;
-    TOPK_RETURN_NOT_OK(worker->generator->Add(std::move(entry.row)));
+    TOPK_RETURN_NOT_OK(generator->Add(entry.row));
   }
   return Status::OK();
 }

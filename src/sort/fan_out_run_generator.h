@@ -46,12 +46,20 @@ class RowAdmission {
 /// options.worker_observers[i]. With one worker, rows reach its generator
 /// in the order they were offered.
 ///
-/// Offer, Add, Flush and SetCancel are called from one thread. A batch
-/// holds at most kBatchRows rows and a worker at most kBatchesPerWorker
-/// batches, so the rows in flight are bounded: by an eighth of the memory
-/// budget, which is leased for them on top of the budget the workers'
-/// generators split evenly. The caller waits for queue space, and an idle
-/// worker for rows, on a condition variable.
+/// Offer, Add, Flush and SetCancel are called from one thread, the
+/// producer. A batch holds at most kBatchRows rows and a worker's queue at
+/// most kQueueBatches batches, so the rows in flight are bounded: by a
+/// quarter of the memory budget, which is leased for them on top of the
+/// budget the workers' generators split evenly.
+///
+/// The threads share as little as a hand-off needs. A worker only reads the
+/// rows it is given (its generator serializes them) and hands each spent
+/// batch back, so every row is freed on the producer's thread; its per-row
+/// path reads nothing the producer writes. Blocked threads wait on a
+/// condition variable, with hysteresis: a sleeping worker is woken once
+/// kWakeBatches batches wait for it, and a producer waiting for queue space
+/// once the queue is down to kQueueBatches - kWakeBatches, so each sleep is
+/// paid for by several batches.
 ///
 /// A worker's failure, an allocation failure included, surfaces from the
 /// next Offer, Add or Flush. A cancellation leaves every row not yet
@@ -60,7 +68,8 @@ class RowAdmission {
 class FanOutRunGenerator : public RunGenerator {
  public:
   static constexpr size_t kBatchRows = 256;
-  static constexpr size_t kBatchesPerWorker = 2;
+  static constexpr size_t kQueueBatches = 8;
+  static constexpr size_t kWakeBatches = 6;
 
   /// `admission` (not owned; may be null) admits every offered row.
   FanOutRunGenerator(RunGenerationKind kind, SpillManager* spill,
@@ -80,8 +89,8 @@ class FanOutRunGenerator : public RunGenerator {
   /// nothing is queued, it goes straight into a worker's generator on the
   /// calling thread, the workers taking kBatchRows rows in turn: the
   /// external switch hands over its in-memory rows this way and holds none
-  /// in flight. Otherwise it queues behind the offered rows.
-  Status Add(Row row) override;
+  /// in flight. Otherwise a copy queues behind the offered rows.
+  Status Add(const Row& row) override;
   Status Flush() override;
   /// Stops the workers first: they read the token their generators hold.
   /// A cancellation latched from the replaced token no longer stands.
@@ -98,7 +107,7 @@ class FanOutRunGenerator : public RunGenerator {
   };
   struct Batch {
     std::vector<Entry> entries;
-    /// Entries before this index have left the batch.
+    /// Entries before this index have been admitted or dropped.
     size_t next = 0;
     size_t bytes = 0;
   };
@@ -108,17 +117,20 @@ class FanOutRunGenerator : public RunGenerator {
     /// Guarded by mu_. The front batch is being drained; it stays here,
     /// with its remaining rows, if draining fails.
     std::deque<Batch> queue;
+    /// The worker waits here for batches.
+    std::condition_variable work_cv;
   };
 
-  Status Queue(Row&& row, const InputProgress& at, bool admit);
+  /// Adds `entry` to the open batch and hands that off once full.
+  Status Queue(Entry&& entry);
   bool BatchFull() const {
     return open_.entries.size() >= kBatchRows ||
            open_.bytes >= batch_bytes_limit_;
   }
   /// True while no row is queued or in the open batch and no worker runs.
   bool Idle();
-  /// Queues the open batch for the next worker, waiting while that worker
-  /// has kBatchesPerWorker batches outstanding.
+  /// Queues the open batch for the next worker, waiting while that worker's
+  /// queue is full, and frees the batches the workers are done with.
   Status HandOff();
   /// Starts the worker threads unless they run; fails, with none left
   /// running, if a thread cannot be created.
@@ -142,7 +154,10 @@ class FanOutRunGenerator : public RunGenerator {
   /// The query's observability context, installed on every worker.
   std::shared_ptr<ObsContext> obs_;
   Batch open_;
-  /// Lease covering the queued batches (detached without an arbiter).
+  /// Spent batches HandOff took from spent_ and frees.
+  std::vector<Batch> freeing_;
+  /// Lease covering the queued and spent batches (detached without an
+  /// arbiter).
   MemoryLease lease_;
   size_t in_flight_peak_ = 0;
   /// Rows Add placed on the calling thread.
@@ -150,11 +165,16 @@ class FanOutRunGenerator : public RunGenerator {
   RunGeneratorStats stats_;
 
   std::mutex mu_;
-  /// Workers wait here for batches; the caller waits for queue space.
-  std::condition_variable work_cv_;
+  /// The producer waits here for queue space.
   std::condition_variable space_cv_;
-  /// Bytes of the queued batches. Guarded by mu_, like the flags below.
+  /// Workers that drained their queue wait here for the input to end.
+  std::condition_variable drained_cv_;
+  /// Bytes of the queued and spent batches. Guarded by mu_, like the
+  /// members below.
   size_t in_flight_bytes_ = 0;
+  /// Batches the workers are done with, rows and all, for the producer to
+  /// free.
+  std::vector<Batch> spent_;
   bool draining_ = false;
   bool stopping_ = false;
   /// Workers whose queue Flush has drained, and whether the last of them

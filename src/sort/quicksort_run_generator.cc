@@ -32,7 +32,7 @@ QuicksortRunGenerator::QuicksortRunGenerator(
       options_(options),
       sink_(spill, comparator, options) {}
 
-Status QuicksortRunGenerator::Add(Row row) {
+Status QuicksortRunGenerator::Add(const Row& row) {
   size_t cost;
   TOPK_ASSIGN_OR_RETURN(cost, RunSink::RowCharge(row));
   // A spill that a cancellation stopped is finished before more is

@@ -15,7 +15,7 @@ ReplacementSelectionRunGenerator::ReplacementSelectionRunGenerator(
       options_(options),
       sink_(spill, comparator, options) {}
 
-Status ReplacementSelectionRunGenerator::Add(Row row) {
+Status ReplacementSelectionRunGenerator::Add(const Row& row) {
   size_t cost;
   TOPK_ASSIGN_OR_RETURN(cost, RunSink::RowCharge(row));
   const NormalizedKey norm = row.normalized_key(comparator_.direction());

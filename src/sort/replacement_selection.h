@@ -51,7 +51,7 @@ class ReplacementSelectionRunGenerator : public RunGenerator {
                                    const RowComparator& comparator,
                                    const RunGeneratorOptions& options);
 
-  Status Add(Row row) override;
+  Status Add(const Row& row) override;
   Status Flush() override;
   void SetCancel(const CancellationToken* cancel) override {
     options_.cancel = cancel;

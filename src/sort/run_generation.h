@@ -200,8 +200,10 @@ class RunGenerator {
  public:
   virtual ~RunGenerator() = default;
 
-  /// Buffers one row, spilling as needed to respect the memory budget.
-  virtual Status Add(Row row) = 0;
+  /// Buffers one row, spilling as needed to respect the memory budget. The
+  /// generator keeps the row's serialized bytes, not the row: `row` is left
+  /// as it was, for the caller to free.
+  virtual Status Add(const Row& row) = 0;
 
   /// Ends the input: spills everything still buffered and closes the last
   /// run. After Flush() the SpillManager holds the complete set of runs.
@@ -232,7 +234,7 @@ class QuicksortRunGenerator : public RunGenerator {
   QuicksortRunGenerator(SpillManager* spill, const RowComparator& comparator,
                         const RunGeneratorOptions& options);
 
-  Status Add(Row row) override;
+  Status Add(const Row& row) override;
   Status Flush() override;
   void SetCancel(const CancellationToken* cancel) override {
     options_.cancel = cancel;

@@ -110,14 +110,17 @@ class HistogramFilterPolicy final : public BoundedHeapPolicy,
   /// `expected_run_rows` rows.
   Status BuildHistogramFilter(uint64_t expected_run_rows);
 
-  /// Consolidates spilled runs early when the spill quota is nearly full
-  /// or the memory arbiter reports soft pressure (checked before every row
-  /// handed to run generation): merges up to merge_fan_in registered runs
-  /// — lowest keys first, stopping at the cutoff — into one quota-exempt
-  /// output, then deletes the inputs. The cutoff filter usually makes the
-  /// output much smaller than its inputs, so disk headroom is reclaimed
-  /// *before* a block write trips the quota. Only after consolidation can
-  /// no longer help does a write surface ResourceExhausted.
+  /// True when the spill quota is nearly full or the memory arbiter reports
+  /// soft pressure; checked before every row handed to run generation.
+  bool QuotaPressed() const;
+
+  /// Consolidates spilled runs early under QuotaPressed(): merges up to
+  /// merge_fan_in registered runs — lowest keys first, stopping at the
+  /// cutoff — into one quota-exempt output, then deletes the inputs. The
+  /// cutoff filter usually makes the output much smaller than its inputs,
+  /// so disk headroom is reclaimed *before* a block write trips the quota.
+  /// Only after consolidation can no longer help does a write surface
+  /// ResourceExhausted.
   Status MaybeConsolidateForQuota();
 
   /// Deletes the registered runs the cutoff has passed since the last call
@@ -130,6 +133,10 @@ class HistogramFilterPolicy final : public BoundedHeapPolicy,
   MemoryLease filter_lease_;
   /// The run generator, which runs Admit on its workers.
   FanOutRunGenerator* pipeline_ = nullptr;
+  /// What QuotaPressed reads, copied here at the switch: the operator's own
+  /// fields share cache lines that the consuming thread writes per row.
+  SpillQuota* quota_ = nullptr;
+  MemoryArbiter* arbiter_ = nullptr;
 
   /// Serializes the workers' run maintenance (dead-run drops, quota
   /// consolidation) and guards the members below it.
@@ -143,8 +150,9 @@ class HistogramFilterPolicy final : public BoundedHeapPolicy,
   std::vector<MergeStats> consolidations_;
   /// cutoff_changes() at the last DropDeadRuns; read per queued row.
   std::atomic<uint64_t> cutoff_changes_at_drop_{0};
-  /// Rows the workers' probe eliminated since the last Drained.
-  std::atomic<uint64_t> rows_eliminated_by_workers_{0};
+  /// Rows the workers' probe eliminated since the last Drained. Written per
+  /// row, on a cache line of its own with the progress below.
+  alignas(64) std::atomic<uint64_t> rows_eliminated_by_workers_{0};
   /// The input progress of the row run generation works on: the row the
   /// switch hands over, a worker's queued row, or the whole input once
   /// the workers drained.
@@ -182,6 +190,8 @@ Status HistogramFilterPolicy::StartRunGeneration(
       2 * std::max<uint64_t>(memory().rows.size() / opts.workers, 1),
       opts.output_rows());
   gen_options->run_row_limit = opts.output_rows();
+  quota_ = spill()->spill_quota();
+  arbiter_ = opts.effective_arbiter();
   // The switch hands its rows over on this thread, before any is queued.
   PublishProgress(stats().rows_consumed, stats().rows_eliminated_input);
   TOPK_RETURN_NOT_OK(BuildHistogramFilter(expected_run_rows));
@@ -212,14 +222,14 @@ Result<bool> HistogramFilterPolicy::Admit(const Row& row,
     rows_eliminated_by_workers_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  // Reclaim disk headroom *before* adding the row: Add takes it by value,
-  // so a quota breach inside run generation would lose it. Runs the cutoff
-  // has passed go first, so consolidation sees their bytes freed.
+  // Reclaim disk headroom *before* adding the row: a quota breach inside
+  // run generation fails the Add that spilled. Runs the cutoff has passed
+  // go first, so consolidation sees their bytes freed.
   if (cutoff_changes() !=
       cutoff_changes_at_drop_.load(std::memory_order_relaxed)) {
     TOPK_RETURN_NOT_OK(DropDeadRuns());
   }
-  TOPK_RETURN_NOT_OK(MaybeConsolidateForQuota());
+  if (QuotaPressed()) TOPK_RETURN_NOT_OK(MaybeConsolidateForQuota());
   return true;
 }
 
@@ -234,22 +244,23 @@ void HistogramFilterPolicy::Drained() {
   PublishProgress(stats().rows_consumed, stats().rows_eliminated_input);
 }
 
-Status HistogramFilterPolicy::MaybeConsolidateForQuota() {
-  SpillQuota* quota = spill()->spill_quota();
-  bool quota_pressed = false;
-  if (quota->enabled()) {
-    const double charged = static_cast<double>(quota->charged_bytes());
-    quota_pressed = charged >= 0.85 * static_cast<double>(quota->quota_bytes());
+bool HistogramFilterPolicy::QuotaPressed() const {
+  if (quota_->enabled()) {
+    const double charged = static_cast<double>(quota_->charged_bytes());
+    if (charged >= 0.85 * static_cast<double>(quota_->quota_bytes())) {
+      return true;
+    }
   }
   // Memory-arbiter soft pressure reuses the same response as a near-full
   // spill quota: consolidating the lowest-key runs shrinks the registry
   // (fewer open readers and histogram buckets later) while the cutoff
-  // filter drops rows for free. The runs-created guard below keeps a
-  // persistent soft level from consolidating more than once per new run.
-  MemoryArbiter* arbiter = options().effective_arbiter();
-  const bool mem_pressed =
-      arbiter != nullptr && arbiter->pressure() >= MemoryPressure::kSoft;
-  if (!quota_pressed && !mem_pressed) return Status::OK();
+  // filter drops rows for free. MaybeConsolidateForQuota's runs-created
+  // guard keeps a persistent soft level from consolidating more than once
+  // per new run.
+  return arbiter_ != nullptr && arbiter_->pressure() >= MemoryPressure::kSoft;
+}
+
+Status HistogramFilterPolicy::MaybeConsolidateForQuota() {
   std::lock_guard<std::mutex> lock(maintenance_mu_);
   if (spill()->run_count() < 2) return Status::OK();
   if (spill()->total_runs_created() == runs_created_at_last_quota_merge_) {

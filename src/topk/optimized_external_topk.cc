@@ -107,7 +107,7 @@ Status RunKthKeyPolicy::ConsumeExternal(Row&& row) {
   if (filter()->Eliminate(row)) {
     ++stats().rows_eliminated_input;
   } else {
-    TOPK_RETURN_NOT_OK(generator()->Add(std::move(row)));
+    TOPK_RETURN_NOT_OK(generator()->Add(row));
     TOPK_RETURN_NOT_OK(MaybeEarlyMerge());
   }
   // Eliminated rows advance the checkpoint clock too: the checkpoint

@@ -158,7 +158,7 @@ Status BoundedHeapPolicy::SpillInMemoryRows(RunGenerator* generator) {
   // charges capacity, so the copy decides where runs are cut.
   std::vector<Row>& heap = memory().rows;
   while (!heap.empty()) {
-    TOPK_RETURN_NOT_OK(generator->Add(heap.front()));
+    TOPK_RETURN_NOT_OK(generator->Add(Row(heap.front())));
     std::pop_heap(heap.begin(), heap.end(), comparator());
     heap.pop_back();
   }
@@ -363,8 +363,8 @@ Status TopKOperator::SwitchToExternal() {
   }
   TOPK_RETURN_NOT_OK(CreateGenerator());
   TOPK_RETURN_NOT_OK(policy_->SpillInMemoryRows(generator_.get()));
-  for (Row& tie : memory_.ties) {
-    TOPK_RETURN_NOT_OK(generator_->Add(std::move(tie)));
+  for (const Row& tie : memory_.ties) {
+    TOPK_RETURN_NOT_OK(generator_->Add(tie));
   }
   memory_.rows.clear();
   memory_.rows.shrink_to_fit();

@@ -341,8 +341,8 @@ class CutoffPolicy {
   /// Hands the in-memory rows (ties aside) to run generation at the
   /// external switch.
   virtual Status SpillInMemoryRows(RunGenerator* generator) {
-    for (Row& row : memory().rows) {
-      TOPK_RETURN_NOT_OK(generator->Add(std::move(row)));
+    for (const Row& row : memory().rows) {
+      TOPK_RETURN_NOT_OK(generator->Add(row));
     }
     return Status::OK();
   }
@@ -362,7 +362,7 @@ class CutoffPolicy {
       const RunGeneratorOptions& gen_options);
   /// External phase: routes one input row into run generation.
   virtual Status ConsumeExternal(Row&& row) {
-    return generator()->Add(std::move(row));
+    return generator()->Add(row);
   }
   /// Makes the flushed run set durable in the manifest (Suspend and the
   /// keep-for-resume cancel).

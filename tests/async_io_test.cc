@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/query_control.h"
 #include "common/thread_pool.h"
 #include "io/async_io.h"
 #include "io/run_file.h"
@@ -318,6 +319,39 @@ TEST_F(AsyncIoTest, PipelinedSpillRoundTripAndVerify) {
     ++i;
   }
   EXPECT_EQ(i, rows.size());
+}
+
+/// A query's token does not stop a run's writes: a block it failed would be
+/// lost and the run could never be finished, so a keep-for-resume cancel
+/// could not make it durable. Run writers stop between rows instead.
+TEST_F(AsyncIoTest, RunWritesIgnoreATrippedToken) {
+  const std::vector<Row> rows = TestRows(3000);
+  const RowComparator cmp;
+  for (const size_t threads : {size_t{0}, size_t{2}}) {
+    SCOPED_TRACE(threads);
+    CancellationToken token;
+    IoPipelineOptions io;
+    io.background_threads = threads;
+    io.retry.cancel = &token;
+    auto spill = SpillManager::Create(
+        &env_, Path("tripped" + std::to_string(threads)), io);
+    ASSERT_TRUE(spill.ok());
+    auto writer = (*spill)->NewRun(cmp);
+    ASSERT_TRUE(writer.ok());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (i == rows.size() / 2) token.RequestCancel("preempted");
+      ASSERT_TRUE((*writer)->Append(rows[i]).ok());
+    }
+    auto meta = (*writer)->Finish();
+    ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+    EXPECT_EQ(meta->rows, rows.size());
+    // Reads do observe the token; check the run with a live one.
+    auto checker = SpillManager::Create(
+        &env_, Path("check" + std::to_string(threads)), IoPipelineOptions());
+    ASSERT_TRUE(checker.ok());
+    const Status verified = (*checker)->VerifyRun(*meta, cmp);
+    EXPECT_TRUE(verified.ok()) << verified.ToString();
+  }
 }
 
 }  // namespace
