@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "common/query_control.h"
 #include "common/stopwatch.h"
 #include "obs/metrics.h"
 #include "obs/obs_context.h"
@@ -177,6 +178,7 @@ Status DoubleBufferedWriter::Append(std::string_view data) {
     error_observed_ = true;
     return latched;
   }
+  TOPK_RETURN_NOT_OK(WriteStoppedBlock());
   if (arbiter_ != nullptr && !sync_fallback_) {
     // Lease the in-flight block copy. A refused grant (hard pressure,
     // budget exhausted, injected fault) degrades this writer to synchronous
@@ -217,7 +219,11 @@ Status DoubleBufferedWriter::Append(std::string_view data) {
     FlushBlocksCounter().Add(1);
     FlushBlockHistogram().Record(watch.ElapsedNanos());
     std::lock_guard<std::mutex> lock(mu_);
-    if (!status.ok() && latched_.ok()) latched_ = status;
+    if (IsCancellation(status.code())) {
+      stopped_block_ = true;
+    } else if (!status.ok() && latched_.ok()) {
+      latched_ = status;
+    }
     inflight_ = false;
     cv_.notify_all();
   });
@@ -233,19 +239,44 @@ Status DoubleBufferedWriter::Flush() {
     error_observed_ = true;
     return latched;
   }
+  TOPK_RETURN_NOT_OK(WriteStoppedBlock());
   return base_->Flush();
 }
 
 Status DoubleBufferedWriter::Close() {
   Status latched = WaitForInflight();
   if (closed_) return latched;
-  closed_ = true;
   if (!latched.ok()) {
+    closed_ = true;
     error_observed_ = true;
     base_->Close();  // release the handle either way; keep the first error
     return latched;
   }
-  return base_->Close();
+  // A cancellation touches no storage: a later Close finishes the file.
+  Status status = WriteStoppedBlock();
+  if (IsCancellation(status.code())) return status;
+  if (!status.ok()) {
+    closed_ = true;
+    base_->Close();  // release the handle either way; keep the first error
+    return status;
+  }
+  status = base_->Close();
+  closed_ = !IsCancellation(status.code());
+  return status;
+}
+
+Status DoubleBufferedWriter::WriteStoppedBlock() {
+  // No flush is in flight, so the background task holds none of this.
+  if (!stopped_block_) return Status::OK();
+  Status status = base_->Append(writing_);
+  if (IsCancellation(status.code())) return status;
+  stopped_block_ = false;
+  if (!status.ok()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    latched_ = status;
+    error_observed_ = true;
+  }
+  return status;
 }
 
 PrefetchingBlockReader::PrefetchingBlockReader(

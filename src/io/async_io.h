@@ -158,7 +158,11 @@ size_t ApportionPrefetchDepth(size_t budget_bytes, size_t live_runs,
 /// previous one rides the storage round trip). Errors from background
 /// flushes are latched and surfaced on the next Append/Flush/Close — never
 /// lost. Once an error is latched every later call returns it and no
-/// further data is written.
+/// further data is written. A cancellation is not latched: it stops a
+/// flush before storage is touched (io/retry.h), so the block is kept and
+/// the next Append/Flush/Close writes it first, on the caller's thread; a
+/// file whose flush a cancelled query stopped still completes whole once
+/// the token is shielded (CancelShield).
 class DoubleBufferedWriter : public WritableFile {
  public:
   /// A non-null `arbiter` leases the in-flight block copy; when the lease
@@ -181,6 +185,9 @@ class DoubleBufferedWriter : public WritableFile {
  private:
   /// Blocks until no flush is in flight; returns the latched status.
   Status WaitForInflight();
+  /// Writes the block a cancellation stopped, if any. Called with no flush
+  /// in flight.
+  Status WriteStoppedBlock();
 
   std::unique_ptr<WritableFile> base_;
   ThreadPool* pool_;
@@ -198,6 +205,7 @@ class DoubleBufferedWriter : public WritableFile {
   Status latched_;          // first background error, sticky
   bool error_observed_ = false;  // latched_ was returned to the caller
   std::string writing_;     // block owned by the background task
+  bool stopped_block_ = false;   // writing_ holds a block a cancel stopped
   bool closed_ = false;
 };
 

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "common/query_control.h"
 
 namespace topk {
 
@@ -17,9 +18,9 @@ BlockWriter::~BlockWriter() {
   // Best effort; callers that care about errors must Close() explicitly. A
   // destructor cannot return a Status, so a failure here can only be logged
   // — never silently discarded.
-  if (!closed_) {
+  if (!closed_ && failed_.ok()) {
     Status status = Close();
-    if (!status.ok()) {
+    if (!status.ok() && !IsCancellation(status.code())) {
       TOPK_LOG(Warning) << "BlockWriter close error dropped in destructor: "
                         << status.ToString();
     }
@@ -30,14 +31,28 @@ Status BlockWriter::Append(std::string_view data) {
   if (closed_) {
     return Status::FailedPrecondition("append to closed BlockWriter");
   }
+  TOPK_RETURN_NOT_OK(failed_);
   const size_t total = data.size();
+  const size_t buffered = buffer_.size();
+  bool flushed = false;
   while (!data.empty()) {
     const size_t room = block_bytes_ - buffer_.size();
     const size_t take = std::min(room, data.size());
     buffer_.append(data.data(), take);
     data.remove_prefix(take);
     if (buffer_.size() == block_bytes_) {
-      TOPK_RETURN_NOT_OK(FlushBuffer());
+      Status status = FlushBuffer();
+      if (!status.ok()) {
+        if (flushed) {
+          // Part of `data` is in the file already: the file is torn.
+          failed_ = status;
+        } else {
+          // Nothing of `data` reached the file: the call fails whole.
+          buffer_.resize(buffered);
+        }
+        return status;
+      }
+      flushed = true;
     }
   }
   // Counted only after every flush succeeded: a failed Append must not
@@ -55,10 +70,16 @@ Status BlockWriter::FlushBuffer() {
 
 Status BlockWriter::Close() {
   if (closed_) return Status::OK();
-  closed_ = true;
-  TOPK_RETURN_NOT_OK(FlushBuffer());
-  TOPK_RETURN_NOT_OK(file_->Flush());
-  return file_->Close();
+  TOPK_RETURN_NOT_OK(failed_);
+  Status status = FlushBuffer();
+  if (status.ok()) status = file_->Flush();
+  if (status.ok()) status = file_->Close();
+  if (status.ok()) {
+    closed_ = true;
+  } else if (!IsCancellation(status.code())) {
+    failed_ = status;
+  }
+  return status;
 }
 
 BlockReader::BlockReader(std::unique_ptr<SequentialFile> file,

@@ -27,10 +27,16 @@ class BlockWriter {
   BlockWriter(const BlockWriter&) = delete;
   BlockWriter& operator=(const BlockWriter&) = delete;
 
-  /// Buffers `data`, flushing whole blocks as they fill.
+  /// Buffers `data`, flushing whole blocks as they fill. A failure leaves
+  /// the writer as it was before the call, so the call can be repeated,
+  /// unless part of `data` had reached the file already: that tears the
+  /// file, and every later call returns the same error.
   Status Append(std::string_view data);
 
-  /// Flushes any buffered bytes and closes the file. Idempotent.
+  /// Flushes any buffered bytes and closes the file; once that succeeded,
+  /// further calls do nothing. A cancellation stops it before storage is
+  /// touched (io/retry.h), so it can be repeated; every later call returns
+  /// any other failure again.
   Status Close();
 
   /// Total bytes appended (buffered + written).
@@ -44,6 +50,8 @@ class BlockWriter {
   size_t block_bytes_;
   uint64_t bytes_appended_ = 0;
   bool closed_ = false;
+  /// A torn Append or a failed Close, returned by every later call.
+  Status failed_;
 };
 
 /// Streams a file through a block-size read buffer and hands out bytes.

@@ -87,8 +87,8 @@ Result<RunMeta> RunWriter::Finish() {
   if (finished_) {
     return Status::FailedPrecondition("run already finished");
   }
-  finished_ = true;
   TOPK_RETURN_NOT_OK(writer_->Close());
+  finished_ = true;
   meta_.bytes = writer_->bytes_appended();
   return meta_;
 }

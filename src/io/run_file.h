@@ -95,7 +95,9 @@ class RunWriter {
                           std::string_view bytes);
 
   /// Flushes, closes the file, and returns the run's metadata (histogram is
-  /// attached by the caller / sizing policy afterwards if desired).
+  /// attached by the caller / sizing policy afterwards if desired). A
+  /// failed Finish leaves the run open: one a cancellation stopped can be
+  /// finished by a later call (BlockWriter::Close).
   Result<RunMeta> Finish();
 
   uint64_t rows_written() const { return meta_.rows; }

@@ -218,15 +218,9 @@ Result<std::unique_ptr<RunWriter>> SpillManager::NewRun(
   if (spill_quota_.enabled() && quota_exempt) {
     spill_quota_.AddExemption(path);
   }
-  // A block write that a tripped token stops is lost, and the run can then
-  // never be finished, so a keep-for-resume cancel could not make it
-  // durable. Run generators and merges poll the token between rows, where
-  // stopping leaves every writer whole.
-  RetryPolicy retry = io_options_.retry;
-  retry.cancel = nullptr;
   return RunWriter::Create(env_, std::move(path), id, comparator,
                            kDefaultBlockBytes, index_stride, io_pool_.get(),
-                           retry,
+                           io_options_.retry,
                            spill_quota_.enabled() ? &spill_quota_ : nullptr,
                            io_options_.arbiter);
 }

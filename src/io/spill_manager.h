@@ -96,8 +96,9 @@ class SpillManager {
   /// written — used for consolidation output, which *reduces* net spill
   /// usage once its inputs are deleted, so refusing it under pressure
   /// would be self-defeating. The exemption ends when the finished run is
-  /// registered via AddRun. The run's writes do not observe the query's
-  /// cancellation token: its writers stop between rows instead.
+  /// registered via AddRun. A write the query's tripped cancellation token
+  /// stops is kept, not lost: under a CancelShield the writer goes on and
+  /// the run finishes whole.
   Result<std::unique_ptr<RunWriter>> NewRun(
       const RowComparator& comparator,
       uint64_t index_stride = kDefaultIndexStride, bool quota_exempt = false);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/query_control.h"
 #include "obs/metrics.h"
 #include "obs/obs_context.h"
 
@@ -70,6 +71,16 @@ uint64_t SpillQuota::CreditFile(const std::string& path) {
   return bytes;
 }
 
+void SpillQuota::Refund(const std::string& path, uint64_t bytes) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = per_path_.find(path);
+  if (it == per_path_.end()) return;
+  bytes = std::min(bytes, it->second);
+  it->second -= bytes;
+  charged_ -= std::min(charged_, bytes);
+  QuotaChargedGauge().Set(static_cast<int64_t>(charged_));
+}
+
 void SpillQuota::AddExemption(const std::string& path) {
   std::lock_guard<std::mutex> lock(mu_);
   exempt_.insert(path);
@@ -84,8 +95,11 @@ Status QuotaChargingWritableFile::Append(std::string_view data) {
   if (!admitted.ok()) return admitted;
   // A failed append below (already retried by the layer underneath) leaves
   // the charge in place: the accounting stays conservative and the whole
-  // file's charge is credited back when the run is deleted.
-  return base_->Append(data);
+  // file's charge is credited back when the run is deleted. A cancellation
+  // stopped the write before storage, and the block is written again.
+  Status status = base_->Append(data);
+  if (IsCancellation(status.code())) quota_->Refund(path_, data.size());
+  return status;
 }
 
 Status QuotaChargingWritableFile::Flush() { return base_->Flush(); }

@@ -49,6 +49,10 @@ class SpillQuota {
   /// Returns `path`'s bytes to the pool (file deleted / released).
   uint64_t CreditFile(const std::string& path);
 
+  /// Returns `bytes` charged to `path` for a write that reached no storage
+  /// and will be made again.
+  void Refund(const std::string& path, uint64_t bytes);
+
   /// Marks `path` exempt from the admission check until it registers.
   void AddExemption(const std::string& path);
 

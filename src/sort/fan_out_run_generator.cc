@@ -12,9 +12,12 @@ namespace topk {
 
 namespace {
 
-/// The bytes of rows in flight, as a share of the memory budget: a quarter,
-/// which under a 1 MiB budget is one arbiter lease chunk.
-constexpr size_t kInFlightShareDivisor = 4;
+/// The bytes of rows in flight, as a share of the memory budget. One
+/// worker gets a quarter, which under a 1 MiB budget is one arbiter lease
+/// chunk, on top of its generator's budget. More workers get an eighth,
+/// out of their generators' budget.
+constexpr size_t kOneWorkerInFlightDivisor = 4;
+constexpr size_t kInFlightShareDivisor = 8;
 
 static_assert(FanOutRunGenerator::kWakeBatches <=
                   FanOutRunGenerator::kQueueBatches,
@@ -34,14 +37,19 @@ FanOutRunGenerator::FanOutRunGenerator(RunGenerationKind kind,
   // Queued and spent batches together stay within a full queue per worker;
   // add the open batch, and one batch of slack for the rows that carry
   // batches past the limit.
-  const size_t in_flight = options.memory_limit_bytes / kInFlightShareDivisor;
+  const size_t in_flight =
+      options.memory_limit_bytes /
+      (workers == 1 ? kOneWorkerInFlightDivisor : kInFlightShareDivisor);
   batch_bytes_limit_ =
       std::max<size_t>(in_flight / (kQueueBatches * workers + 2), 1);
   RunGeneratorOptions worker_options = options;
   worker_options.workers = 1;
   worker_options.worker_observers.clear();
+  const size_t generators_bytes = workers == 1
+                                      ? options.memory_limit_bytes
+                                      : options.memory_limit_bytes - in_flight;
   worker_options.memory_limit_bytes =
-      std::max<size_t>(options.memory_limit_bytes / workers, 1);
+      std::max<size_t>(generators_bytes / workers, 1);
   for (size_t i = 0; i < workers; ++i) {
     worker_options.observer = i < options.worker_observers.size()
                                   ? options.worker_observers[i]
@@ -59,15 +67,26 @@ FanOutRunGenerator::FanOutRunGenerator(RunGenerationKind kind,
 }
 
 FanOutRunGenerator::~FanOutRunGenerator() {
-  (void)JoinWorkers(/*drain=*/false);
+  // The admission may be gone already; its state is of no use now.
+  (void)StopWorkers(/*drain=*/false);
 }
 
 Status FanOutRunGenerator::Offer(Row&& row, const InputProgress& at) {
-  return Queue(Entry{std::move(row), at, /*admit=*/true});
+  // A batch is still full only when its hand-off failed; retry that first
+  // so the open batch stays bounded.
+  if (BatchFull()) TOPK_RETURN_NOT_OK(HandOff());
+  open_.bytes += HeldRowBytes(row);
+  open_.entries.push_back(Entry{std::move(row), at});
+  ++stats_.rows_added;
+  if (BatchFull()) return HandOff();
+  return Status::OK();
 }
 
 Status FanOutRunGenerator::Add(const Row& row) {
-  if (!Idle()) return Queue(Entry{row, InputProgress(), /*admit=*/false});
+  if (!Idle()) {
+    return Status::FailedPrecondition(
+        "run-generation rows are added only while none are offered");
+  }
   // No worker thread touches the generators while they are stopped.
   ++stats_.rows_added;
   TOPK_RETURN_NOT_OK(workers_[next_worker_]->generator->Add(row));
@@ -84,17 +103,6 @@ bool FanOutRunGenerator::Idle() {
                      [](const auto& worker) { return worker->queue.empty(); });
 }
 
-Status FanOutRunGenerator::Queue(Entry&& entry) {
-  // A batch is still full only when its hand-off failed; retry that first
-  // so the open batch stays bounded.
-  if (BatchFull()) TOPK_RETURN_NOT_OK(HandOff());
-  open_.bytes += HeldRowBytes(entry.row);
-  open_.entries.push_back(std::move(entry));
-  ++stats_.rows_added;
-  if (BatchFull()) return HandOff();
-  return Status::OK();
-}
-
 Status FanOutRunGenerator::HandOff() {
   TOPK_RETURN_NOT_OK(StartWorkers());
   if (arbiter_ != nullptr && !lease_.attached()) {
@@ -104,21 +112,26 @@ Status FanOutRunGenerator::HandOff() {
   size_t in_flight = 0;
   size_t spent_bytes = 0;
   bool wake = false;
+  bool failed = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
     space_cv_.wait(lock, [&] {
       return !error_.ok() || worker->queue.size() < kQueueBatches;
     });
-    if (!error_.ok()) return error_;
-    in_flight_bytes_ += open_.bytes;
-    in_flight = in_flight_bytes_;
-    worker->queue.push_back(std::move(open_));
-    wake = worker->queue.size() >= kWakeBatches;
-    // Take the spent batches; freeing keeps both vectors' capacity.
-    freeing_.swap(spent_);
-    for (const Batch& batch : freeing_) spent_bytes += batch.bytes;
-    in_flight_bytes_ -= spent_bytes;
+    failed = !error_.ok();
+    if (!failed) {
+      in_flight_bytes_ += open_.bytes;
+      in_flight = in_flight_bytes_;
+      worker->queue.push_back(std::move(open_));
+      wake = worker->queue.size() >= kWakeBatches;
+      // Take the spent batches; freeing keeps both vectors' capacity.
+      freeing_.swap(spent_);
+      for (const Batch& batch : freeing_) spent_bytes += batch.bytes;
+      in_flight_bytes_ -= spent_bytes;
+    }
   }
+  // A worker failed: stop the others, which folds what they counted.
+  if (failed) return JoinWorkers(/*drain=*/false);
   if (wake) worker->work_cv.notify_one();
   open_ = Batch();
   open_.entries.reserve(kBatchRows);
@@ -133,6 +146,10 @@ Status FanOutRunGenerator::HandOff() {
 
 Status FanOutRunGenerator::StartWorkers() {
   if (running_) return Status::OK();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    TOPK_RETURN_NOT_OK(error_);
+  }
   running_ = true;
   for (auto& worker : workers_) {
     try {
@@ -148,19 +165,23 @@ Status FanOutRunGenerator::StartWorkers() {
   return Status::OK();
 }
 
-Status FanOutRunGenerator::JoinWorkers(bool drain) {
-  if (running_) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      (drain ? draining_ : stopping_) = true;
-    }
-    for (auto& worker : workers_) worker->work_cv.notify_one();
-    drained_cv_.notify_all();
-    for (auto& worker : workers_) {
-      if (worker->thread.joinable()) worker->thread.join();
-    }
-    running_ = false;
+bool FanOutRunGenerator::StopWorkers(bool drain) {
+  if (!running_) return false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    (drain ? draining_ : stopping_) = true;
   }
+  for (auto& worker : workers_) worker->work_cv.notify_one();
+  drained_cv_.notify_all();
+  for (auto& worker : workers_) {
+    if (worker->thread.joinable()) worker->thread.join();
+  }
+  running_ = false;
+  return true;
+}
+
+Status FanOutRunGenerator::JoinWorkers(bool drain) {
+  if (StopWorkers(drain) && admission_ != nullptr) admission_->Stopped();
   std::lock_guard<std::mutex> lock(mu_);
   for (const Batch& batch : spent_) in_flight_bytes_ -= batch.bytes;
   spent_.clear();
@@ -242,7 +263,7 @@ Status FanOutRunGenerator::Drain(Worker* worker, Batch* batch) {
   RunGenerator* const generator = worker->generator.get();
   while (batch->next < batch->entries.size()) {
     const Entry& entry = batch->entries[batch->next];
-    if (entry.admit && admission != nullptr) {
+    if (admission != nullptr) {
       bool admitted = false;
       TOPK_ASSIGN_OR_RETURN(admitted, admission->Admit(entry.row, entry.at));
       if (!admitted) {

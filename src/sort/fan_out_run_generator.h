@@ -37,6 +37,11 @@ class RowAdmission {
   /// admitted its last row and before any generator flushes; the caller
   /// waits in Flush meanwhile.
   virtual void Drained() = 0;
+
+  /// Runs on the producer's thread each time the workers stopped, whatever
+  /// stopped them (Flush, SetCancel, a worker's failure), once they all
+  /// joined: what Admit counted can be folded into the producer's state.
+  virtual void Stopped() = 0;
 };
 
 /// Pipelined run generation (Secs 2.1, 4.4): options.workers run generators
@@ -48,9 +53,11 @@ class RowAdmission {
 ///
 /// Offer, Add, Flush and SetCancel are called from one thread, the
 /// producer. A batch holds at most kBatchRows rows and a worker's queue at
-/// most kQueueBatches batches, so the rows in flight are bounded: by a
-/// quarter of the memory budget, which is leased for them on top of the
-/// budget the workers' generators split evenly.
+/// most kQueueBatches batches, so the rows in flight are bounded, and
+/// leased apart. One worker keeps the whole budget, so its runs are those
+/// a sequential generator writes, and the rows in flight go over the
+/// budget by up to a quarter of it. More workers split what an eighth of
+/// the budget for the rows in flight leaves.
 ///
 /// The threads share as little as a hand-off needs. A worker only reads the
 /// rows it is given (its generator serializes them) and hands each spent
@@ -61,8 +68,9 @@ class RowAdmission {
 /// once the queue is down to kQueueBatches - kWakeBatches, so each sleep is
 /// paid for by several batches.
 ///
-/// A worker's failure, an allocation failure included, surfaces from the
-/// next Offer, Add or Flush. A cancellation leaves every row not yet
+/// A worker's failure, an allocation failure included, surfaces from a
+/// later Offer, Add or Flush, not from the call that offered the row; the
+/// producer then stops the other workers. A cancellation leaves every row not yet
 /// spilled in place, so once SetCancel detaches the tripped token, Flush
 /// still writes the whole input.
 class FanOutRunGenerator : public RunGenerator {
@@ -85,11 +93,10 @@ class FanOutRunGenerator : public RunGenerator {
   /// Queues `row` for the next worker, which admits it, when there is an
   /// admission, and adds it. Starts the workers.
   Status Offer(Row&& row, const InputProgress& at);
-  /// Adds `row` without admission. While the workers are stopped and
-  /// nothing is queued, it goes straight into a worker's generator on the
-  /// calling thread, the workers taking kBatchRows rows in turn: the
+  /// Adds `row` without admission, straight into a worker's generator on
+  /// the calling thread, the workers taking kBatchRows rows in turn: the
   /// external switch hands over its in-memory rows this way and holds none
-  /// in flight. Otherwise a copy queues behind the offered rows.
+  /// in flight. FailedPrecondition once rows were offered, until Flush.
   Status Add(const Row& row) override;
   Status Flush() override;
   /// Stops the workers first: they read the token their generators hold.
@@ -102,8 +109,6 @@ class FanOutRunGenerator : public RunGenerator {
   struct Entry {
     Row row;
     InputProgress at;
-    /// Offered, so admitted before it is added.
-    bool admit = false;
   };
   struct Batch {
     std::vector<Entry> entries;
@@ -121,8 +126,6 @@ class FanOutRunGenerator : public RunGenerator {
     std::condition_variable work_cv;
   };
 
-  /// Adds `entry` to the open batch and hands that off once full.
-  Status Queue(Entry&& entry);
   bool BatchFull() const {
     return open_.entries.size() >= kBatchRows ||
            open_.bytes >= batch_bytes_limit_;
@@ -132,12 +135,15 @@ class FanOutRunGenerator : public RunGenerator {
   /// Queues the open batch for the next worker, waiting while that worker's
   /// queue is full, and frees the batches the workers are done with.
   Status HandOff();
-  /// Starts the worker threads unless they run; fails, with none left
-  /// running, if a thread cannot be created.
+  /// Starts the worker threads unless they run or one failed; fails, with
+  /// none left running, if a thread cannot be created.
   Status StartWorkers();
   /// Joins the workers. With `drain` each first drains its queue and
   /// flushes its generator; otherwise each stops after its current batch.
-  /// Returns the first failure any worker latched.
+  /// Returns false if none ran.
+  bool StopWorkers(bool drain);
+  /// StopWorkers, then RowAdmission::Stopped. Returns the first failure
+  /// any worker latched.
   Status JoinWorkers(bool drain);
   /// Drains the worker's batches until it is stopped, or, once Flush
   /// drains, until its queue is empty; then flushes its generator.

@@ -58,15 +58,24 @@ Status RunSink::StartRun() {
 }
 
 Status RunSink::CloseRun() {
-  std::vector<HistogramBucket> histogram;
-  if (observer_ != nullptr) histogram = observer_->OnRunFinished();
-  if (writer_ == nullptr) return Status::OK();
+  // A repeated call, after a Finish that failed, ends the observer's run
+  // only once.
+  if (!closing_histogram_.has_value()) {
+    closing_histogram_ = observer_ != nullptr
+                             ? observer_->OnRunFinished()
+                             : std::vector<HistogramBucket>();
+  }
+  if (writer_ == nullptr) {
+    closing_histogram_.reset();
+    return Status::OK();
+  }
   SampledScopeTimer::InFull in_full;
   TraceSpan span("rungen.close_run", "sort",
                  {TraceArg("rows", rows_in_run_)});
   RunMeta meta;
   TOPK_ASSIGN_OR_RETURN(meta, writer_->Finish());
-  meta.histogram = std::move(histogram);
+  meta.histogram = std::move(*closing_histogram_);
+  closing_histogram_.reset();
   writer_.reset();
   rows_in_run_ = 0;
   return spill_->AddRun(std::move(meta));

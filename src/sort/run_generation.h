@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -169,7 +170,8 @@ class RunSink {
 
   /// Ends the current run: the observer's per-run state is always reset,
   /// and an open run is finished, given the observer's histogram and
-  /// registered with the SpillManager.
+  /// registered with the SpillManager. After a failure the run stays open
+  /// with its histogram, and the next call finishes it.
   Status CloseRun();
 
   const RunGeneratorStats& stats() const { return stats_; }
@@ -187,6 +189,8 @@ class RunSink {
   MemoryArbiter* arbiter_;
   RunGeneratorStats stats_;
   std::unique_ptr<RunWriter> writer_;
+  /// The observer's histogram of the run CloseRun is finishing.
+  std::optional<std::vector<HistogramBucket>> closing_histogram_;
   uint64_t rows_in_run_ = 0;
   /// The row shown to the observer: key and id, no payload.
   Row observed_;

@@ -74,8 +74,11 @@ class HistogramFilterPolicy final : public BoundedHeapPolicy,
       ++stats().rows_eliminated_input;
       return Status::OK();
     }
+    // Admit adds every elimination of the workers', folded or not.
     return pipeline_->Offer(
-        std::move(row), {stats().rows_consumed, stats().rows_eliminated_input});
+        std::move(row),
+        {stats().rows_consumed,
+         stats().rows_eliminated_input - workers_eliminated_folded_});
   }
   void ConfigureMerges(MergePlannerOptions* planner) const override {
     planner->policy = options().merge_policy;
@@ -96,10 +99,12 @@ class HistogramFilterPolicy final : public BoundedHeapPolicy,
   /// On a worker: Algorithm 1 line 4 for one queued row, and the run
   /// maintenance due before the worker adds it.
   Result<bool> Admit(const Row& row, const InputProgress& at) override;
-  /// On a worker, after the last queued row: folds what the workers
-  /// counted into stats(), whose owner waits in Flush, and publishes the
-  /// input totals as progress for the flush and the merges.
+  /// On a worker, after the last queued row: publishes the input totals as
+  /// progress for the flush and the merges.
   void Drained() override;
+  /// On the consuming thread, once the workers stopped: folds what they
+  /// counted into stats().
+  void Stopped() override;
   void PublishProgress(uint64_t consumed, uint64_t eliminated) {
     progress_consumed_.store(consumed, std::memory_order_relaxed);
     progress_eliminated_.store(eliminated, std::memory_order_relaxed);
@@ -133,6 +138,8 @@ class HistogramFilterPolicy final : public BoundedHeapPolicy,
   MemoryLease filter_lease_;
   /// The run generator, which runs Admit on its workers.
   FanOutRunGenerator* pipeline_ = nullptr;
+  /// The rows_eliminated_by_workers_ that Stopped folded into stats().
+  uint64_t workers_eliminated_folded_ = 0;
   /// What QuotaPressed reads, copied here at the switch: the operator's own
   /// fields share cache lines that the consuming thread writes per row.
   SpillQuota* quota_ = nullptr;
@@ -145,13 +152,13 @@ class HistogramFilterPolicy final : public BoundedHeapPolicy,
   /// attempt waits for at least one new run so a consolidation that could
   /// not free enough space is not retried on every row.
   uint64_t runs_created_at_last_quota_merge_ = 0;
-  /// What the workers counted toward stats() since the last Drained.
+  /// What the workers counted toward stats() since the last Stopped.
   uint64_t runs_dropped_ = 0;
   std::vector<MergeStats> consolidations_;
   /// cutoff_changes() at the last DropDeadRuns; read per queued row.
   std::atomic<uint64_t> cutoff_changes_at_drop_{0};
-  /// Rows the workers' probe eliminated since the last Drained. Written per
-  /// row, on a cache line of its own with the progress below.
+  /// Rows the workers' probe eliminated. Written per row, on a cache line of
+  /// its own with the progress below.
   alignas(64) std::atomic<uint64_t> rows_eliminated_by_workers_{0};
   /// The input progress of the row run generation works on: the row the
   /// switch hands over, a worker's queued row, or the whole input once
@@ -234,14 +241,23 @@ Result<bool> HistogramFilterPolicy::Admit(const Row& row,
 }
 
 void HistogramFilterPolicy::Drained() {
+  // The consuming thread waits in Flush, so its stats() hold still.
+  PublishProgress(stats().rows_consumed,
+                  stats().rows_eliminated_input - workers_eliminated_folded_ +
+                      rows_eliminated_by_workers_.load(
+                          std::memory_order_relaxed));
+}
+
+void HistogramFilterPolicy::Stopped() {
   std::lock_guard<std::mutex> lock(maintenance_mu_);
-  stats().rows_eliminated_input +=
-      rows_eliminated_by_workers_.exchange(0, std::memory_order_relaxed);
+  const uint64_t eliminated =
+      rows_eliminated_by_workers_.load(std::memory_order_relaxed);
+  stats().rows_eliminated_input += eliminated - workers_eliminated_folded_;
+  workers_eliminated_folded_ = eliminated;
   stats().runs_dropped += runs_dropped_;
   runs_dropped_ = 0;
   for (const MergeStats& merged : consolidations_) ChargeInputMerge(merged);
   consolidations_.clear();
-  PublishProgress(stats().rows_consumed, stats().rows_eliminated_input);
 }
 
 bool HistogramFilterPolicy::QuotaPressed() const {

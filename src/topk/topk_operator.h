@@ -61,7 +61,11 @@ struct TopKOptions {
 
   /// Operator memory budget in bytes (paper default: 1 GB; experiments use
   /// much smaller budgets). std::numeric_limits<size_t>::max() never runs
-  /// out, which grants the heap operator whatever its output needs.
+  /// out, which grants the heap operator whatever its output needs. At
+  /// workers = 1 the histogram operator's run generation keeps the whole
+  /// budget and the rows queued for its worker come on top, at most a
+  /// quarter of the budget more (peak_memory_bytes counts them); at
+  /// workers > 1 they take an eighth of the budget.
   size_t memory_limit_bytes = 64 << 20;
 
   /// Target histogram buckets collected per run (paper default: 50; 0
@@ -94,9 +98,10 @@ struct TopKOptions {
   /// Run-generation threads (Secs 2.1, 4.4), at most kMaxWorkers. The
   /// histogram operator runs its run generation on that many threads
   /// beside the consuming one, each with an equal share of the memory
-  /// budget, all filtering through its one cutoff filter; the consuming
-  /// thread only pre-probes the cutoff and queues the rows that pass. Every
-  /// other operator requires 1 and generates runs on the consuming thread.
+  /// budget (see memory_limit_bytes), all filtering through its one cutoff
+  /// filter; the consuming thread only pre-probes the cutoff and queues the
+  /// rows that pass. Every other operator requires 1 and generates runs on
+  /// the consuming thread.
   size_t workers = 1;
 
   /// Offset-value coding on every merge step's loser tree (Do & Graefe;
@@ -226,6 +231,14 @@ struct TopKOptions {
 
 /// Uniform observability across operators; the evaluation (Sec 5) is driven
 /// entirely off these counters.
+///
+/// The histogram operator's run-generation workers count their input
+/// eliminations (rows_eliminated_input), runs_dropped and their quota
+/// consolidations (merge_rows_*, and the runs runs_created leaves out)
+/// apart and fold them in whenever they stop: these fields are exact after Finish, Suspend or a keep-for-resume
+/// cancel, and may lag while input is consumed. A worker's failure, a full
+/// spill quota included, surfaces from a later Consume or Finish, not from
+/// the call that passed the row.
 struct OperatorStats {
   uint64_t rows_consumed = 0;
   /// Rows dropped by the cutoff before entering the sort (Algorithm 1,

@@ -321,11 +321,12 @@ TEST_F(AsyncIoTest, PipelinedSpillRoundTripAndVerify) {
   EXPECT_EQ(i, rows.size());
 }
 
-/// A query's token does not stop a run's writes: a block it failed would be
-/// lost and the run could never be finished, so a keep-for-resume cancel
-/// could not make it durable. Run writers stop between rows instead.
-TEST_F(AsyncIoTest, RunWritesIgnoreATrippedToken) {
-  const std::vector<Row> rows = TestRows(3000);
+/// A tripped token stops a run's writes without losing any: the run
+/// neither takes rows nor finishes while the token stops it, and under a
+/// CancelShield the same writer takes the rest and finishes whole (the
+/// keep-for-resume handoff).
+TEST_F(AsyncIoTest, CancelledRunWritesFinishWholeUnderAShield) {
+  const std::vector<Row> rows = TestRows(30000);
   const RowComparator cmp;
   for (const size_t threads : {size_t{0}, size_t{2}}) {
     SCOPED_TRACE(threads);
@@ -333,24 +334,66 @@ TEST_F(AsyncIoTest, RunWritesIgnoreATrippedToken) {
     IoPipelineOptions io;
     io.background_threads = threads;
     io.retry.cancel = &token;
+    io.spill_quota_bytes = uint64_t{1} << 30;
     auto spill = SpillManager::Create(
         &env_, Path("tripped" + std::to_string(threads)), io);
     ASSERT_TRUE(spill.ok());
     auto writer = (*spill)->NewRun(cmp);
     ASSERT_TRUE(writer.ok());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      if (i == rows.size() / 2) token.RequestCancel("preempted");
+    size_t i = 0;
+    for (; i < rows.size() / 4; ++i) {
       ASSERT_TRUE((*writer)->Append(rows[i]).ok());
     }
-    auto meta = (*writer)->Finish();
+    token.RequestCancel("preempted");
+    Status stopped;
+    for (; i < rows.size(); ++i) {
+      stopped = (*writer)->Append(rows[i]);
+      if (!stopped.ok()) break;
+    }
+    EXPECT_EQ(stopped.code(), StatusCode::kCancelled) << stopped.ToString();
+    EXPECT_LT(i, rows.size());
+    EXPECT_EQ((*writer)->Finish().status().code(), StatusCode::kCancelled);
+    Result<RunMeta> meta = Status::FailedPrecondition("not finished");
+    {
+      CancelShield shield(&token);
+      for (; i < rows.size(); ++i) {
+        ASSERT_TRUE((*writer)->Append(rows[i]).ok());
+      }
+      meta = (*writer)->Finish();
+    }
     ASSERT_TRUE(meta.ok()) << meta.status().ToString();
     EXPECT_EQ(meta->rows, rows.size());
-    // Reads do observe the token; check the run with a live one.
+    // The stopped block was charged to the quota once.
+    EXPECT_EQ((*spill)->spill_quota()->charged_bytes(), meta->bytes);
+    // Reads observe the token too; check the run with a live one.
     auto checker = SpillManager::Create(
         &env_, Path("check" + std::to_string(threads)), IoPipelineOptions());
     ASSERT_TRUE(checker.ok());
     const Status verified = (*checker)->VerifyRun(*meta, cmp);
     EXPECT_TRUE(verified.ok()) << verified.ToString();
+  }
+}
+
+/// A run whose close failed reports that failure again from a repeated
+/// Finish instead of claiming it finished.
+TEST_F(AsyncIoTest, FailedRunCloseIsReportedAgain) {
+  const std::vector<Row> rows = TestRows(100);
+  const RowComparator cmp;
+  for (const size_t threads : {size_t{0}, size_t{2}}) {
+    SCOPED_TRACE(threads);
+    IoPipelineOptions io;
+    io.background_threads = threads;
+    auto spill = SpillManager::Create(
+        &env_, Path("close" + std::to_string(threads)), io);
+    ASSERT_TRUE(spill.ok());
+    auto writer = (*spill)->NewRun(cmp);
+    ASSERT_TRUE(writer.ok());
+    for (const Row& row : rows) ASSERT_TRUE((*writer)->Append(row).ok());
+    env_.InjectCloseFailure(1);
+    const Status first = (*writer)->Finish().status();
+    EXPECT_EQ(first.code(), StatusCode::kIoError) << first.ToString();
+    const Status again = (*writer)->Finish().status();
+    EXPECT_EQ(again.ToString(), first.ToString());
   }
 }
 

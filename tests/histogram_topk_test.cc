@@ -604,5 +604,32 @@ TEST_F(HistogramTopKTest, ParallelTimelineCountsRowsConsumed) {
   EXPECT_LE(consumed, rows.size());
 }
 
+TEST_F(HistogramTopKTest, PeakMemoryStaysWithinTheBudgetBound) {
+  // One run-generation worker keeps the whole budget and leases the rows
+  // in flight beside it, at most a quarter of the budget more; more
+  // workers keep them within the budget. Batches and generators
+  // stop at the row that crosses their share, so a few rows' worth of
+  // slack stays.
+  DatasetSpec spec;
+  spec.WithRows(100000).WithSeed(6);
+  const auto rows = MaterializeDataset(spec);
+  constexpr size_t kLimit = 256 * 1024;
+  constexpr size_t kSlack = kLimit / 32;
+  for (const size_t workers : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(workers);
+    TopKOptions options = Options(5000, kLimit);
+    options.workers = workers;
+    auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
+    ASSERT_TRUE(op.ok());
+    auto result = RunOperator(op->get(), rows);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectSameRows(ReferenceTopK(rows, 5000, 0, SortDirection::kAscending),
+                   *result);
+    ASSERT_TRUE((*op)->is_external());
+    EXPECT_LE((*op)->stats().peak_memory_bytes,
+              (workers == 1 ? kLimit + kLimit / 4 : kLimit) + kSlack);
+  }
+}
+
 }  // namespace
 }  // namespace topk

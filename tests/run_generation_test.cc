@@ -319,6 +319,11 @@ class RecordingAdmission : public RowAdmission {
     ++drained;
     admitted_at_drain = admitted;
   }
+  void Stopped() override {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stopped;
+    stopped_on_caller &= std::this_thread::get_id() == caller_;
+  }
 
   std::mutex mu_;
   uint64_t admitted = 0;
@@ -326,9 +331,12 @@ class RecordingAdmission : public RowAdmission {
   bool progress_matches = true;
   int drained = 0;
   uint64_t admitted_at_drain = 0;
+  int stopped = 0;
+  bool stopped_on_caller = true;
 
  private:
   uint64_t drop_every_;
+  std::thread::id caller_ = std::this_thread::get_id();
 };
 
 TEST_F(FanOutRunGeneratorTest, WorkersAdmitTheirRowsInOfferOrder) {
@@ -353,6 +361,9 @@ TEST_F(FanOutRunGeneratorTest, WorkersAdmitTheirRowsInOfferOrder) {
     // Once per Flush, after the last admission of every worker.
     EXPECT_EQ(admission.drained, 1);
     EXPECT_EQ(admission.admitted_at_drain, kRows);
+    // The caller folds what the workers counted once they stopped.
+    EXPECT_EQ(admission.stopped, 1);
+    EXPECT_TRUE(admission.stopped_on_caller);
     // Each worker has a thread of its own, none the caller's, and admits
     // its rows in the order they were offered.
     EXPECT_EQ(admission.admitted_ids.size(), workers);
@@ -369,10 +380,10 @@ TEST_F(FanOutRunGeneratorTest, WorkersAdmitTheirRowsInOfferOrder) {
   }
 }
 
-TEST_F(FanOutRunGeneratorTest, AddWhileIdleRunsOnTheCallingThread) {
+TEST_F(FanOutRunGeneratorTest, AddRunsOnTheCallingThreadOnlyWhileIdle) {
   // The external switch's rows go straight into the generators, with no
-  // thread started and nothing in flight; rows added once rows are queued
-  // wait their turn behind them, unadmitted.
+  // thread started and nothing in flight; once rows are offered, Add is
+  // refused until Flush drained them.
   RunGeneratorOptions options = SmallMemory(100);
   options.workers = 2;
   MemoryArbiter arbiter;
@@ -385,14 +396,13 @@ TEST_F(FanOutRunGeneratorTest, AddWhileIdleRunsOnTheCallingThread) {
   }
   EXPECT_EQ(admission.admitted_ids.size(), 0u);
   ASSERT_TRUE(gen.Offer(Row(-1.0, 3000), {}).ok());
-  for (uint64_t id = 3001; id < 3500; ++id) {
-    ASSERT_TRUE(gen.Add(Row(static_cast<double>(id), id)).ok());
-  }
+  EXPECT_EQ(gen.Add(Row(3001.0, 3001)).code(),
+            StatusCode::kFailedPrecondition);
   ASSERT_TRUE(gen.Flush().ok());
   // Only the offered row met the admission, which dropped it.
   EXPECT_EQ(admission.admitted, 1u);
-  EXPECT_EQ(gen.stats().rows_added, 3500u);
-  EXPECT_EQ(gen.stats().rows_spilled, 3499u);
+  EXPECT_EQ(gen.stats().rows_added, 3001u);
+  EXPECT_EQ(gen.stats().rows_spilled, 3000u);
   EXPECT_EQ(arbiter.granted_bytes(), 0u);
 }
 
